@@ -1,12 +1,15 @@
-"""Pointwise differential calculus on model spaces.
+"""Differential calculus on model spaces, on single points and point stacks.
 
+Every function takes a point (n,) or a stack of points (..., n) and acts on
+the last axis only, so a whole quadrature node set is one call.
 Differentials are analytic when the field carries one, otherwise central
 finite differences.  Gradients go through the inverse Legendre transform of
 the model's norm (``model.sharp``), and the Laplacian is assembled in
 divergence form: the flux ``sigma(x) * grad u`` is differenced componentwise.
 The nonlinear Finsler Laplacian is only defined where ``du != 0``; stencil
 points with a nearly vanishing differential are reported via
-:class:`CriticalPointError` so callers can exclude them.
+:class:`CriticalPointError` for a single point and as NaN in a stack, so
+callers can exclude them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from typing import Callable
 import numpy as np
 
 CRITICAL_DIFFERENTIAL = 1e-8
+# points per Laplacian stencil evaluation: bounds the (block, 2, n, n) stack
+_LAPLACIAN_BLOCK = 1024
 
 
 class CriticalPointError(ValueError):
@@ -27,84 +32,127 @@ class CriticalPointError(ValueError):
 class ScalarField:
     """A scalar field with optional analytic differential.
 
-    ``fn`` maps a point (n,) to a float; ``grad``, when given, maps a point
-    to the differential components (n,).  ``support_radius`` bounds the
-    support in the relevant radial variable when known.
+    ``fn`` maps points (..., n) to values (...); ``grad``, when given, maps
+    them to the differential components (..., n).  Both must act on the last
+    axis only, so that a single point (n,) and a stack of points are the
+    same call.  Calling the field broadcasts a constant ``fn`` to
+    ``x.shape[:-1]`` and returns a float for a single point.
+    ``support_radius`` bounds the support in the relevant radial variable
+    when known.
     """
 
-    fn: Callable[[np.ndarray], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     support_radius: float | None = None
 
-    def __call__(self, x: np.ndarray) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
+    def __call__(self, x: np.ndarray) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(self.fn(x), dtype=float)
+        if out.shape != x.shape[:-1]:
+            out = np.broadcast_to(out, x.shape[:-1]).copy()
+        return float(out) if out.ndim == 0 else out
 
     def negated(self) -> "ScalarField":
         g = None if self.grad is None else (lambda x: -self.grad(x))
         return ScalarField(lambda x: -self.fn(x), g, self.support_radius)
 
 
+def _unit_steps(x: np.ndarray, h) -> np.ndarray:
+    """The 2n points x +/- h e_i as a (..., 2, n, n) stack (sign, i, coord)."""
+    n = x.shape[-1]
+    e = np.asarray(h)[..., None, None] * np.eye(n)
+    z = np.empty(x.shape[:-1] + (2, n, n))
+    np.add(x[..., None, :], e, out=z[..., 0, :, :])
+    np.subtract(x[..., None, :], e, out=z[..., 1, :, :])
+    return z
+
+
 def differential(field: ScalarField, x: np.ndarray,
                  step: float | None = None) -> np.ndarray:
-    """du at x: analytic when available, else O(step^2) central differences."""
+    """du at x (..., n): analytic when available, else O(step^2) central
+    differences over all 2n shifted points of every point in one stack."""
     x = np.asarray(x, dtype=float)
     if field.grad is not None:
         return np.asarray(field.grad(x), dtype=float)
-    h = step if step is not None else 1e-6 * max(1.0, float(np.linalg.norm(x)))
-    out = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        out[i] = (field(x + e) - field(x - e)) / (2.0 * h)
-    return out
+    h = step if step is not None \
+        else 1e-6 * np.maximum(1.0, np.sqrt(_sum_squares(x)))
+    vals = field(_unit_steps(x, h))
+    return (vals[..., 0, :] - vals[..., 1, :]) / \
+        (2.0 * np.asarray(h)[..., None])
 
 
 def gradient(model, field: ScalarField, x: np.ndarray,
              step: float | None = None) -> np.ndarray:
     """Finsler gradient: inverse Legendre transform of du (zero covector maps
-    to the zero vector by convention)."""
+    to the zero vector by convention, which ``model.sharp`` keeps)."""
     x = np.asarray(x, dtype=float)
-    du = differential(field, x, step)
-    if float(np.linalg.norm(du)) == 0.0:
-        return np.zeros_like(du)
-    return model.sharp(x, du)
+    return model.sharp(x, differential(field, x, step))
 
 
 def gradient_norm(model, field: ScalarField, x: np.ndarray,
-                  step: float | None = None) -> float:
+                  step: float | None = None) -> float | np.ndarray:
     """F(grad u) = F*(du) at x."""
-    du = differential(field, np.asarray(x, dtype=float), step)
-    return float(model.conorm(x, du))
+    x = np.asarray(x, dtype=float)
+    return model.conorm(x, differential(field, x, step))
 
 
 def numeric_laplacian(model, measure: str, field: ScalarField, x: np.ndarray,
                       flux_step: float | None = None,
-                      diff_step: float | None = None) -> float:
+                      diff_step: float | None = None) -> float | np.ndarray:
     """Divergence-form Laplacian: (1/sigma) d_i (sigma (grad u)^i) by central
-    differences of the flux.  Raises CriticalPointError when any stencil
-    point has |du| below the reliability threshold."""
+    differences of the flux.
+
+    For a single point (n,) returns a float and raises CriticalPointError
+    when any stencil point has |du| below the reliability threshold.  For a
+    stack (..., n) returns (...), NaN at such critical points; the stencils
+    are evaluated in blocks of a fixed number of points.
+    """
     x = np.asarray(x, dtype=float)
-    h = flux_step if flux_step is not None \
-        else 1e-4 * max(1.0, float(np.linalg.norm(x)))
-
-    def flux(z: np.ndarray) -> np.ndarray:
-        du = differential(field, z, diff_step)
-        if float(np.linalg.norm(du)) < CRITICAL_DIFFERENTIAL:
+    if x.ndim == 1:
+        lap, du_min = _laplacian_block(model, measure, field, x[None],
+                                       flux_step, diff_step)
+        if du_min[0] < CRITICAL_DIFFERENTIAL:
             raise CriticalPointError(
-                f"|du| ~ {np.linalg.norm(du):.2e} at {z}: Laplacian branch "
+                f"|du| ~ {du_min[0]:.2e} near {x}: Laplacian branch "
                 "undefined near critical points")
-        return float(model.density(z, measure)) * model.sharp(z, du)
+        return float(lap[0])
+    flat = x.reshape(-1, x.shape[-1])
+    out = np.empty(flat.shape[0])
+    for start in range(0, flat.shape[0], _LAPLACIAN_BLOCK):
+        stop = start + _LAPLACIAN_BLOCK
+        lap, du_min = _laplacian_block(model, measure, field,
+                                       flat[start:stop], flux_step, diff_step)
+        out[start:stop] = np.where(du_min < CRITICAL_DIFFERENTIAL, np.nan, lap)
+    return out.reshape(x.shape[:-1])
 
+
+def _laplacian_block(model, measure: str, field: ScalarField, x: np.ndarray,
+                     flux_step: float | None, diff_step: float | None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Laplacian of the points (B, n) and the smallest |du| on each stencil."""
+    h = flux_step if flux_step is not None \
+        else 1e-4 * np.maximum(1.0, np.sqrt(_sum_squares(x)))
+    h = np.broadcast_to(h, x.shape[:-1])
+    z = _unit_steps(x, h)                               # (B, 2, n, n)
+    du = differential(field, z, diff_step)
+    flux = np.asarray(model.density(z, measure))[..., None] * \
+        model.sharp(z, du)
+    diag = np.diagonal(flux, axis1=2, axis2=3)          # (B, 2, n)
+    terms = (diag[:, 0] - diag[:, 1]) / (2.0 * h)[:, None]
     div = 0.0
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        div += (flux(x + e)[i] - flux(x - e)[i]) / (2.0 * h)
-    return div / float(model.density(x, measure))
+    for i in range(x.shape[-1]):
+        div = div + terms[:, i]
+    du_min = np.sqrt(_sum_squares(du).min(axis=(1, 2)))
+    return div / np.asarray(model.density(x, measure)), du_min
+
+
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis (einsum makes no temporaries, norm does)."""
+    return np.einsum("...i,...i->...", x, x)
 
 
 def div_u_grad_u(model, measure: str, field: ScalarField, x: np.ndarray,
-                 flux_step: float | None = None) -> float:
+                 flux_step: float | None = None) -> float | np.ndarray:
     """div(u grad u) = F^2(grad u) + u * Laplacian(u) at x."""
     x = np.asarray(x, dtype=float)
     fsq = gradient_norm(model, field, x) ** 2
@@ -112,26 +160,24 @@ def div_u_grad_u(model, measure: str, field: ScalarField, x: np.ndarray,
                                               flux_step=flux_step)
 
 
-def varrho_density(model, sign: int, beta: float, x: np.ndarray,
-                   measure: str = "bh") -> float:
+def varrho_density(model, sign, beta: float, x: np.ndarray,
+                   measure: str = "bh") -> float | np.ndarray:
     """The sign-cased density entering the G^beta functional:
     -Delta(rho_minus^(-beta-2)) where u > 0, Delta(-rho_plus^(-beta-2)) where
-    u < 0, and the average of the two branches on the zero set.  Evaluated
+    u < 0, and the average of the two branches on the zero set.  ``sign``
+    is an int or an array broadcasting against ``x.shape[:-1]``.  Evaluated
     through the model's closed-form radial Laplacians (the rho_minus branch
     is exactly the reverse-metric forward computation)."""
     x = np.asarray(x, dtype=float)
+    sign = np.asarray(sign)
     nn = beta + 2.0
-    if sign > 0:
-        return -float(model.radial_laplacian(measure, nn, "minus",
-                                             model.rho_minus(x)))
-    if sign < 0:
-        return float(model.radial_laplacian(measure, nn, "plus",
-                                            model.rho_plus(x)))
-    minus = -float(model.radial_laplacian(measure, nn, "minus",
-                                          model.rho_minus(x)))
-    plus = float(model.radial_laplacian(measure, nn, "plus",
-                                        model.rho_plus(x)))
-    return 0.5 * (minus + plus)
+    minus = -np.asarray(model.radial_laplacian(measure, nn, "minus",
+                                               model.rho_minus(x)))
+    plus = np.asarray(model.radial_laplacian(measure, nn, "plus",
+                                             model.rho_plus(x)))
+    out = np.where(sign > 0, minus,
+                   np.where(sign < 0, plus, 0.5 * (minus + plus)))
+    return float(out) if out.ndim == 0 else out
 
 
 # ------------------------------------------------------- field constructors
@@ -140,20 +186,21 @@ def radial_field(model, profile, orientation: str = "minus") -> ScalarField:
     u = -f(rho_plus) (orientation "plus") with analytic differential."""
     sgn = 1.0 if orientation == "minus" else -1.0
 
-    def fn(x: np.ndarray) -> float:
+    def fn(x: np.ndarray) -> np.ndarray:
         rho = model.rho_minus(x) if orientation == "minus" \
             else model.rho_plus(x)
-        return sgn * float(profile.f(np.asarray(rho)))
+        return sgn * np.asarray(profile.f(np.asarray(rho)))
 
     def grad(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if orientation == "minus":
-            rho = float(model.rho_minus(x))
+            rho = model.rho_minus(x)
             drho = _d_rho_minus(model, x)
         else:
-            rho = float(model.rho_plus(x))
+            rho = model.rho_plus(x)
             drho = _d_rho_plus(model, x)
-        return sgn * float(profile.d1(np.asarray(rho))) * drho
+        return (sgn * np.asarray(profile.d1(np.asarray(rho))))[..., None] * \
+            drho
 
     return ScalarField(fn, grad, support_radius=profile.support)
 
@@ -161,21 +208,20 @@ def radial_field(model, profile, orientation: str = "minus") -> ScalarField:
 def _d_rho_plus(model, x: np.ndarray) -> np.ndarray:
     from .models import RandersFlat, HyperbolicBall
     if isinstance(model, RandersFlat):
-        out = x / np.linalg.norm(x)
-        out[-1] += model.drift
+        out = x / np.sqrt(_sum_squares(x))[..., None]
+        out[..., -1] += model.drift
         return out
     if isinstance(model, HyperbolicBall):
         lam = model._conformal(x)
-        r = np.linalg.norm(x)
-        return float(lam) * x / r
+        return lam[..., None] * x / np.sqrt(_sum_squares(x))[..., None]
     raise TypeError(f"unsupported model {model!r}")
 
 
 def _d_rho_minus(model, x: np.ndarray) -> np.ndarray:
     from .models import RandersFlat, HyperbolicBall
     if isinstance(model, RandersFlat):
-        out = x / np.linalg.norm(x)
-        out[-1] -= model.drift
+        out = x / np.sqrt(_sum_squares(x))[..., None]
+        out[..., -1] -= model.drift
         return out
     if isinstance(model, HyperbolicBall):
         return _d_rho_plus(model, x)

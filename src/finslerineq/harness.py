@@ -11,7 +11,8 @@ exactly Moebius function of ``log(r/eps)``, which the extrapolators exploit.
 Radial inputs reduce to one-dimensional integrals through the model's polar
 reduction (``cp_constant`` x radial density); general scalar fields go
 through the backward-polar product quadrature with the sign-cased distance
-``rho_u`` evaluated pointwise.
+``rho_u``: each report evaluates u, du, F*(du) and rho_u once per node set
+and integrates all of its terms in one annulus pass.
 
 Reports are independent of one another and deterministic, so batteries and
 campaigns may be evaluated concurrently.
@@ -286,41 +287,25 @@ def _hardy_terms_field(model, measure: str, u: fc.ScalarField, beta: float,
     if u.support_radius is None:
         raise PreconditionError("scalar fields need a support_radius bound")
     hi = u.support_radius * model.reversibility
+    flat = model.curvature == 0.0
 
-    def pointwise(rr: np.ndarray, ww: np.ndarray):
+    def integrand(rr: np.ndarray, ww: np.ndarray) -> np.ndarray:
         x = model.point_from_backward_polar(rr, ww)
-        vals = np.array([u(p) for p in x])
-        du = np.array([fc.differential(u, p) for p in x])
-        fstar = np.asarray(model.conorm(x, du))
-        sgn = np.sign(vals)
-        rho_u = np.where(sgn > 0, model.rho_minus(x),
-                         np.where(sgn < 0, model.rho_plus(x),
-                                  0.5 * (np.asarray(model.rho_plus(x))
-                                         + np.asarray(model.rho_minus(x)))))
-        return vals, fstar, rho_u
+        vals = u(x)
+        fstar = np.asarray(model.conorm(x, fc.differential(u, x)))
+        rho_u = model.rho_u(np.sign(vals), x)
+        core = vals**2 * rho_u ** (-2.0 - beta)
+        cols = [fstar**2 * rho_u ** (-beta), core]
+        if not flat:
+            cols.append(core * np.asarray(model.comparison_remainder(rho_u)))
+        return np.stack(cols, axis=-1)
 
-    def make(which: str):
-        def integrand(rr: np.ndarray, ww: np.ndarray) -> np.ndarray:
-            vals, fstar, rho_u = pointwise(rr, ww)
-            if which == "lhs":
-                return fstar**2 * rho_u ** (-beta)
-            core = vals**2 * rho_u ** (-2.0 - beta)
-            if which == "main":
-                return core
-            return core * np.asarray(model.comparison_remainder(rho_u))
-        return integrand
-
-    lo = RADIAL_FLOOR * hi
-    lhs = TermValue(*annulus_integrate(model, measure, make("lhs"),
-                                       lo, hi, spec))
-    main = TermValue(*annulus_integrate(model, measure, make("main"),
-                                        lo, hi, spec))
-    if model.curvature == 0.0:
-        rem = TermValue(0.0, 0.0)
-    else:
-        rem = TermValue(*annulus_integrate(model, measure, make("rem"),
-                                           lo, hi, spec))
-    return lhs, main, rem
+    values, errors = annulus_integrate(model, measure, integrand,
+                                       RADIAL_FLOOR * hi, hi, spec)
+    terms = [TermValue(float(v), float(e)) for v, e in zip(values, errors)]
+    if flat:
+        terms.append(TermValue(0.0, 0.0))
+    return tuple(terms)
 
 
 def hardy_bv_report(model, measure: str, u, beta: float,
@@ -498,35 +483,25 @@ def _gbeta_field(model, measure: str, u: fc.ScalarField, beta: float,
     hi = u.support_radius * model.reversibility
     nn = beta + 2.0
 
-    def make(which: str):
-        def integrand(rr: np.ndarray, ww: np.ndarray) -> np.ndarray:
-            x = model.point_from_backward_polar(rr, ww)
-            out = np.empty(rr.size)
-            for i, p in enumerate(x):
-                val = u(p)
-                sgn = 0 if val == 0.0 else (1 if val > 0.0 else -1)
-                if which == "varrho":
-                    out[i] = val * val * fc.varrho_density(model, sgn, beta,
-                                                           p, measure)
-                    continue
-                du = fc.differential(u, p)
-                fstar = float(model.conorm(p, du))
-                if val == 0.0 and fstar < 1e-10:
-                    out[i] = 0.0        # outside the support
-                    continue
-                rho_u = model.rho_u(sgn, p)
-                try:
-                    lap = fc.numeric_laplacian(model, measure, u, p)
-                except fc.CriticalPointError:
-                    lap = 0.0           # isolated critical point, excluded
-                out[i] = 2.0 * rho_u ** (-nn) * (fstar**2 + val * lap)
-            return out
-        return integrand
+    def integrand(rr: np.ndarray, ww: np.ndarray) -> np.ndarray:
+        x = model.point_from_backward_polar(rr, ww)
+        vals = u(x)
+        sgn = np.sign(vals)
+        varrho = vals * vals * fc.varrho_density(model, sgn, beta, x, measure)
+        fstar = np.asarray(model.conorm(x, fc.differential(u, x)))
+        # outside the support the divergence term vanishes identically
+        live = (vals != 0.0) | (fstar >= 1e-10)
+        xl, vl = x[live], vals[live]
+        lap = fc.numeric_laplacian(model, measure, u, xl)
+        lap = np.where(np.isnan(lap), 0.0, lap)   # critical points, excluded
+        div = np.zeros_like(vals)
+        div[live] = 2.0 * model.rho_u(sgn[live], xl) ** (-nn) * \
+            (fstar[live] ** 2 + vl * lap)
+        return np.stack([varrho, div], axis=-1)
 
-    lo = 1e-6 * hi
-    t1 = annulus_integrate(model, measure, make("varrho"), lo, hi, spec)
-    t2 = annulus_integrate(model, measure, make("div"), lo, hi, spec)
-    return t1[0] + t2[0], abs(t1[0]) + abs(t2[0]), t1[1] + t2[1]
+    (t1, t2), (e1, e2) = annulus_integrate(model, measure, integrand,
+                                           1e-6 * hi, hi, spec)
+    return float(t1 + t2), float(abs(t1) + abs(t2)), float(e1 + e2)
 
 
 def _rellich_core_terms(model, measure: str, prof: RadialProfile,
@@ -785,7 +760,10 @@ def _sharpness_sweep(model, measure: str, beta: float, r: float, R: float,
         sharp = rellich_sharp_constant(n, beta)
         theorem = "rellich-sweep"
     eps_arr = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
-    if not (0.0 < eps_arr[0] < r < R):
+    if eps_arr.size < 2:
+        raise PreconditionError("the sweep needs at least two distinct eps "
+                                "values to extrapolate")
+    if not (0.0 < eps_arr[-1] and eps_arr[0] < r < R):
         raise PreconditionError("need 0 < eps < r < R")
 
     rows = []

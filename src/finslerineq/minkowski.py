@@ -122,17 +122,16 @@ class MinkowskiNorm:
     def sharp(self, xi: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`flat`: half the conorm-squared gradient; sharp(0)=0."""
         xi = np.asarray(xi, dtype=float)
-        if not np.any(xi):
-            return np.zeros_like(xi)
         b = self.drift
         s = 1.0 - b * b
-        head = np.sum(xi[..., :-1] ** 2, axis=-1)
-        q = np.sqrt(s * head + xi[..., -1] ** 2)
-        fstar = (q - b * xi[..., -1]) / s
-        out = np.empty_like(xi)
-        out[..., :-1] = xi[..., :-1] / q[..., None]
-        out[..., -1] = (xi[..., -1] / q - b) / s
-        return out * fstar[..., None]
+        head, last = xi[..., :-1], xi[..., -1]
+        q = np.sqrt(s * np.einsum("...i,...i->...", head, head) + last * last)
+        fstar = (q - b * last) / s
+        # zero covectors (also rows of a batch) have fstar = 0, and any
+        # finite q then maps them to the zero vector
+        out = xi * (fstar / np.where(q > 0.0, q, 1.0))[..., None]
+        out[..., -1] = (out[..., -1] - b * fstar) / s
+        return out
 
     # ------------------------------------------------------ legendre pair
     def legendre(self, y: np.ndarray) -> np.ndarray:

@@ -312,16 +312,14 @@ class _ModelBase:
         return out if out.ndim else float(out)
 
     # ---- distances
-    def rho_u(self, sign: int, x: np.ndarray) -> float | np.ndarray:
+    def rho_u(self, sign, x: np.ndarray) -> float | np.ndarray:
         """The sign-cased distance: rho_minus where u > 0, rho_plus where
-        u < 0, and their average on the zero set."""
-        if sign > 0:
-            return self.rho_minus(x)
-        if sign < 0:
-            return self.rho_plus(x)
+        u < 0, and their average on the zero set.  ``sign`` is an int or an
+        array broadcasting against ``x.shape[:-1]``."""
+        sign = np.asarray(sign)
         rp = np.asarray(self.rho_plus(x))
         rm = np.asarray(self.rho_minus(x))
-        out = 0.5 * (rp + rm)
+        out = np.where(sign > 0, rm, np.where(sign < 0, rp, 0.5 * (rp + rm)))
         return out if out.ndim else float(out)
 
     def _check_measure(self, measure: str) -> None:
@@ -513,7 +511,7 @@ class HyperbolicBall(_ModelBase):
 
     def sharp(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         lam = self._conformal(x)
-        return np.asarray(xi, dtype=float) / lam**2
+        return np.asarray(xi, dtype=float) / lam[..., None] ** 2
 
     def conorm(self, x: np.ndarray, xi: np.ndarray) -> float | np.ndarray:
         lam = self._conformal(x)

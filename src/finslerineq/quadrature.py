@@ -53,23 +53,31 @@ class QuadratureSpec:
             raise ValueError("node counts must be >= 2")
         if self.radial_panels < 1:
             raise ValueError("need at least one radial panel")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and
+                0.0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Sum with a fixed-shape pairwise tree (order independent of callers)."""
-    a = np.asarray(values, dtype=float).ravel()
-    n = a.size
+def pairwise_sum(values: np.ndarray) -> float | np.ndarray:
+    """Sum with a fixed-shape pairwise tree (order independent of callers).
+
+    An (L, T) array gives its T column sums, each reduced by the same tree
+    as a flat array of length L; any other shape is summed flat.
+    """
+    a = np.asarray(values, dtype=float)
+    columns = a.ndim == 2
+    if not columns:
+        a = a.ravel()
+    n = a.shape[0]
     if n == 0:
-        return 0.0
+        return np.zeros(a.shape[1:]) if columns else 0.0
     # pad to a power of two so the reduction tree depends only on the size
     m = 1 << (n - 1).bit_length()
     if m != n:
-        a = np.concatenate([a, np.zeros(m - n)])
-    while a.size > 1:
+        a = np.concatenate([a, np.zeros((m - n,) + a.shape[1:])])
+    while a.shape[0] > 1:
         a = a[0::2] + a[1::2]
-    return float(a[0])
+    return a[0] if columns else float(a[0])
 
 
 @lru_cache(maxsize=64)
@@ -86,17 +94,19 @@ def _graded_edges(a: float, b: float, min_panels: int) -> np.ndarray:
 
 
 def _composite_gauss(f: Callable[[np.ndarray], np.ndarray],
-                     edges: np.ndarray, nodes: int) -> float:
+                     edges: np.ndarray, nodes: int) -> float | np.ndarray:
     x, w = _gauss_rule(nodes)
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
     half = 0.5 * (hi - lo)
     pts = lo + half * (x[None, :] + 1.0)
     vals = np.asarray(f(pts.ravel()), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = pts.ravel()[~np.isfinite(vals)][:3]
+    finite = np.isfinite(vals).reshape(pts.size, -1).all(axis=1)
+    if not np.all(finite):
+        bad = pts.ravel()[~finite][:3]
         raise QuadratureError(f"non-finite integrand samples near rho={bad}")
-    return pairwise_sum(vals.reshape(pts.shape) * (w[None, :] * half))
+    wts = (w[None, :] * half).ravel()
+    return pairwise_sum(vals * (wts if vals.ndim == 1 else wts[:, None]))
 
 
 def radial_integrate(f: Callable[[np.ndarray], np.ndarray],
@@ -105,7 +115,9 @@ def radial_integrate(f: Callable[[np.ndarray], np.ndarray],
     """Integrate ``f`` on [a, b], 0 < a < b, with log-graded panels.
 
     Returns (value, error estimate); the estimate is the difference against
-    a half-resolution pass.  ``f`` must accept a 1-d numpy array.
+    a half-resolution pass.  ``f`` must accept a 1-d numpy array of M nodes
+    and return (M,), or (M, T) for T integrands at once; then value and
+    error are (T,) arrays, each column summed as a scalar integrand would be.
     """
     if not (0.0 < a < b):
         raise QuadratureError(f"need 0 < a < b, got a={a}, b={b}")
@@ -183,7 +195,8 @@ def annulus_integrate(model, measure: str,
     Computes  int_eps^radius int_{S^{n-1}} integrand(rho, omega)
     sigma_hat(rho, omega) dnu drho,  where sigma_hat is the model's polar
     density for ``measure``.  ``integrand`` receives flat arrays rho (M,) and
-    omega (M, n) and must return (M,).
+    omega (M, n) and must return (M,), or (M, T) for T integrands in one
+    pass (value and error are then (T,) arrays).
     """
     if not (0.0 < eps < radius):
         raise QuadratureError(f"need 0 < eps < radius, got {eps}, {radius}")
@@ -195,8 +208,9 @@ def annulus_integrate(model, measure: str,
         ww = np.tile(dirs, (m, 1))
         vals = np.asarray(integrand(rr, ww), dtype=float)
         dens = model.polar_density(measure, rr, ww)
-        prod = (vals * dens).reshape(m, k)
-        return prod @ swts
+        if vals.ndim == 1:
+            return (vals * dens).reshape(m, k) @ swts
+        return swts @ (vals * dens[:, None]).reshape(m, k, -1)
 
     return radial_integrate(shell, eps, radius, spec)
 

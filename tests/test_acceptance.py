@@ -107,13 +107,14 @@ def _random_bump_field(rng, n, drift):
     amps = rng.uniform(-1.0, 1.0, size=3)
 
     def fn(x):
-        d = x[None, :] - centers
-        return float(np.sum(amps * np.exp(-np.sum(d * d, axis=1) / widths)))
+        d = x[..., None, :] - centers
+        return np.sum(amps * np.exp(-np.sum(d * d, axis=-1) / widths),
+                      axis=-1)
 
     def grad(x):
-        d = x[None, :] - centers
-        e = amps * np.exp(-np.sum(d * d, axis=1) / widths)
-        return np.sum((-2.0 * e / widths)[:, None] * d, axis=0)
+        d = x[..., None, :] - centers
+        e = amps * np.exp(-np.sum(d * d, axis=-1) / widths)
+        return np.sum((-2.0 * e / widths)[..., None] * d, axis=-2)
 
     return fc.ScalarField(fn, grad, support_radius=10.0)
 
@@ -177,11 +178,12 @@ def test_criterion_07_rellich_sharpness():
     rng = np.random.default_rng(607)
 
     def grad(x):
-        out = x / np.linalg.norm(x)
-        out[-1] -= m.drift
-        return -1.0 * float(m.rho_minus(x)) ** -2.0 * out
+        out = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        out[..., -1] -= m.drift
+        return -1.0 * np.asarray(m.rho_minus(x))[..., None] ** -2.0 * out
 
-    u = fc.ScalarField(lambda x: float(m.rho_minus(x)) ** -1.0, grad, 10.0)
+    u = fc.ScalarField(lambda x: np.asarray(m.rho_minus(x)) ** -1.0, grad,
+                       10.0)
     for rho_target in (0.35, 0.55, 0.8):
         x = rng.standard_normal(6)
         x *= rho_target / float(m.rho_minus(x))

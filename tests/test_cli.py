@@ -94,6 +94,15 @@ def test_validation_exit_codes(tmp_path, capsys):
                     "--out", str(tmp_path)]) == 2
     assert run_cli(["hardy-sweep", "--eps", "0.9",
                     "--out", str(tmp_path)]) == 2
+    # the sweep extrapolates from at least two distinct eps values
+    for eps in ("0.01", "0.01,0.01"):
+        assert run_cli(["hardy-sweep", "--eps", eps,
+                        "--out", str(tmp_path)]) == 2
+        assert "two distinct eps" in capsys.readouterr().err
+    # non-finite tolerances would fail or pass every check vacuously
+    for tol in ("nan", "inf"):
+        assert run_cli(["hardy", "--tol", tol, "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err
     # argparse rejects bad choices itself, also with status 2
     with pytest.raises(SystemExit) as exc:
         run_cli(["hardy", "--measure", "xx", "--out", str(tmp_path)])

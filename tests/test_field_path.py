@@ -1,0 +1,157 @@
+"""The batched field path against a per-point reference and the radial path."""
+
+import numpy as np
+import pytest
+
+from finslerineq import fields as fc
+from finslerineq import harness as H
+from finslerineq.models import HyperbolicBall, RadialProfile, RandersFlat
+from finslerineq.quadrature import QuadratureSpec, annulus_integrate
+
+# the per-point reference is slow, so it runs in the plane at a tiny spec
+TINY = QuadratureSpec(radial_nodes=2, radial_panels=1, sphere_order=2)
+PLANE = (RandersFlat(2, 0.4), HyperbolicBall(2, -1.0))
+BETA = -1.0
+
+
+def sign_changing_field(model, amp=1.5, R=0.6):
+    """f(rho_minus) * (1 + amp sin(k.x + phase)) with the C^2 bump
+    f = (1 - (rho/R)^2)_+^3: non-radial, and with amp > 1 it changes sign,
+    so rho_u switches between rho_minus and rho_plus inside the support."""
+    def bump(rho):
+        return np.maximum(0.0, 1.0 - (rho / R) ** 2)
+
+    base = fc.radial_field(model, RadialProfile(
+        f=lambda rho: bump(rho) ** 3,
+        d1=lambda rho: -6.0 * rho / R**2 * bump(rho) ** 2,
+        d2=lambda rho: (24.0 * rho**2 / R**2 - 6.0 * bump(rho)) / R**2
+        * bump(rho), support=R))
+    wave, phase = np.array([1.3, -0.7, 0.9])[:model.n], 0.4
+
+    def fn(x):
+        return base.fn(x) * (1.0 + amp * np.sin(x @ wave + phase))
+
+    def grad(x):
+        arg = x @ wave + phase
+        return base.grad(x) * (1.0 + amp * np.sin(arg))[..., None] + \
+            (base.fn(x) * amp * np.cos(arg))[..., None] * wave
+
+    return fc.ScalarField(fn, grad, base.support_radius)
+
+
+# ------------------------------------------------- per-point reference
+def ref_differential(u, p):
+    if u.grad is not None:
+        return np.asarray(u.grad(p), dtype=float)
+    h = 1e-6 * max(1.0, float(np.linalg.norm(p)))
+    out = np.empty_like(p)
+    for i in range(p.size):
+        e = np.zeros_like(p)
+        e[i] = h
+        out[i] = (u(p + e) - u(p - e)) / (2.0 * h)
+    return out
+
+
+def ref_laplacian(model, u, p):
+    """0 at critical points, as the G^beta integrand excludes them."""
+    h = 1e-4 * max(1.0, float(np.linalg.norm(p)))
+    div = 0.0
+    for i in range(p.size):
+        e = np.zeros_like(p)
+        e[i] = h
+        flux = []
+        for z in (p + e, p - e):
+            du = ref_differential(u, z)
+            if np.linalg.norm(du) < fc.CRITICAL_DIFFERENTIAL:
+                return 0.0
+            flux.append(float(model.density(z, "bh")) * model.sharp(z, du)[i])
+        div += (flux[0] - flux[1]) / (2.0 * h)
+    return div / float(model.density(p, "bh"))
+
+
+def ref_terms(model, u, beta, kind):
+    """Raw term integrals, one point at a time: Hardy (lhs, main,
+    remainder) or G^beta (varrho, div)."""
+    hi = u.support_radius * model.reversibility
+
+    def integrand(rr, ww):
+        rows = []
+        for p in model.point_from_backward_polar(rr, ww):
+            val = u(p)
+            rp, rm = float(model.rho_plus(p)), float(model.rho_minus(p))
+            rho = rm if val > 0.0 else rp if val < 0.0 else 0.5 * (rp + rm)
+            fstar = float(model.conorm(p, ref_differential(u, p)))
+            if kind == "hardy":
+                core = val**2 * rho ** (-2.0 - beta)
+                rows.append([fstar**2 * rho ** (-beta), core, core * float(
+                    model.comparison_remainder(rho))])
+                continue
+            minus = -model.radial_laplacian("bh", beta + 2.0, "minus", rm)
+            plus = model.radial_laplacian("bh", beta + 2.0, "plus", rp)
+            varrho = minus if val > 0.0 else plus if val < 0.0 \
+                else 0.5 * (minus + plus)
+            div = 0.0
+            if val != 0.0 or fstar >= 1e-10:
+                div = 2.0 * rho ** (-beta - 2.0) * \
+                    (fstar**2 + val * ref_laplacian(model, u, p))
+            rows.append([val * val * varrho, div])
+        return np.array(rows)
+
+    lo = (H.RADIAL_FLOOR if kind == "hardy" else 1e-6) * hi
+    return annulus_integrate(model, "bh", integrand, lo, hi, TINY)[0]
+
+
+@pytest.mark.parametrize("model", PLANE, ids=repr)
+@pytest.mark.parametrize("analytic", (True, False), ids=("analytic", "fd"))
+def test_hardy_batched_matches_per_point_reference(model, analytic):
+    u = sign_changing_field(model)
+    if not analytic:
+        u = fc.ScalarField(u.fn, None, u.support_radius)
+    rep = H.hardy_report(model, "bh", u, BETA, TINY)
+    lhs, main, rem = ref_terms(model, u, BETA, "hardy")
+    want = {"lhs": lhs, "main": rep.constants["main_coefficient"] * main,
+            "remainder": rep.constants["remainder_coefficient"] * rem
+            if model.curvature != 0.0 else 0.0}
+    scale = max(abs(v) for v in want.values())
+    for name, value in want.items():
+        assert abs(rep.terms[name].value - value) <= 1e-10 * scale, name
+
+
+def test_stacked_laplacian_marks_critical_points():
+    # du vanishes outside the support: a single point raises, a stack
+    # marks the point NaN and leaves its neighbours' values unchanged
+    m = RandersFlat(3, 0.4)
+    u = sign_changing_field(m)
+    pts = np.array([[0.1, -0.2, 0.15], [0.9, 0.3, -0.2], [-0.2, 0.1, 0.1]])
+    lap = fc.numeric_laplacian(m, "bh", u, pts)
+    assert np.isnan(lap[1])
+    with pytest.raises(fc.CriticalPointError):
+        fc.numeric_laplacian(m, "bh", u, pts[1])
+    for i in (0, 2):
+        assert lap[i] == fc.numeric_laplacian(m, "bh", u, pts[i])
+
+
+@pytest.mark.parametrize("model", PLANE, ids=repr)
+def test_gbeta_batched_matches_reference_and_block_size(model, monkeypatch):
+    u = sign_changing_field(model)
+    value, scale, error = H.gbeta(model, "bh", u, BETA, TINY)
+    t1, t2 = ref_terms(model, u, BETA, "gbeta")
+    assert abs(value - (t1 + t2)) <= 1e-10 * scale
+    assert abs(scale - (abs(t1) + abs(t2))) <= 1e-10 * scale
+    # the Laplacian's block size bounds memory and never changes a bit
+    monkeypatch.setattr(fc, "_LAPLACIAN_BLOCK", 1)
+    assert H.gbeta(model, "bh", u, BETA, TINY) == (value, scale, error)
+
+
+@pytest.mark.parametrize("model", (RandersFlat(3, 0.4),
+                                   HyperbolicBall(3, -1.0)), ids=repr)
+def test_two_roads_radial_field_matches_radial_path(model):
+    # the same radial u through the annulus field path and the 1-d path
+    prof = H.radial_battery(10, 0.9)[0]
+    radial = H.hardy_report(model, "bh", prof, 0.0)
+    field = H.hardy_report(model, "bh", fc.radial_field(model, prof), 0.0,
+                           QuadratureSpec(radial_nodes=24, radial_panels=8,
+                                          sphere_order=8))
+    for name, term in radial.terms.items():
+        assert abs(field.terms[name].value - term.value) <= \
+            1e-7 * abs(term.value), name

@@ -17,13 +17,14 @@ def bump_field(centers, widths, amps):
     amps = np.asarray(amps, dtype=float)
 
     def fn(x):
-        d = x[None, :] - centers
-        return float(np.sum(amps * np.exp(-np.sum(d * d, axis=1) / widths)))
+        d = x[..., None, :] - centers
+        return np.sum(amps * np.exp(-np.sum(d * d, axis=-1) / widths),
+                      axis=-1)
 
     def grad(x):
-        d = x[None, :] - centers
-        e = amps * np.exp(-np.sum(d * d, axis=1) / widths)
-        return np.sum((-2.0 * e / widths)[:, None] * d, axis=0)
+        d = x[..., None, :] - centers
+        e = amps * np.exp(-np.sum(d * d, axis=-1) / widths)
+        return np.sum((-2.0 * e / widths)[..., None] * d, axis=-2)
 
     return fc.ScalarField(fn, grad, support_radius=10.0)
 
@@ -57,7 +58,7 @@ def test_differential_analytic_vs_fd():
 
 def test_differential_of_rho_minus_chain_rule():
     m = RandersFlat(3, 0.5)
-    f = fc.ScalarField(lambda x: float(m.rho_minus(x)), None, 10.0)
+    f = fc.ScalarField(lambda x: m.rho_minus(x), None, 10.0)
     rng = np.random.default_rng(21)
     for _ in range(10):
         x = rng.standard_normal(3)
@@ -150,12 +151,13 @@ def test_numeric_laplacian_matches_closed_form_randers():
     m = RandersFlat(5, 0.5)
 
     def grad(x):
-        out = x / np.linalg.norm(x)
-        out[-1] -= m.drift
-        rm = float(m.rho_minus(x))
+        out = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        out[..., -1] -= m.drift
+        rm = np.asarray(m.rho_minus(x))[..., None]
         return -1.0 * rm ** -2.0 * out
 
-    u = fc.ScalarField(lambda x: float(m.rho_minus(x)) ** -1.0, grad, 10.0)
+    u = fc.ScalarField(lambda x: np.asarray(m.rho_minus(x)) ** -1.0, grad,
+                       10.0)
     rng = np.random.default_rng(27)
     for _ in range(5):
         x = rng.standard_normal(5)
@@ -167,11 +169,12 @@ def test_numeric_laplacian_matches_closed_form_randers():
     m3 = RandersFlat(3, 0.5)
 
     def grad3(x):
-        out = x / np.linalg.norm(x)
-        out[-1] -= m3.drift
-        return -float(m3.rho_minus(x)) ** -2.0 * out
+        out = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        out[..., -1] -= m3.drift
+        return -np.asarray(m3.rho_minus(x))[..., None] ** -2.0 * out
 
-    u3 = fc.ScalarField(lambda x: float(m3.rho_minus(x)) ** -1.0, grad3, 10.0)
+    u3 = fc.ScalarField(lambda x: np.asarray(m3.rho_minus(x)) ** -1.0, grad3,
+                        10.0)
     x = np.array([0.3, -0.2, 0.9])
     assert fc.numeric_laplacian(m3, "bh", u3, x) == pytest.approx(0.0,
                                                                   abs=1e-6)
@@ -181,12 +184,13 @@ def test_numeric_laplacian_hyperbolic_radial():
     h = HyperbolicBall(3, -1.0)
 
     def fn(x):
-        return math.exp(-float(h.rho(x)) ** 2)
+        return np.exp(-np.asarray(h.rho(x)) ** 2)
 
     def grad(x):
-        rho = float(h.rho(x))
-        lam = 2.0 / (1.0 - np.sum(x * x))
-        return -2.0 * rho * math.exp(-rho**2) * lam * x / np.linalg.norm(x)
+        rho = np.asarray(h.rho(x))[..., None]
+        lam = 2.0 / (1.0 - np.sum(x * x, axis=-1, keepdims=True))
+        return -2.0 * rho * np.exp(-rho**2) * lam * x / \
+            np.linalg.norm(x, axis=-1, keepdims=True)
 
     u = fc.ScalarField(fn, grad, 3.0)
     x = np.array([0.2, 0.1, -0.25])
@@ -200,7 +204,7 @@ def test_numeric_laplacian_hyperbolic_radial():
 
 def test_laplacian_critical_point_flagged():
     m = RandersFlat(3, 0.5)
-    const = fc.ScalarField(lambda x: 1.0, lambda x: np.zeros(3), 1.0)
+    const = fc.ScalarField(lambda x: 1.0, lambda x: np.zeros_like(x), 1.0)
     with pytest.raises(fc.CriticalPointError):
         fc.numeric_laplacian(m, "bh", const, np.ones(3))
 
@@ -218,7 +222,8 @@ def test_div_u_grad_u():
                                 rel=1e-6)
     # reversible case: div(u grad u) = Laplacian(u^2)/2
     sq = fc.ScalarField(lambda p: f(p) ** 2,
-                        lambda p: 2.0 * f(p) * f.grad(p), 10.0)
+                        lambda p: 2.0 * np.asarray(f(p))[..., None] *
+                        f.grad(p), 10.0)
     got2 = fc.div_u_grad_u(e, "bh", f, x)
     want2 = 0.5 * fc.numeric_laplacian(e, "bh", sq, x)
     assert got2 == pytest.approx(want2, rel=1e-5, abs=1e-7)
@@ -264,40 +269,34 @@ def test_integration_by_parts():
     spec = QuadratureSpec(radial_nodes=12, radial_panels=6, sphere_order=8)
 
     def u_fn(x):
-        return math.exp(-float(m.rho_minus(x)))
+        return np.exp(-np.asarray(m.rho_minus(x)))
 
     def u_grad(x):
-        d = x / np.linalg.norm(x)
-        d[-1] -= m.drift
-        return -math.exp(-float(m.rho_minus(x))) * d
+        d = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        d[..., -1] -= m.drift
+        return -np.exp(-np.asarray(m.rho_minus(x)))[..., None] * d
 
     u = fc.ScalarField(u_fn, u_grad, 10.0)
 
     # v: radially modulated bump supported on the annulus 0.3 < rho- < 1.2
     def wedge(rho):
-        return math.exp(-1.0 / max(rho - 0.3, 1e-12)
-                        - 1.0 / max(1.2 - rho, 1e-12)) \
-            if 0.3 < rho < 1.2 else 0.0
+        core = np.exp(-1.0 / np.maximum(rho - 0.3, 1e-12)
+                      - 1.0 / np.maximum(1.2 - rho, 1e-12))
+        return np.where((0.3 < rho) & (rho < 1.2), core, 0.0)
 
     def v_fn(x):
-        return wedge(float(m.rho_minus(x))) * (1.0 + 0.5 * x[0])
+        return wedge(np.asarray(m.rho_minus(x))) * (1.0 + 0.5 * x[..., 0])
 
     v = fc.ScalarField(v_fn, None, 1.2)
 
     def lhs_integrand(rr, ww):
         pts = m.point_from_backward_polar(rr, ww)
-        out = np.empty(rr.size)
-        for i, p in enumerate(pts):
-            out[i] = v(p) * fc.numeric_laplacian(m, "bh", u, p)
-        return out
+        return v(pts) * fc.numeric_laplacian(m, "bh", u, pts)
 
     def rhs_integrand(rr, ww):
         pts = m.point_from_backward_polar(rr, ww)
-        out = np.empty(rr.size)
-        for i, p in enumerate(pts):
-            dv = fc.differential(v, p)
-            out[i] = -np.dot(fc.gradient(m, u, p), dv)
-        return out
+        dv = fc.differential(v, pts)
+        return -np.sum(fc.gradient(m, u, pts) * dv, axis=-1)
 
     lhs, _ = annulus_integrate(m, "bh", lhs_integrand, 0.3, 1.2, spec)
     rhs, _ = annulus_integrate(m, "bh", rhs_integrand, 0.3, 1.2, spec)
@@ -326,12 +325,12 @@ def test_div_u_grad_u_radial_closed_form():
     m = RandersFlat(3, 0.5)
 
     def fn(x):
-        return math.exp(-2.0 * float(m.rho_minus(x)))
+        return np.exp(-2.0 * np.asarray(m.rho_minus(x)))
 
     def grad(x):
-        d = x / np.linalg.norm(x)
-        d[-1] -= m.drift
-        return -2.0 * math.exp(-2.0 * float(m.rho_minus(x))) * d
+        d = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        d[..., -1] -= m.drift
+        return -2.0 * np.exp(-2.0 * np.asarray(m.rho_minus(x)))[..., None] * d
 
     u = fc.ScalarField(fn, grad, 10.0)
     x = np.array([0.4, -0.3, 0.6])

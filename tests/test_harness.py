@@ -80,20 +80,20 @@ def modulated_field(m, profile_f, profile_d1, support, amp=0.5):
     """w(rho_minus) * (1 + amp * x0/|x|) with analytic differential."""
 
     def fn(x):
-        rho = float(m.rho_minus(x))
-        return float(profile_f(rho)) * (
-            1.0 + amp * x[0] / max(np.linalg.norm(x), 1e-300))
+        rho = np.asarray(m.rho_minus(x))
+        return profile_f(rho) * (
+            1.0 + amp * x[..., 0]
+            / np.maximum(np.linalg.norm(x, axis=-1), 1e-300))
 
     def grad(x):
-        r = np.linalg.norm(x)
-        rho = float(m.rho_minus(x))
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        rho = np.asarray(m.rho_minus(x))[..., None]
         drho = x / r
-        drho[-1] -= m.drift
-        mod = 1.0 + amp * x[0] / r
-        dmod = -amp * x[0] * x / r**3
-        dmod[0] += amp / r
-        return float(profile_d1(rho)) * drho * mod \
-            + float(profile_f(rho)) * dmod
+        drho[..., -1] -= m.drift
+        mod = 1.0 + amp * x[..., :1] / r
+        dmod = -amp * x[..., :1] * x / r**3
+        dmod[..., :1] += amp / r
+        return profile_d1(rho) * drho * mod + profile_f(rho) * dmod
 
     return fc.ScalarField(fn, grad, support_radius=support)
 
@@ -186,14 +186,18 @@ def test_gbeta_nonradial_is_nonzero():
     inner = SmoothCutoff(0.25, 0.45)
 
     def w(rho):
-        return float(outer.value(rho)) * (1.0 - float(inner.value(rho)))
+        return outer.value(rho) * (1.0 - inner.value(rho))
 
     def w1(rho):
-        return float(outer.d1(rho)) * (1.0 - float(inner.value(rho))) \
-            - float(outer.value(rho)) * float(inner.d1(rho))
+        return outer.d1(rho) * (1.0 - inner.value(rho)) \
+            - outer.value(rho) * inner.d1(rho)
 
+    spec = QuadratureSpec(radial_nodes=24, radial_panels=3, sphere_order=2)
+    # control: a radial field in the kernel reads zero at this resolution
+    kernel = fc.radial_field(m, cutoff_profile(0.55, 1.0))
+    val, scale, err = H.gbeta(m, "bh", kernel, 0.0, spec)
+    assert abs(val) <= 1e-5 * scale
     u = modulated_field(m, w, w1, outer.R, amp=0.8)
-    spec = QuadratureSpec(radial_nodes=6, radial_panels=3, sphere_order=2)
     val, scale, err = H.gbeta(m, "bh", u, 0.0, spec)
     assert abs(val) > 1e-3 * scale
 
