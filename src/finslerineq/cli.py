@@ -218,7 +218,8 @@ def run(cfg: RunConfig) -> int:
         assertions.append({
             "name": f"extrapolated quotient within 1% of "
                     f"{table.sharp_constant}",
-            "passed": bool(abs(table.extrapolated - table.sharp_constant)
+            "passed": bool(abs(table.extrapolated_moebius
+                               - table.sharp_constant)
                            <= 0.01 * table.sharp_constant)})
         assertions.append({"name": "quotients strictly decreasing",
                            "passed": bool(table.monotone)})
@@ -378,13 +379,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         code = run(cfg)
-    except (ConfigError, harness.PreconditionError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # first: CriticalPointError is also a ValueError
     except (QuadratureError, CriticalPointError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ConfigError, harness.PreconditionError, ValueError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if code == 0:
         print(f"{cfg.suite}: all assertions passed "
               f"(artifacts in {cfg.out})")

@@ -171,20 +171,6 @@ class MinkowskiNorm:
         return float(np.dot(ell, u) * np.dot(ell, v)
                      + (f / ny) * (np.dot(u, v) - np.dot(yh, u) * np.dot(yh, v)))
 
-    def fundamental_form_fd(self, y: np.ndarray, u: np.ndarray,
-                            v: np.ndarray, step: float | None = None) -> float:
-        """Finite-difference cross-check of g_y(u, v) on F^2/2."""
-        y = np.asarray(y, dtype=float)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        h = step if step is not None else 1e-4 * max(1.0, float(_enorm(y)))
-
-        def q(z: np.ndarray) -> float:
-            return 0.5 * float(self.norm(z)) ** 2
-
-        return (q(y + h * u + h * v) - q(y + h * u - h * v)
-                - q(y - h * u + h * v) + q(y - h * u - h * v)) / (4.0 * h * h)
-
     def dual_fundamental_form(self, xi: np.ndarray, eta: np.ndarray,
                               zeta: np.ndarray) -> float:
         """g*_xi(eta, zeta) for xi != 0, in adapted dual coordinates."""
@@ -201,20 +187,6 @@ class MinkowskiNorm:
         return float(np.dot(ell, eta) * np.dot(ell, zeta)
                      + (fs / nxi) * (np.dot(eta, zeta)
                                      - np.dot(xh, eta) * np.dot(xh, zeta)))
-
-    def dual_fundamental_form_fd(self, xi: np.ndarray, eta: np.ndarray,
-                                 zeta: np.ndarray,
-                                 step: float | None = None) -> float:
-        """Finite-difference cross-check of g*_xi(eta, zeta) on F*^2/2."""
-        xi = np.asarray(xi, dtype=float)
-        h = step if step is not None else 1e-4 * max(1.0, float(_enorm(xi)))
-
-        def q(z: np.ndarray) -> float:
-            return 0.5 * float(self.dual_norm(z)) ** 2
-
-        return (q(xi + h * eta + h * zeta) - q(xi + h * eta - h * zeta)
-                - q(xi - h * eta + h * zeta) + q(xi - h * eta - h * zeta)) \
-            / (4.0 * h * h)
 
     # ---------------------------------------------------- asymmetry constants
     def reversibility(self) -> float:
@@ -294,20 +266,6 @@ class MinkowskiNorm:
             lo2, hi2 = max(0.0, t2[j] - 2 * w2), min(math.pi, t2[j] + 2 * w2)
         return best
 
-    def sampled_uniformity_random(self, samples: int, seed: int) -> float:
-        """Low-discrepancy random-triple estimate of Lambda_F (a lower bound
-        that densifies toward the closed form)."""
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((samples, self.dim))
-        z = rng.standard_normal((samples, self.dim))
-        yy = rng.standard_normal((samples, self.dim))
-        best = 1.0
-        for i in range(samples):
-            num = self.fundamental_form(x[i], yy[i], yy[i])
-            den = self.fundamental_form(z[i], yy[i], yy[i])
-            best = max(best, num / den)
-        return best
-
     # ------------------------------------------------- inequality residuals
     def refined_cs_slack(self, xi: np.ndarray, eta: np.ndarray
                          ) -> float | np.ndarray:
@@ -332,40 +290,3 @@ class MinkowskiNorm:
         cross = np.where(nxi == 0.0, 0.0, cross)
         out = fs_sum**2 - fs_xi**2 - 2.0 * cross - fs_eta**2 / self.uniformity()
         return out if out.ndim else float(out)
-
-    def cauchy_slack(self, xi: np.ndarray, eta: np.ndarray) -> float | np.ndarray:
-        """Residual of the classical Cauchy inequality
-        F*^2(eta) - F*^2(xi) - 2 g*_xi(xi, eta - xi) >= 0 (xi != 0)."""
-        xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        b = self.drift
-        fs_xi = np.asarray(self.dual_norm(xi))
-        fs_eta = np.asarray(self.dual_norm(eta))
-        nxi = _enorm(xi)
-        diff = eta - xi
-        cross = fs_xi * (np.sum(xi * diff, axis=-1) / nxi + b * _last(diff))
-        out = fs_eta**2 - fs_xi**2 - 2.0 * cross
-        return out if out.ndim else float(out)
-
-
-def conorm_variational(norm: MinkowskiNorm, xi: np.ndarray,
-                       samples: int = 400, rounds: int = 12) -> float:
-    """Variational oracle for the natural dual norm: maximize <xi, y>/F(y)
-    over direction grids with local zoom.  Slow path, used to cross-check the
-    closed form (and the route for any future non-Randers family)."""
-    xi = np.asarray(xi, dtype=float)
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((samples * 8, norm.dim))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    best = -np.inf
-    center = dirs[0]
-    for level in range(rounds):
-        vals = (dirs @ xi) / np.asarray(norm.norm(dirs))
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            center = dirs[i]
-        dirs = center[None, :] + 0.3 ** (level + 1) * \
-            rng.standard_normal((samples, norm.dim))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return best

@@ -299,18 +299,6 @@ class _ModelBase:
         out = np.asarray(out)
         return out if out.ndim else float(out)
 
-    def radial_profile_laplacian(self, measure: str, profile: RadialProfile,
-                                 rho: np.ndarray | float,
-                                 orientation: str = "minus"
-                                 ) -> np.ndarray | float:
-        """Laplacian of u = f(rho_minus) (orientation "minus", f nonincreasing)
-        or u = -f(rho_plus) (orientation "plus"): +/- (f'' + f' (n-1) s'/s)."""
-        self._check_measure(measure)
-        rho = np.asarray(rho, dtype=float)
-        core = profile.d2(rho) + profile.d1(rho) * self.radial_mean_curvature(rho)
-        out = np.asarray(core if orientation == "minus" else -core)
-        return out if out.ndim else float(out)
-
     # ---- distances
     def rho_u(self, sign, x: np.ndarray) -> float | np.ndarray:
         """The sign-cased distance: rho_minus where u > 0, rho_plus where
@@ -343,7 +331,6 @@ class RandersFlat(_ModelBase):
         self.n = n
         self.drift = float(drift)
         self.curvature = 0.0
-        self.s_bound = 0.0
         self.norm = MinkowskiNorm(n, self.drift)
         self.reversibility = self.norm.reversibility()
         self.uniformity = self.norm.uniformity()
@@ -453,7 +440,6 @@ class HyperbolicBall(_ModelBase):
             raise ValueError("hyperbolic model needs k < 0")
         self.n = n
         self.curvature = float(curvature)
-        self.s_bound = 0.0
         self.ball_radius = 1.0 / math.sqrt(-curvature)
         self.reversibility = 1.0
         self.uniformity = 1.0

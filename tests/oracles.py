@@ -1,0 +1,101 @@
+"""Slow independent oracles for the Minkowski norm, used only by the tests.
+
+Each cross-checks a closed form of :class:`finslerineq.minkowski.MinkowskiNorm`
+by a different route: finite differences of F^2/2 and F*^2/2, a variational
+maximisation for the dual norm, random triples for Lambda_F, and the
+classical Cauchy inequality that the sharpened one refines.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from finslerineq.minkowski import MinkowskiNorm
+
+
+def _enorm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(a * a, axis=-1))
+
+
+def fundamental_form_fd(norm: MinkowskiNorm, y: np.ndarray, u: np.ndarray,
+                        v: np.ndarray, step: float | None = None) -> float:
+    """Finite-difference cross-check of g_y(u, v) on F^2/2."""
+    y = np.asarray(y, dtype=float)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    h = step if step is not None else 1e-4 * max(1.0, float(_enorm(y)))
+
+    def q(z: np.ndarray) -> float:
+        return 0.5 * float(norm.norm(z)) ** 2
+
+    return (q(y + h * u + h * v) - q(y + h * u - h * v)
+            - q(y - h * u + h * v) + q(y - h * u - h * v)) / (4.0 * h * h)
+
+
+def dual_fundamental_form_fd(norm: MinkowskiNorm, xi: np.ndarray,
+                             eta: np.ndarray, zeta: np.ndarray,
+                             step: float | None = None) -> float:
+    """Finite-difference cross-check of g*_xi(eta, zeta) on F*^2/2."""
+    xi = np.asarray(xi, dtype=float)
+    h = step if step is not None else 1e-4 * max(1.0, float(_enorm(xi)))
+
+    def q(z: np.ndarray) -> float:
+        return 0.5 * float(norm.dual_norm(z)) ** 2
+
+    return (q(xi + h * eta + h * zeta) - q(xi + h * eta - h * zeta)
+            - q(xi - h * eta + h * zeta) + q(xi - h * eta - h * zeta)) \
+        / (4.0 * h * h)
+
+
+def sampled_uniformity_random(norm: MinkowskiNorm, samples: int,
+                              seed: int) -> float:
+    """Random-triple estimate of Lambda_F (a lower bound that densifies
+    toward the closed form)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((samples, norm.dim))
+    z = rng.standard_normal((samples, norm.dim))
+    yy = rng.standard_normal((samples, norm.dim))
+    best = 1.0
+    for i in range(samples):
+        num = norm.fundamental_form(x[i], yy[i], yy[i])
+        den = norm.fundamental_form(z[i], yy[i], yy[i])
+        best = max(best, num / den)
+    return best
+
+
+def cauchy_slack(norm: MinkowskiNorm, xi: np.ndarray,
+                 eta: np.ndarray) -> float | np.ndarray:
+    """Residual of the classical Cauchy inequality
+    F*^2(eta) - F*^2(xi) - 2 g*_xi(xi, eta - xi) >= 0 (xi != 0)."""
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    b = norm.drift
+    fs_xi = np.asarray(norm.dual_norm(xi))
+    fs_eta = np.asarray(norm.dual_norm(eta))
+    nxi = _enorm(xi)
+    diff = eta - xi
+    cross = fs_xi * (np.sum(xi * diff, axis=-1) / nxi + b * diff[..., -1])
+    out = fs_eta**2 - fs_xi**2 - 2.0 * cross
+    return out if out.ndim else float(out)
+
+
+def conorm_variational(norm: MinkowskiNorm, xi: np.ndarray,
+                       samples: int = 400, rounds: int = 12) -> float:
+    """Variational oracle for the natural dual norm: maximize <xi, y>/F(y)
+    over direction grids with local zoom."""
+    xi = np.asarray(xi, dtype=float)
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((samples * 8, norm.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    best = -np.inf
+    center = dirs[0]
+    for level in range(rounds):
+        vals = (dirs @ xi) / np.asarray(norm.norm(dirs))
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best = float(vals[i])
+            center = dirs[i]
+        dirs = center[None, :] + 0.3 ** (level + 1) * \
+            rng.standard_normal((samples, norm.dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return best

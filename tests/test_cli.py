@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from finslerineq import harness
 from finslerineq.cli import main
+from finslerineq.fields import CriticalPointError
 
 
 def run_cli(args):
@@ -155,6 +157,17 @@ def test_hyperbolic_batteries_via_cli(tmp_path):
     assert rep["config"]["n"] == 4
 
 
+def test_critical_point_error_exits_numerical(tmp_path, monkeypatch, capsys):
+    # CriticalPointError is also a ValueError; it must not read as a
+    # configuration error
+    def critical(*args, **kwargs):
+        raise CriticalPointError("du vanishes at the stencil centre")
+
+    monkeypatch.setattr(harness, "hardy_report", critical)
+    assert run_cli(["hardy", "--samples", "1", "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert run_cli(["hardy", "--config", str(tmp_path / "nope.ini"),
                     "--out", str(tmp_path)]) == 2
@@ -171,6 +184,16 @@ def test_hyperbolic_sweep_strict_json(tmp_path):
     rep = json.loads(text)
     assert rep["results"]["rows"][0]["j1_exact"] is None
     assert abs(rep["results"]["extrapolated"] - 0.25) <= 0.0025
+    # on curved models the verdict rests on the Moebius fit: the structured
+    # extrapolator is exact only on flat ones (it reads ~9.24 here)
+    out = tmp_path / "hyp-rellich"
+    assert run_cli(["rellich-sweep", "--model", "hyperbolic", "--n", "6",
+                    "--out", str(out)]) == 0
+    text = (out / "report.json").read_text()
+    assert "NaN" not in text
+    res = json.loads(text)["results"]
+    assert res["rows"][0]["j1_exact"] is None
+    assert abs(res["extrapolated_moebius"] - 9.0) <= 1e-5 * 9.0
 
 
 def test_drift_alias_flag(tmp_path):

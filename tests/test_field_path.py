@@ -155,3 +155,18 @@ def test_two_roads_radial_field_matches_radial_path(model):
     for name, term in radial.terms.items():
         assert abs(field.terms[name].value - term.value) <= \
             1e-7 * abs(term.value), name
+
+
+@pytest.mark.parametrize("model", (RandersFlat(4, 0.6),
+                                   HyperbolicBall(4, -1.0)), ids=repr)
+def test_two_roads_gbeta_radial_field_matches_radial_path(model):
+    # G^beta of a radial u vanishes on both roads; the field road reads
+    # |G|/scale = 3.0e-6 (Randers) and 4.2e-7 (hyperbolic) at this spec,
+    # and its scale sits 1.1e-3 below the radial one on both models
+    prof = H.radial_battery(10, 0.9)[0]
+    radial = H.gbeta(model, "bh", prof, BETA)
+    value, scale, _ = H.gbeta(model, "bh", fc.radial_field(model, prof), BETA,
+                              QuadratureSpec(radial_nodes=24, radial_panels=3,
+                                             sphere_order=4))
+    assert abs(value) <= 1e-5 * scale
+    assert abs(scale - radial[1]) <= 2e-3 * radial[1]

@@ -213,7 +213,7 @@ def test_hyperbolic_domain():
 
 def test_model_constants_exposed():
     m = RandersFlat(3, 0.5)
-    assert m.curvature == 0.0 and m.s_bound == 0.0
+    assert m.curvature == 0.0
     assert m.reversibility == pytest.approx(3.0)
     assert m.uniformity == pytest.approx(9.0)
     h = HyperbolicBall(4, -2.0)
