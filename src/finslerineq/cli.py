@@ -13,7 +13,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +75,6 @@ class RunConfig:
 
     def build_model(self):
         if self.model == "randers":
-            if not 0.0 <= self.t < 1.0:
-                raise ConfigError("randers drift t must be in [0, 1)")
             return RandersFlat(self.n, self.t)
         if self.model == "euclidean":
             return euclidean_flat(self.n)
@@ -87,8 +85,12 @@ class RunConfig:
         raise ConfigError(f"unknown model {self.model!r}")
 
     def build_spec(self) -> QuadratureSpec:
+        accepted = [f.name for f in fields(QuadratureSpec)]
+        for key in self.quad:
+            if key not in accepted:
+                raise ConfigError(f"unknown [quadrature] key {key!r}; "
+                                  f"accepted: {', '.join(accepted)}")
         kw = dict(self.quad)
-        kw.setdefault("seed", self.seed)
         kw.setdefault("abs_tol", self.tol)
         kw.setdefault("rel_tol", self.tol)
         return QuadratureSpec(**kw)
@@ -100,6 +102,8 @@ class RunConfig:
             raise ConfigError("n must be >= 2")
         if self.measure not in ("bh", "ht"):
             raise ConfigError("measure must be bh or ht")
+        if self.model == "randers" and not 0.0 <= self.t < 1.0:
+            raise ConfigError("randers drift t must be in [0, 1)")
         needs_hardy = self.suite in ("hardy", "hardy-bv", "hardy-sweep",
                                      "uncertainty")
         if needs_hardy and not self.n - 2 > self.beta:
@@ -178,7 +182,6 @@ def run(cfg: RunConfig) -> int:
                 "radial_nodes": spec.radial_nodes,
                 "radial_panels": spec.radial_panels,
                 "sphere_order": spec.sphere_order,
-                "mc_samples": spec.mc_samples,
             },
         },
     }

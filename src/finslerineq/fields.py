@@ -195,34 +195,12 @@ def radial_field(model, profile, orientation: str = "minus") -> ScalarField:
         x = np.asarray(x, dtype=float)
         if orientation == "minus":
             rho = model.rho_minus(x)
-            drho = _d_rho_minus(model, x)
+            drho = model.d_rho_minus(x)
         else:
             rho = model.rho_plus(x)
-            drho = _d_rho_plus(model, x)
+            drho = model.d_rho_plus(x)
         return (sgn * np.asarray(profile.d1(np.asarray(rho))))[..., None] * \
             drho
 
     return ScalarField(fn, grad, support_radius=profile.support)
 
-
-def _d_rho_plus(model, x: np.ndarray) -> np.ndarray:
-    from .models import RandersFlat, HyperbolicBall
-    if isinstance(model, RandersFlat):
-        out = x / np.sqrt(_sum_squares(x))[..., None]
-        out[..., -1] += model.drift
-        return out
-    if isinstance(model, HyperbolicBall):
-        lam = model._conformal(x)
-        return lam[..., None] * x / np.sqrt(_sum_squares(x))[..., None]
-    raise TypeError(f"unsupported model {model!r}")
-
-
-def _d_rho_minus(model, x: np.ndarray) -> np.ndarray:
-    from .models import RandersFlat, HyperbolicBall
-    if isinstance(model, RandersFlat):
-        out = x / np.sqrt(_sum_squares(x))[..., None]
-        out[..., -1] -= model.drift
-        return out
-    if isinstance(model, HyperbolicBall):
-        return _d_rho_plus(model, x)
-    raise TypeError(f"unsupported model {model!r}")

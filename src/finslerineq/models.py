@@ -38,6 +38,11 @@ from .minkowski import MinkowskiNorm
 from .quadrature import unit_sphere_area
 
 
+def _enorm(x: np.ndarray) -> np.ndarray:
+    """|x| over the last axis, kept as a length-1 axis for broadcasting."""
+    return np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+
+
 class DomainError(ValueError):
     """A point or parameter lies outside a model's admissible domain."""
 
@@ -352,6 +357,20 @@ class RandersFlat(_ModelBase):
         out = np.sqrt(np.sum(x * x, axis=-1)) - self.drift * x[..., -1]
         return out if out.ndim else float(out)
 
+    def d_rho_plus(self, x: np.ndarray) -> np.ndarray:
+        """Differential of rho_plus: x/|x| + t e_n (x != 0)."""
+        x = np.asarray(x, dtype=float)
+        out = x / _enorm(x)
+        out[..., -1] += self.drift
+        return out
+
+    def d_rho_minus(self, x: np.ndarray) -> np.ndarray:
+        """Differential of rho_minus: x/|x| - t e_n (x != 0)."""
+        x = np.asarray(x, dtype=float)
+        out = x / _enorm(x)
+        out[..., -1] -= self.drift
+        return out
+
     # ---- measures
     def density(self, x: np.ndarray, measure: str) -> float | np.ndarray:
         """Cartesian density of the measure: BH is (1-t^2)^((n+1)/2) dx,
@@ -468,6 +487,15 @@ class HyperbolicBall(_ModelBase):
 
     rho_plus = rho
     rho_minus = rho
+
+    def d_rho(self, x: np.ndarray) -> np.ndarray:
+        """Differential of rho: lambda(x) x/|x| (x != 0)."""
+        x = np.asarray(x, dtype=float)
+        lam = self._conformal(x)
+        return lam[..., None] * x / _enorm(x)
+
+    d_rho_plus = d_rho
+    d_rho_minus = d_rho
 
     def density(self, x: np.ndarray, measure: str) -> float | np.ndarray:
         self._check_measure(measure)

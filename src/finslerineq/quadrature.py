@@ -7,8 +7,6 @@ inner radius, because every sharpness integrand behaves like ``1/rho`` near
 the truncation radius.  Error estimates come from a doubled-resolution
 comparison.  All reductions use a fixed-shape pairwise summation tree, so a
 given :class:`QuadratureSpec` and integrand always reproduce the same bits.
-
-A stratified Monte Carlo fallback handles non-radial integrands on boxes.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 
 class QuadratureError(RuntimeError):
@@ -28,23 +25,19 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolution and reproducibility knobs shared by all quadrature calls.
+    """Resolution and tolerance knobs shared by all quadrature calls.
 
     radial_nodes   Gauss-Legendre nodes per radial panel.
     radial_panels  minimum number of (log-graded) radial panels; more are
                    used automatically when the span exceeds ratio 2 per panel.
     sphere_order   Gauss order per polar angle (azimuth gets 2x this many
                    uniform nodes, spectrally exact for trigonometric factors).
-    mc_samples     sample count for the Monte Carlo fallback.
-    seed           seed for the (deterministic) Latin hypercube sampler.
     abs_tol/rel_tol  tolerance targets quoted in reports.
     """
 
     radial_nodes: int = 24
     radial_panels: int = 8
     sphere_order: int = 16
-    mc_samples: int = 200_000
-    seed: int = 1234
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
 
@@ -214,32 +207,3 @@ def annulus_integrate(model, measure: str,
 
     return radial_integrate(shell, eps, radius, spec)
 
-
-def box_montecarlo(model, measure: str,
-                   integrand: Callable[[np.ndarray], np.ndarray],
-                   lower: np.ndarray, upper: np.ndarray,
-                   spec: QuadratureSpec,
-                   exclude_radius: float = 0.0) -> tuple[float, float]:
-    """Stratified (Latin hypercube) Monte Carlo of ``integrand * density`` on a box.
-
-    Points inside the Euclidean ball of ``exclude_radius`` about the base
-    point are excluded; declaring the radius is mandatory when the integrand
-    is unbounded there.  Returns (value, standard error).
-    """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = lower.size
-    sampler = qmc.LatinHypercube(d=n, seed=spec.seed)
-    u = sampler.random(spec.mc_samples)
-    x = lower + u * (upper - lower)
-    keep = np.linalg.norm(x, axis=1) > exclude_radius
-    vals = np.zeros(spec.mc_samples)
-    vals[keep] = np.asarray(integrand(x[keep]), dtype=float) * \
-        model.density(x[keep], measure)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("non-finite Monte Carlo samples outside the "
-                              "excluded ball; declare a larger exclude_radius")
-    vol = float(np.prod(upper - lower))
-    mean = pairwise_sum(vals) / spec.mc_samples
-    var = pairwise_sum((vals - mean) ** 2) / (spec.mc_samples - 1)
-    return vol * mean, vol * math.sqrt(var / spec.mc_samples)

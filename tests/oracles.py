@@ -1,16 +1,22 @@
-"""Slow independent oracles for the Minkowski norm, used only by the tests.
+"""Slow independent oracles, used only by the tests.
 
-Each cross-checks a closed form of :class:`finslerineq.minkowski.MinkowskiNorm`
+Most cross-check a closed form of :class:`finslerineq.minkowski.MinkowskiNorm`
 by a different route: finite differences of F^2/2 and F*^2/2, a variational
 maximisation for the dual norm, random triples for Lambda_F, and the
-classical Cauchy inequality that the sharpened one refines.
+classical Cauchy inequality that the sharpened one refines.  A stratified
+Monte Carlo rule on Cartesian boxes cross-checks the backward-polar
+quadrature :func:`finslerineq.quadrature.annulus_integrate`.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
 
 from finslerineq.minkowski import MinkowskiNorm
+from finslerineq.quadrature import QuadratureError, pairwise_sum
 
 
 def _enorm(a: np.ndarray) -> np.ndarray:
@@ -99,3 +105,35 @@ def conorm_variational(norm: MinkowskiNorm, xi: np.ndarray,
             rng.standard_normal((samples, norm.dim))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     return best
+
+
+def box_montecarlo(model, measure: str,
+                   integrand: Callable[[np.ndarray], np.ndarray],
+                   lower: np.ndarray, upper: np.ndarray, samples: int,
+                   seed: int, exclude_radius: float = 0.0
+                   ) -> tuple[float, float]:
+    """Stratified (Latin hypercube) Monte Carlo of ``integrand * density`` on a box.
+
+    Points inside the Euclidean ball of ``exclude_radius`` about the base
+    point are excluded; declaring the radius is mandatory when the integrand
+    is unbounded there.  Returns (value, standard error).
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    n = lower.size
+    # one random permutation of the strata per axis, jittered within each
+    rng = np.random.default_rng(seed)
+    strata = np.stack([rng.permutation(samples) for _ in range(n)], axis=1)
+    u = (strata + rng.random((samples, n))) / samples
+    x = lower + u * (upper - lower)
+    keep = np.linalg.norm(x, axis=1) > exclude_radius
+    vals = np.zeros(samples)
+    vals[keep] = np.asarray(integrand(x[keep]), dtype=float) * \
+        model.density(x[keep], measure)
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError("non-finite Monte Carlo samples outside the "
+                              "excluded ball; declare a larger exclude_radius")
+    vol = float(np.prod(upper - lower))
+    mean = pairwise_sum(vals) / samples
+    var = pairwise_sum((vals - mean) ** 2) / (samples - 1)
+    return vol * mean, vol * math.sqrt(var / samples)

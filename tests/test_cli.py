@@ -1,9 +1,14 @@
 """Command-line front end: artifacts, exit codes, determinism, config files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finslerineq
 from finslerineq import harness
 from finslerineq.cli import main
 from finslerineq.fields import CriticalPointError
@@ -105,6 +110,17 @@ def test_validation_exit_codes(tmp_path, capsys):
     for tol in ("nan", "inf"):
         assert run_cli(["hardy", "--tol", tol, "--out", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
+    # the drift rule also holds for refined-cs, which builds no model
+    for suite in ("constants", "refined-cs"):
+        assert run_cli([suite, "--t", "-0.5", "--out", str(tmp_path)]) == 2
+        assert "randers drift" in capsys.readouterr().err
+    # an unknown [quadrature] key, e.g. an old-style mc_samples line
+    old = tmp_path / "old.ini"
+    old.write_text("[quadrature]\nmc_samples = 500\n")
+    assert run_cli(["constants", "--config", str(old),
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "mc_samples" in err and "sphere_order" in err
     # argparse rejects bad choices itself, also with status 2
     with pytest.raises(SystemExit) as exc:
         run_cli(["hardy", "--measure", "xx", "--out", str(tmp_path)])
@@ -202,3 +218,13 @@ def test_drift_alias_flag(tmp_path):
                     "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["config"]["t"] == 0.0
+
+
+def test_import_does_not_load_scipy():
+    # a fresh interpreter: this one may have imported scipy for other tests
+    src = str(Path(finslerineq.__file__).parents[1])
+    code = "import sys, finslerineq.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"

@@ -7,10 +7,10 @@ import pytest
 
 from finslerineq.models import HyperbolicBall, RandersFlat, euclidean_flat
 from finslerineq.quadrature import (QuadratureError, QuadratureSpec,
-                                    annulus_integrate, box_montecarlo,
-                                    pairwise_sum, power_integral,
-                                    radial_integrate, sphere_integrate,
-                                    unit_sphere_area)
+                                    annulus_integrate, pairwise_sum,
+                                    power_integral, radial_integrate,
+                                    sphere_integrate, unit_sphere_area)
+from oracles import box_montecarlo
 
 SPEC = QuadratureSpec()
 
@@ -122,9 +122,9 @@ def test_determinism_bit_identical():
     b = annulus_integrate(m, "ht", lambda r, w: r**-2.0, 1e-3, 0.7, SPEC)
     assert a == b
     s1 = box_montecarlo(m, "bh", lambda x: np.ones(len(x)),
-                        -np.ones(3), np.ones(3), SPEC)
+                        -np.ones(3), np.ones(3), samples=200_000, seed=1234)
     s2 = box_montecarlo(m, "bh", lambda x: np.ones(len(x)),
-                        -np.ones(3), np.ones(3), SPEC)
+                        -np.ones(3), np.ones(3), samples=200_000, seed=1234)
     assert s1 == s2
 
 
@@ -132,7 +132,7 @@ def test_montecarlo_ball_volume():
     e = euclidean_flat(3)
     val, stderr = box_montecarlo(
         e, "ht", lambda x: (np.linalg.norm(x, axis=1) < 1.0).astype(float),
-        -np.ones(3), np.ones(3), SPEC)
+        -np.ones(3), np.ones(3), samples=200_000, seed=1234)
     want = 4.0 / 3.0 * math.pi
     assert abs(val - want) < 4.0 * stderr + 1e-3
 
@@ -141,21 +141,23 @@ def test_montecarlo_measure_ratio():
     # same integrand under BH vs HT differs by (1-t^2)^((n+1)/2)
     m = RandersFlat(3, 0.5)
     f = lambda x: np.exp(-np.sum(x * x, axis=1))
-    bh, _ = box_montecarlo(m, "bh", f, -np.ones(3), np.ones(3), SPEC)
-    ht, _ = box_montecarlo(m, "ht", f, -np.ones(3), np.ones(3), SPEC)
+    bh, _ = box_montecarlo(m, "bh", f, -np.ones(3), np.ones(3),
+                           samples=200_000, seed=1234)
+    ht, _ = box_montecarlo(m, "ht", f, -np.ones(3), np.ones(3),
+                           samples=200_000, seed=1234)
     assert bh / ht == pytest.approx((1 - 0.25) ** 2.0, rel=1e-12)
 
 
 def test_montecarlo_agrees_with_annulus_for_radial_field():
     m = RandersFlat(3, 0.5)
-    spec = QuadratureSpec(mc_samples=400_000, seed=7)
 
     def radial(x):
         rho = np.asarray(m.rho_minus(x))
         return np.where(rho < 1.0, (1.0 - rho) ** 2, 0.0)
 
     mc, stderr = box_montecarlo(m, "bh", radial,
-                                -2 * np.ones(3), 2 * np.ones(3), spec)
+                                -2 * np.ones(3), 2 * np.ones(3),
+                                samples=400_000, seed=7)
     exact, _ = annulus_integrate(
         m, "bh", lambda r, w: np.where(r < 1.0, (1.0 - r) ** 2, 0.0),
         1e-8, 1.0, SPEC)
@@ -171,10 +173,9 @@ def test_montecarlo_exclusion_required_for_singular():
 
     with pytest.raises(QuadratureError):
         box_montecarlo(m, "bh", singular, -np.ones(2), np.ones(2),
-                       QuadratureSpec(mc_samples=500, seed=0))
+                       samples=500, seed=0)
     val, _ = box_montecarlo(m, "bh", singular, -np.ones(2), np.ones(2),
-                            QuadratureSpec(mc_samples=500, seed=0),
-                            exclude_radius=0.3)
+                            samples=500, seed=0, exclude_radius=0.3)
     assert np.isfinite(val)
 
 
