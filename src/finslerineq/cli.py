@@ -73,6 +73,11 @@ class RunConfig:
     out: str = "out"
     quad: dict = field(default_factory=dict)
 
+    @property
+    def drift(self) -> float:
+        """The Randers drift t; the other models are reversible."""
+        return self.t if self.model == "randers" else 0.0
+
     def build_model(self):
         if self.model == "randers":
             return RandersFlat(self.n, self.t)
@@ -182,6 +187,8 @@ def run(cfg: RunConfig) -> int:
                 "radial_nodes": spec.radial_nodes,
                 "radial_panels": spec.radial_panels,
                 "sphere_order": spec.sphere_order,
+                "abs_tol": spec.abs_tol,
+                "rel_tol": spec.rel_tol,
             },
         },
     }
@@ -190,7 +197,7 @@ def run(cfg: RunConfig) -> int:
     terms_csv: list[list] | None = None
 
     if cfg.suite == "constants":
-        norm = MinkowskiNorm(cfg.n, cfg.t if cfg.model == "randers" else 0.0)
+        norm = MinkowskiNorm(cfg.n, cfg.drift)
         model = cfg.build_model()
         payload["results"] = {
             "lambda_F": norm.reversibility(),
@@ -206,7 +213,7 @@ def run(cfg: RunConfig) -> int:
         assertions.append({"name": "sampled constants within 1%",
                            "passed": bool(close)})
     elif cfg.suite == "refined-cs":
-        norm = MinkowskiNorm(cfg.n, cfg.t)
+        norm = MinkowskiNorm(cfg.n, cfg.drift)
         samples = cfg.samples if cfg.samples > 0 else 100_000
         summary = harness.refined_cs_campaign(norm, samples, cfg.seed)
         payload["results"] = summary.as_dict()
@@ -361,7 +368,11 @@ def _config_from_args(args) -> RunConfig:
             cfg.tol = sec.getfloat("tol", cfg.tol)
             cfg.out = sec.get("out", cfg.out)
         if cp.has_section("quadrature"):
-            cfg.quad = {k: int(v) for k, v in cp["quadrature"].items()}
+            # each value parsed as its QuadratureSpec field's type; an
+            # unknown key stays text for build_spec to reject
+            kinds = {f.name: type(f.default) for f in fields(QuadratureSpec)}
+            cfg.quad = {k: kinds.get(k, str)(v)
+                        for k, v in cp["quadrature"].items()}
     overrides = {"model": args.model, "n": args.n, "t": args.t, "k": args.k,
                  "measure": args.measure, "beta": args.beta, "r": args.r,
                  "R": args.R_big, "samples": args.samples, "seed": args.seed,

@@ -52,10 +52,6 @@ class ScalarField:
             out = np.broadcast_to(out, x.shape[:-1]).copy()
         return float(out) if out.ndim == 0 else out
 
-    def negated(self) -> "ScalarField":
-        g = None if self.grad is None else (lambda x: -self.grad(x))
-        return ScalarField(lambda x: -self.fn(x), g, self.support_radius)
-
 
 def _unit_steps(x: np.ndarray, h) -> np.ndarray:
     """The 2n points x +/- h e_i as a (..., 2, n, n) stack (sign, i, coord)."""
@@ -149,15 +145,6 @@ def _laplacian_block(model, measure: str, field: ScalarField, x: np.ndarray,
 def _sum_squares(x: np.ndarray) -> np.ndarray:
     """|x|^2 over the last axis (einsum makes no temporaries, norm does)."""
     return np.einsum("...i,...i->...", x, x)
-
-
-def div_u_grad_u(model, measure: str, field: ScalarField, x: np.ndarray,
-                 flux_step: float | None = None) -> float | np.ndarray:
-    """div(u grad u) = F^2(grad u) + u * Laplacian(u) at x."""
-    x = np.asarray(x, dtype=float)
-    fsq = gradient_norm(model, field, x) ** 2
-    return fsq + field(x) * numeric_laplacian(model, measure, field, x,
-                                              flux_step=flux_step)
 
 
 def varrho_density(model, sign, beta: float, x: np.ndarray,

@@ -11,15 +11,18 @@ function of ``log(r/eps)``, which the structured extrapolator exploits, and
 the three-point Moebius fit, which also holds on curved models, decides
 whether a sweep passes.
 
-Radial inputs reduce to one-dimensional integrals through the model's polar
-reduction (``cp_constant`` x radial density).  Every radial term is
-``cp * integral of g(rho, f, f', Delta f) * density``, so a report hands one
-table of named integrands to ``_radial_terms``, which evaluates the profile
-jet once per node and integrates all columns in one ``radial_integrate``
-pass per breakpoint segment (a sweep row makes one pass per region).
-General scalar fields go through the backward-polar product quadrature with
-the sign-cased distance ``rho_u``: each report evaluates u, du, F*(du) and
-rho_u once per node set and integrates all of its terms in one annulus pass.
+A report writes its integrands once, as a table of named columns of a jet
+(u, F*(du), rho, Delta u, the G^beta density), which ``_terms`` integrates
+on one of two roads.  Radial inputs reduce through the model's polar
+reduction (``cp_constant`` x radial density) to one ``radial_integrate``
+pass per breakpoint segment of the profile jet (a sweep row makes one pass
+per region).  Scalar fields take one backward-polar annulus pass of a field
+jet that evaluates u, F*(du), the sign-cased distance ``rho_u`` and the
+numeric Laplacian once per node set.  The Hardy, Brezis-Vazquez Hardy,
+Poincare and uncertainty reports and ``gbeta`` accept a
+``fields.ScalarField``; the Rellich pair stays radial, because its G^beta
+membership gate needs the distributional terms (flux jumps, the Green
+point mass) that only the radial road reads so far.
 
 Reports are independent of one another and deterministic, so batteries and
 campaigns may be evaluated concurrently.
@@ -28,7 +31,7 @@ campaigns may be evaluated concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -42,6 +45,9 @@ from .quadrature import QuadratureSpec, annulus_integrate, power_integral, \
     radial_integrate
 
 RADIAL_FLOOR = 1e-12     # relative inner cutoff for integrals reaching rho=0
+# relative inner cutoff of the G^beta field road, whose numeric Laplacian
+# takes an absolute flux step
+GBETA_FIELD_FLOOR = 1e-6
 
 
 class PreconditionError(ValueError):
@@ -68,6 +74,13 @@ class TermValue:
 _ZERO = TermValue(0.0, 0.0)
 
 
+def _record_dict(record, **converted) -> dict:
+    """Every field of a record dataclass, with ``converted`` replacing some."""
+    out = {f.name: getattr(record, f.name) for f in dc_fields(record)}
+    out.update(converted)
+    return out
+
+
 @dataclass
 class InequalityReport:
     theorem: str
@@ -82,18 +95,9 @@ class InequalityReport:
     checks: dict = dc_field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "model": self.model,
-            "measure": self.measure,
-            "beta": self.beta,
-            "constants": dict(self.constants),
-            "terms": {k: v.as_dict() for k, v in self.terms.items()},
-            "slack": self.slack,
-            "slack_tolerance": self.slack_tolerance,
-            "passed": self.passed,
-            "checks": dict(self.checks),
-        }
+        return _record_dict(
+            self, constants=dict(self.constants), checks=dict(self.checks),
+            terms={k: v.as_dict() for k, v in self.terms.items()})
 
 
 @dataclass
@@ -131,20 +135,8 @@ class SweepTable:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "model": self.model,
-            "measure": self.measure,
-            "beta": self.beta,
-            "constants": dict(self.constants),
-            "rows": [r.as_dict() for r in self.rows],
-            "sharp_constant": self.sharp_constant,
-            "extrapolated": self.extrapolated,
-            "extrapolated_moebius": self.extrapolated_moebius,
-            "gap_coefficient": self.gap_coefficient,
-            "monotone": self.monotone,
-            "passed": self.passed,
-        }
+        return _record_dict(self, constants=dict(self.constants),
+                            rows=[r.as_dict() for r in self.rows])
 
 
 @dataclass
@@ -164,10 +156,7 @@ class CampaignSummary:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "drift", "dim", "samples", "min_slack", "min_scale",
-            "argmin_xi", "argmin_eta", "histogram_counts", "histogram_edges",
-            "colinear_max_dev", "case2_max_dev", "case3_margin", "passed")}
+        return _record_dict(self)
 
 
 # ---------------------------------------------------------------- constants
@@ -219,10 +208,12 @@ def _require_radial(u) -> RadialProfile:
 
 class _Jet:
     """The profile jet at the radial nodes: rho, f, f' and the radial
-    Laplacian f'' + f' (n-1) s'/s, each evaluated at most once."""
+    Laplacian f'' + f' (n-1) s'/s, each evaluated at most once; the G^beta
+    density ``varrho`` has one reader, the G^beta column."""
 
-    def __init__(self, model, prof: RadialProfile, rho: np.ndarray):
-        self.model, self.prof, self.rho = model, prof, rho
+    def __init__(self, model, measure: str, prof: RadialProfile, rho):
+        self.model, self.measure, self.prof = model, measure, prof
+        self.rho = rho
 
     @cached_property
     def f(self) -> np.ndarray:
@@ -236,6 +227,47 @@ class _Jet:
     def lap(self) -> np.ndarray:
         return self.prof.d2(self.rho) + self.d1 * \
             np.asarray(self.model.radial_mean_curvature(self.rho))
+
+    def varrho(self, beta: float) -> np.ndarray:
+        """-Delta(rho^(-beta-2)), the density of u^2 in G^beta."""
+        return -np.asarray(self.model.radial_laplacian(
+            self.measure, beta + 2.0, "minus", self.rho))
+
+
+class _FieldJet(_Jet):
+    """The same names at backward-polar nodes x of a scalar field: f = u,
+    d1 = F*(du), rho = rho_u, the numeric Laplacian and the sign-cased
+    G^beta density of ``fields.varrho_density``."""
+
+    def __init__(self, model, measure: str, u: fc.ScalarField, x):
+        self.model, self.measure, self.u, self.x = model, measure, u, x
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return self.u(self.x)
+
+    @cached_property
+    def d1(self) -> np.ndarray:
+        return np.asarray(self.model.conorm(self.x,
+                                            fc.differential(self.u, self.x)))
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return self.model.rho_u(np.sign(self.f), self.x)
+
+    @cached_property
+    def lap(self) -> np.ndarray:
+        """Evaluated where u != 0 or F*(du) >= 1e-10; 0 elsewhere, where
+        u Delta u vanishes, and at the critical points, which are excluded."""
+        live = (self.f != 0.0) | (self.d1 >= 1e-10)
+        lap = np.zeros_like(self.f)
+        lap[live] = fc.numeric_laplacian(self.model, self.measure, self.u,
+                                         self.x[live])
+        return np.where(np.isnan(lap), 0.0, lap)
+
+    def varrho(self, beta: float) -> np.ndarray:
+        return fc.varrho_density(self.model, np.sign(self.f), beta, self.x,
+                                 self.measure)
 
 
 _Column = Callable[[_Jet], np.ndarray]
@@ -274,7 +306,7 @@ def _radial_terms(model, measure: str, prof: RadialProfile,
     names = list(columns)
 
     def integrand(rho: np.ndarray) -> np.ndarray:
-        jet = _Jet(model, prof, rho)
+        jet = _Jet(model, measure, prof, rho)
         cols = np.stack([columns[k](jet) for k in names], axis=-1)
         return cols * model.radial_volume_density(rho)[:, None]
 
@@ -286,6 +318,38 @@ def _radial_terms(model, measure: str, prof: RadialProfile,
     cp = model.cp_constant(measure)
     return {k: TermValue(float(cp * value[i]), float(cp * error[i]))
             for i, k in enumerate(names)}
+
+
+def _field_terms(model, measure: str, u: fc.ScalarField,
+                 columns: dict[str, _Column], spec: QuadratureSpec,
+                 floor: float) -> dict[str, TermValue]:
+    """Integral of every column(field jet) over the backward-polar annulus
+    (floor * hi, hi), all columns in one ``annulus_integrate`` pass."""
+    if u.support_radius is None:
+        raise PreconditionError("scalar fields need a support_radius bound")
+    hi = u.support_radius * model.reversibility
+    names = list(columns)
+
+    def integrand(rr: np.ndarray, ww: np.ndarray) -> np.ndarray:
+        jet = _FieldJet(model, measure, u,
+                        model.point_from_backward_polar(rr, ww))
+        return np.stack([columns[k](jet) for k in names], axis=-1)
+
+    values, errors = annulus_integrate(model, measure, integrand, floor * hi,
+                                       hi, spec)
+    return {k: TermValue(float(values[i]), float(errors[i]))
+            for i, k in enumerate(names)}
+
+
+def _terms(model, measure: str, u, columns: dict[str, _Column],
+           spec: QuadratureSpec, field_floor: float = RADIAL_FLOOR
+           ) -> dict[str, TermValue]:
+    """The columns' integrals on the radial road, or on the field road from
+    ``field_floor * hi`` when u is a scalar field."""
+    prof = _as_radial(u)
+    if prof is None:
+        return _field_terms(model, measure, u, columns, spec, field_floor)
+    return _radial_terms(model, measure, prof, columns, spec)
 
 
 def _report(theorem: str, model, measure: str, beta: float, constants: dict,
@@ -321,10 +385,12 @@ def _hardy_columns(model, beta: float) -> dict[str, _Column]:
     return cols
 
 
-def _hardy_terms(constants: dict, lhs: TermValue, main: TermValue,
-                 rem: TermValue) -> dict[str, TermValue]:
-    return {"lhs": lhs, "main": main.scaled(constants["main_coefficient"]),
-            "remainder": rem.scaled(constants["remainder_coefficient"])}
+def _hardy_terms(constants: dict, raw: dict[str, TermValue]
+                 ) -> dict[str, TermValue]:
+    return {"lhs": raw["lhs"],
+            "main": raw["main"].scaled(constants["main_coefficient"]),
+            "remainder": raw.get("remainder", _ZERO).scaled(
+                constants["remainder_coefficient"])}
 
 
 def hardy_report(model, measure: str, u, beta: float,
@@ -333,43 +399,11 @@ def hardy_report(model, measure: str, u, beta: float,
     sharp ``(n-2-beta)^2/4`` term plus the comparison remainder term."""
     spec = spec or QuadratureSpec()
     constants = _hardy_constants(model, beta)
-    prof = _as_radial(u)
-    if prof is not None:
-        raw = _radial_terms(model, measure, prof, _hardy_columns(model, beta),
-                            spec)
-        parts = raw["lhs"], raw["main"], raw.get("remainder", _ZERO)
-    else:
-        parts = _hardy_terms_field(model, measure, u, beta, spec)
-    terms = _hardy_terms(constants, *parts)
+    raw = _terms(model, measure, u, _hardy_columns(model, beta), spec)
+    terms = _hardy_terms(constants, raw)
     slack = terms["lhs"].value - terms["main"].value - terms["remainder"].value
     return _report("hardy", model, measure, beta, constants, terms, slack,
                    spec)
-
-
-def _hardy_terms_field(model, measure: str, u: fc.ScalarField, beta: float,
-                       spec: QuadratureSpec) -> tuple[TermValue, ...]:
-    if u.support_radius is None:
-        raise PreconditionError("scalar fields need a support_radius bound")
-    hi = u.support_radius * model.reversibility
-    flat = model.curvature == 0.0
-
-    def integrand(rr: np.ndarray, ww: np.ndarray) -> np.ndarray:
-        x = model.point_from_backward_polar(rr, ww)
-        vals = u(x)
-        fstar = np.asarray(model.conorm(x, fc.differential(u, x)))
-        rho_u = model.rho_u(np.sign(vals), x)
-        core = vals**2 * rho_u ** (-2.0 - beta)
-        cols = [fstar**2 * rho_u ** (-beta), core]
-        if not flat:
-            cols.append(core * np.asarray(model.comparison_remainder(rho_u)))
-        return np.stack(cols, axis=-1)
-
-    values, errors = annulus_integrate(model, measure, integrand,
-                                       RADIAL_FLOOR * hi, hi, spec)
-    terms = [TermValue(float(v), float(e)) for v, e in zip(values, errors)]
-    if flat:
-        terms.append(_ZERO)
-    return tuple(terms)
 
 
 def hardy_bv_report(model, measure: str, u, beta: float,
@@ -380,11 +414,9 @@ def hardy_bv_report(model, measure: str, u, beta: float,
     constants = _hardy_constants(model, beta)
     cbv = bv_constant(model)
     coeff = cbv / model.uniformity
-    prof = _require_radial(u)
-    raw = _radial_terms(model, measure, prof,
-                        {**_hardy_columns(model, beta), "bv": _u2(-beta)},
-                        spec)
-    terms = _hardy_terms(constants, raw["lhs"], raw["main"], raw["remainder"])
+    raw = _terms(model, measure, u,
+                 {**_hardy_columns(model, beta), "bv": _u2(-beta)}, spec)
+    terms = _hardy_terms(constants, raw)
     terms["brezis_vazquez"] = raw["bv"].scaled(coeff)
     slack = terms["lhs"].value - terms["main"].value \
         - terms["remainder"].value - terms["brezis_vazquez"].value
@@ -403,8 +435,8 @@ def poincare_report(model, measure: str, v, anchor_sign: int = 1,
         raise PreconditionError("poincare-type inequality needs k < 0")
     c = poincare_constant(model)
     n = model.n
-    raw = _radial_terms(model, measure, _require_radial(v),
-                        {"lhs": _u2(2.0 - n), "grad": _du2(2.0 - n)}, spec)
+    raw = _terms(model, measure, v,
+                 {"lhs": _u2(2.0 - n), "grad": _du2(2.0 - n)}, spec)
     terms = {"lhs": raw["lhs"], "gradient_side": raw["grad"].scaled(c)}
     slack = terms["gradient_side"].value - terms["lhs"].value
     constants = {"n": n, "k": model.curvature, "constant": c,
@@ -426,10 +458,9 @@ def uncertainty_report(model, measure: str, u, beta: float,
     if model.curvature > 0.0:
         raise PreconditionError("uncertainty corollary needs K <= 0")
     gam = hardy_gamma(n, beta)
-    terms = _radial_terms(model, measure, _require_radial(u),
-                          {"weighted_mass": _u2(2.0 + beta),
-                           "gradient_energy": _du2(-beta), "mass": _u2(0.0)},
-                          spec)
+    terms = _terms(model, measure, u,
+                   {"weighted_mass": _u2(2.0 + beta),
+                    "gradient_energy": _du2(-beta), "mass": _u2(0.0)}, spec)
     weighted, grad = terms["weighted_mass"], terms["gradient_energy"]
     lhs = math.sqrt(max(weighted.value, 0.0)) * math.sqrt(max(grad.value, 0.0))
     lhs_err = 0.0
@@ -446,47 +477,45 @@ def uncertainty_report(model, measure: str, u, beta: float,
 
 
 # ----------------------------------------------------------- rellich family
-def _gbeta_columns(model, measure: str, prof: RadialProfile,
+def _gbeta_columns(prof: RadialProfile | None,
                    beta: float) -> dict[str, _Column]:
     """The two integrands of G^beta: u^2 varrho and 2 rho^{-beta-2}
-    div(u grad u) = 2 rho^{-beta-2} (f'^2 + f Delta f)."""
-    if not prof.nonincreasing:
+    div(u grad u) = 2 rho^{-beta-2} (F*^2(du) + u Delta u)."""
+    if prof is not None and not prof.nonincreasing:
         raise PreconditionError("radial G^beta path expects a "
                                 "nonincreasing profile")
     nn = beta + 2.0
-
-    def varrho(j: _Jet) -> np.ndarray:
-        return j.f ** 2 * -np.asarray(
-            model.radial_laplacian(measure, nn, "minus", j.rho))
-
-    def div(j: _Jet) -> np.ndarray:
-        return 2.0 * j.rho ** (-nn) * (j.d1 ** 2 + j.f * j.lap)
-
-    return {"gbeta_varrho": varrho, "gbeta_div": div}
+    return {"gbeta_varrho": lambda j: j.f ** 2 * j.varrho(beta),
+            "gbeta_div": lambda j: 2.0 * j.rho ** (-nn)
+            * (j.d1 ** 2 + j.f * j.lap)}
 
 
-def _gbeta_value(model, measure: str, prof: RadialProfile, beta: float,
-                 raw: dict[str, TermValue]) -> tuple[float, float, float]:
-    """(value, scale, error) of G^beta from the integrals of its columns."""
+def _gbeta_value(model, measure: str, prof: RadialProfile | None,
+                 beta: float, raw: dict[str, TermValue]
+                 ) -> tuple[float, float, float]:
+    """(value, scale, error) of G^beta from the integrals of its columns,
+    plus the distributional terms of a radial profile (the field road reads
+    none yet)."""
     t1, t2 = raw["gbeta_varrho"], raw["gbeta_div"]
-    nn = beta + 2.0
-    hi = prof.support
-    # Lipschitz kinks of the profile put a sphere-supported flux jump
-    # into div(u grad u); the divergence is read distributionally there
-    jump = _profile_flux_jump(model, measure, prof, nn, hi)
-    # at the marginal exponent beta + 2 = n - 2 the power rho^{-(n-2)}
-    # is the Green kernel: its distributional Laplacian carries the
-    # point mass -(n-2) cp delta_p, which the classical formula misses
-    green = 0.0
-    f0 = float(prof.f(np.array([RADIAL_FLOOR * hi]))[0])
-    if f0 != 0.0:
-        if nn > model.n - 2.0 + 1e-12:
-            raise PreconditionError(
-                "G^beta undefined: the profile is nonzero at the base "
-                "point while beta + 2 exceeds n - 2")
-        if abs(nn - (model.n - 2.0)) <= 1e-12:
-            green = (model.n - 2.0) * model.cp_constant(measure) * f0 * f0
-    value = t1.value + t2.value + jump + green
+    value = t1.value + t2.value
+    if prof is not None:
+        nn = beta + 2.0
+        hi = prof.support
+        # Lipschitz kinks of the profile put a sphere-supported flux jump
+        # into div(u grad u); the divergence is read distributionally there
+        value += _profile_flux_jump(model, measure, prof, nn, hi)
+        # at the marginal exponent beta + 2 = n - 2 the power rho^{-(n-2)}
+        # is the Green kernel: its distributional Laplacian carries the
+        # point mass -(n-2) cp delta_p, which the classical formula misses
+        f0 = float(prof.f(np.array([RADIAL_FLOOR * hi]))[0])
+        if f0 != 0.0:
+            if nn > model.n - 2.0 + 1e-12:
+                raise PreconditionError(
+                    "G^beta undefined: the profile is nonzero at the base "
+                    "point while beta + 2 exceeds n - 2")
+            if abs(nn - (model.n - 2.0)) <= 1e-12:
+                value += (model.n - 2.0) * model.cp_constant(measure) * \
+                    f0 * f0
     scale = abs(t1.value) + abs(t2.value)
     return value, scale, t1.error + t2.error
 
@@ -501,10 +530,8 @@ def gbeta(model, measure: str, u, beta: float,
     """
     spec = spec or QuadratureSpec()
     prof = _as_radial(u)
-    if prof is None:
-        return _gbeta_field(model, measure, u, beta, spec)
-    raw = _radial_terms(model, measure, prof,
-                        _gbeta_columns(model, measure, prof, beta), spec)
+    raw = _terms(model, measure, u, _gbeta_columns(prof, beta), spec,
+                 GBETA_FIELD_FLOOR)
     return _gbeta_value(model, measure, prof, beta, raw)
 
 
@@ -527,40 +554,12 @@ def _profile_flux_jump(model, measure: str, prof: RadialProfile, nn: float,
     return cp * total
 
 
-def _gbeta_field(model, measure: str, u: fc.ScalarField, beta: float,
-                 spec: QuadratureSpec) -> tuple[float, float, float]:
-    if u.support_radius is None:
-        raise PreconditionError("scalar fields need a support_radius bound")
-    hi = u.support_radius * model.reversibility
-    nn = beta + 2.0
-
-    def integrand(rr: np.ndarray, ww: np.ndarray) -> np.ndarray:
-        x = model.point_from_backward_polar(rr, ww)
-        vals = u(x)
-        sgn = np.sign(vals)
-        varrho = vals * vals * fc.varrho_density(model, sgn, beta, x, measure)
-        fstar = np.asarray(model.conorm(x, fc.differential(u, x)))
-        # outside the support the divergence term vanishes identically
-        live = (vals != 0.0) | (fstar >= 1e-10)
-        xl, vl = x[live], vals[live]
-        lap = fc.numeric_laplacian(model, measure, u, xl)
-        lap = np.where(np.isnan(lap), 0.0, lap)   # critical points, excluded
-        div = np.zeros_like(vals)
-        div[live] = 2.0 * model.rho_u(sgn[live], xl) ** (-nn) * \
-            (fstar[live] ** 2 + vl * lap)
-        return np.stack([varrho, div], axis=-1)
-
-    (t1, t2), (e1, e2) = annulus_integrate(model, measure, integrand,
-                                           1e-6 * hi, hi, spec)
-    return float(t1 + t2), float(abs(t1) + abs(t2)), float(e1 + e2)
-
-
 def _rellich_pass(model, measure: str, prof: RadialProfile, beta: float,
                   spec: QuadratureSpec, extra: dict[str, _Column]
                   ) -> tuple[dict[str, TermValue], float, float]:
     """One radial pass for G^beta, the Rellich core terms (lhs, weight4 and
     its remainder) and ``extra``; raises unless u is in the G^beta kernel."""
-    cols = _gbeta_columns(model, measure, prof, beta)
+    cols = _gbeta_columns(prof, beta)
     cols.update({"lhs": _lap2(-beta), "weight4": _u2(-4.0 - beta)})
     if model.curvature != 0.0:
         cols["weight4_rem"] = _u2(-4.0 - beta, model)

@@ -169,16 +169,6 @@ def sphere_nodes(n: int, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     return dirs.copy(), wts.copy()
 
 
-def sphere_integrate(g: Callable[[np.ndarray], np.ndarray],
-                     n: int, spec: QuadratureSpec) -> float:
-    """Integral of g over S^{n-1}; g receives a (K, n) matrix of directions."""
-    dirs, wts = sphere_nodes(n, spec)
-    vals = np.asarray(g(dirs), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError("non-finite sphere integrand")
-    return pairwise_sum(vals * wts)
-
-
 def annulus_integrate(model, measure: str,
                       integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       eps: float, radius: float,

@@ -5,7 +5,9 @@ by a different route: finite differences of F^2/2 and F*^2/2, a variational
 maximisation for the dual norm, random triples for Lambda_F, and the
 classical Cauchy inequality that the sharpened one refines.  A stratified
 Monte Carlo rule on Cartesian boxes cross-checks the backward-polar
-quadrature :func:`finslerineq.quadrature.annulus_integrate`.
+quadrature :func:`finslerineq.quadrature.annulus_integrate`, and a plain
+sphere rule checks the product sphere nodes.  The field helpers build -u
+and div(u grad u) for the reverse-metric and divergence identities.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from typing import Callable
 
 import numpy as np
 
+from finslerineq.fields import ScalarField, gradient_norm, numeric_laplacian
 from finslerineq.minkowski import MinkowskiNorm
-from finslerineq.quadrature import QuadratureError, pairwise_sum
+from finslerineq.quadrature import QuadratureError, QuadratureSpec, \
+    pairwise_sum, sphere_nodes
 
 
 def _enorm(a: np.ndarray) -> np.ndarray:
@@ -137,3 +141,28 @@ def box_montecarlo(model, measure: str,
     mean = pairwise_sum(vals) / samples
     var = pairwise_sum((vals - mean) ** 2) / (samples - 1)
     return vol * mean, vol * math.sqrt(var / samples)
+
+
+def sphere_integrate(g: Callable[[np.ndarray], np.ndarray],
+                     n: int, spec: QuadratureSpec) -> float:
+    """Integral of g over S^{n-1}; g receives a (K, n) matrix of directions."""
+    dirs, wts = sphere_nodes(n, spec)
+    vals = np.asarray(g(dirs), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError("non-finite sphere integrand")
+    return pairwise_sum(vals * wts)
+
+
+def negated(field: ScalarField) -> ScalarField:
+    """-u, with the negated differential when u carries one."""
+    g = None if field.grad is None else (lambda x: -field.grad(x))
+    return ScalarField(lambda x: -field.fn(x), g, field.support_radius)
+
+
+def div_u_grad_u(model, measure: str, field: ScalarField, x: np.ndarray,
+                 flux_step: float | None = None) -> float | np.ndarray:
+    """div(u grad u) = F^2(grad u) + u * Laplacian(u) at x."""
+    x = np.asarray(x, dtype=float)
+    fsq = gradient_norm(model, field, x) ** 2
+    return fsq + field(x) * numeric_laplacian(model, measure, field, x,
+                                              flux_step=flux_step)

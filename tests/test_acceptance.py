@@ -17,6 +17,7 @@ from finslerineq.cli import RunConfig, run
 from finslerineq.minkowski import MinkowskiNorm
 from finslerineq.models import HyperbolicBall, RandersFlat
 from finslerineq.quadrature import QuadratureSpec
+from oracles import negated
 
 SPEC = QuadratureSpec()
 
@@ -132,13 +133,13 @@ def test_criterion_05_reverse_metric_identities():
         pts = rng.uniform(-1.0, 1.0, size=(100, 3))
         for x in pts:
             total += 1
-            lhs = fc.gradient(m, f.negated(), x)
+            lhs = fc.gradient(m, negated(f), x)
             rhs = -fc.gradient(rev, f, x)
             scale = max(1.0, float(np.linalg.norm(rhs)))
             grad_worst = max(grad_worst,
                              float(np.max(np.abs(lhs - rhs))) / scale)
             try:
-                lap_l = fc.numeric_laplacian(m, "bh", f.negated(), x)
+                lap_l = fc.numeric_laplacian(m, "bh", negated(f), x)
                 lap_r = -fc.numeric_laplacian(rev, "bh", f, x)
             except fc.CriticalPointError:
                 skipped += 1   # measure-zero critical set, excluded

@@ -128,6 +128,38 @@ def test_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_quadrature_tolerances_from_config(tmp_path, capsys):
+    # each [quadrature] value is parsed as its spec field's type, and the
+    # tolerances in effect are recorded with the rest of the spec
+    cfg = tmp_path / "tol.ini"
+    cfg.write_text("[quadrature]\nabs_tol = 1e-12\nradial_nodes = 16\n")
+    out = tmp_path / "tol"
+    assert run_cli(["hardy", "--samples", "1", "--tol", "1e-8",
+                    "--config", str(cfg), "--out", str(out)]) == 0
+    quad = json.loads((out / "report.json").read_text())["config"][
+        "quadrature"]
+    assert quad["abs_tol"] == 1e-12 and quad["rel_tol"] == 1e-8
+    assert quad["radial_nodes"] == 16
+    # a node count must still be an integer
+    cfg.write_text("[quadrature]\nradial_nodes = 2.5\n")
+    assert run_cli(["hardy", "--samples", "1", "--config", str(cfg),
+                    "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_drift_rule_on_reversible_models(tmp_path):
+    # --t is the Randers drift; refined-cs, like constants, runs on the
+    # reversible norm of the other models
+    for suite in ("refined-cs", "constants"):
+        out = tmp_path / suite
+        assert run_cli([suite, "--model", "hyperbolic", "--t", "-0.5",
+                        "--samples", "500", "--out", str(out)]) == 0
+    rep = json.loads((tmp_path / "refined-cs" / "report.json").read_text())
+    assert rep["results"]["drift"] == 0.0
+    res = json.loads((tmp_path / "constants" / "report.json").read_text())
+    assert res["results"]["lambda_F"] == 1.0
+
+
 def test_gbeta_and_constants(tmp_path):
     out1 = tmp_path / "g"
     assert run_cli(["gbeta-check", "--model", "randers", "--n", "6",

@@ -143,18 +143,61 @@ def test_gbeta_batched_matches_reference_and_block_size(model, monkeypatch):
     assert H.gbeta(model, "bh", u, BETA, TINY) == (value, scale, error)
 
 
-@pytest.mark.parametrize("model", (RandersFlat(3, 0.4),
-                                   HyperbolicBall(3, -1.0)), ids=repr)
-def test_two_roads_radial_field_matches_radial_path(model):
-    # the same radial u through the annulus field path and the 1-d path
+def field_report(name, model, u, spec=None):
+    """One of the reports that accept a ScalarField, at beta = 0."""
+    if name == "poincare":
+        return H.poincare_report(model, "bh", u, 1, spec)
+    fn = {"hardy": H.hardy_report, "hardy-bv": H.hardy_bv_report,
+          "uncertainty": H.uncertainty_report}[name]
+    return fn(model, "bh", u, 0.0, spec)
+
+
+# every field-capable report on each model its domain allows (Hardy-BV and
+# Poincare need k < 0); the Hardy cases are named by their model alone
+R3, H3 = RandersFlat(3, 0.4), HyperbolicBall(3, -1.0)
+FIELD_REPORTS = [("hardy", R3), ("hardy", H3), ("hardy-bv", H3),
+                 ("poincare", H3), ("uncertainty", R3), ("uncertainty", H3)]
+
+
+@pytest.mark.parametrize("report,model", [
+    pytest.param(r, m, id=repr(m) if r == "hardy" else f"{r}-{m!r}")
+    for r, m in FIELD_REPORTS])
+def test_two_roads_radial_field_matches_radial_path(report, model):
+    # the same radial u through the annulus field path and the 1-d path;
+    # the worst term reads 8.3e-9 relative on Randers, 8.8e-12 hyperbolic
     prof = H.radial_battery(10, 0.9)[0]
-    radial = H.hardy_report(model, "bh", prof, 0.0)
-    field = H.hardy_report(model, "bh", fc.radial_field(model, prof), 0.0,
-                           QuadratureSpec(radial_nodes=24, radial_panels=8,
-                                          sphere_order=8))
+    radial = field_report(report, model, prof)
+    field = field_report(report, model, fc.radial_field(model, prof),
+                         QuadratureSpec(radial_nodes=24, radial_panels=8,
+                                        sphere_order=8))
+    assert field.terms.keys() == radial.terms.keys()
     for name, term in radial.terms.items():
         assert abs(field.terms[name].value - term.value) <= \
             1e-7 * abs(term.value), name
+
+
+@pytest.mark.parametrize("amp", (0.5, 1.5))
+@pytest.mark.parametrize("report,model", FIELD_REPORTS,
+                         ids=[f"{r}-{m!r}" for r, m in FIELD_REPORTS])
+def test_nonradial_battery_slack(report, model, amp):
+    # a non-radial field, sign-changing for amp > 1, so rho_u switches
+    # between rho_minus and rho_plus: every inequality still holds
+    u = sign_changing_field(model, amp=amp)
+    rep = field_report(report, model, u,
+                       QuadratureSpec(radial_nodes=8, radial_panels=2,
+                                      sphere_order=4))
+    assert all(np.isfinite(t.value) for t in rep.terms.values())
+    assert rep.slack >= -rep.slack_tolerance, (rep.slack,
+                                               rep.slack_tolerance)
+
+
+@pytest.mark.parametrize("report", (H.rellich_report, H.rellich_bv_report))
+def test_rellich_pair_rejects_scalar_fields(report):
+    # their G^beta gate needs distributional terms the field road lacks
+    m = HyperbolicBall(6, -1.0)
+    u = fc.radial_field(m, H.radial_battery(10, 0.9)[0])
+    with pytest.raises(H.PreconditionError, match="radial test function"):
+        report(m, "bh", u, 1.0, TINY)
 
 
 @pytest.mark.parametrize("model", (RandersFlat(4, 0.6),

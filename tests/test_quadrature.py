@@ -9,8 +9,8 @@ from finslerineq.models import HyperbolicBall, RandersFlat, euclidean_flat
 from finslerineq.quadrature import (QuadratureError, QuadratureSpec,
                                     annulus_integrate, pairwise_sum,
                                     power_integral, radial_integrate,
-                                    sphere_integrate, unit_sphere_area)
-from oracles import box_montecarlo
+                                    unit_sphere_area)
+from oracles import box_montecarlo, sphere_integrate
 
 SPEC = QuadratureSpec()
 
