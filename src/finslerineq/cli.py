@@ -14,6 +14,7 @@ import configparser
 import json
 import sys
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -297,7 +298,10 @@ def list_suites() -> str:
     return "\n".join(lines)
 
 
+@lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, each call fills a new namespace."""
     p = argparse.ArgumentParser(
         prog="finslerineq",
         description="verify sharp Hardy/Rellich inequalities on Finsler "

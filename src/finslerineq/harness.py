@@ -18,7 +18,9 @@ reduction (``cp_constant`` x radial density) to one ``radial_integrate``
 pass per breakpoint segment of the profile jet (a sweep row makes one pass
 per region).  Scalar fields take one backward-polar annulus pass of a field
 jet that evaluates u, F*(du), the sign-cased distance ``rho_u`` and the
-numeric Laplacian once per node set.  The Hardy, Brezis-Vazquez Hardy,
+numeric Laplacian once per node set: the points of a block of radial
+nodes (m, 1) against the sphere directions (K, n), an (m, K, n) stack, so
+every column comes out (m, K).  The Hardy, Brezis-Vazquez Hardy,
 Poincare and uncertainty reports and ``gbeta`` accept a
 ``fields.ScalarField``; the Rellich pair stays radial, because its G^beta
 membership gate needs the distributional terms (flux jumps, the Green

@@ -18,6 +18,10 @@ from typing import Callable
 
 import numpy as np
 
+# radial nodes x sphere directions per annulus shell block: bounds the
+# integrand's (block, K, ...) arrays whatever the node count
+_SHELL_BLOCK = 1 << 16
+
 
 class QuadratureError(RuntimeError):
     """An integrand produced non-finite samples or a rule was misused."""
@@ -148,7 +152,7 @@ def _sphere_rule_cached(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         phi = 2.0 * math.pi * np.arange(m) / m
         dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         wts = np.full(m, 2.0 * math.pi / m)
-        return dirs, wts
+        return _frozen(dirs), _frozen(wts)
     sub_dirs, sub_wts = _sphere_rule_cached(n - 1, order)
     x, w = _gauss_rule(order)
     theta = 0.5 * math.pi * (x + 1.0)      # map [-1,1] -> [0,pi]
@@ -160,13 +164,21 @@ def _sphere_rule_cached(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         np.tile(sub_dirs, (theta.size, 1))
     dirs[:, -1] = np.repeat(np.cos(theta), sub_dirs.shape[0])
     wts = (w_theta[:, None] * sub_wts[None, :]).ravel()
-    return dirs, wts
+    return _frozen(dirs), _frozen(wts)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def sphere_nodes(n: int, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Direction matrix (K, n) and weights (K,) for the S^{n-1} product rule."""
-    dirs, wts = _sphere_rule_cached(n, spec.sphere_order)
-    return dirs.copy(), wts.copy()
+    """Direction matrix (K, n) and weights (K,) for the S^{n-1} product rule.
+
+    The arrays are the cached rule itself, shared by every caller and
+    read-only.
+    """
+    return _sphere_rule_cached(n, spec.sphere_order)
 
 
 def annulus_integrate(model, measure: str,
@@ -177,23 +189,36 @@ def annulus_integrate(model, measure: str,
 
     Computes  int_eps^radius int_{S^{n-1}} integrand(rho, omega)
     sigma_hat(rho, omega) dnu drho,  where sigma_hat is the model's polar
-    density for ``measure``.  ``integrand`` receives flat arrays rho (M,) and
-    omega (M, n) and must return (M,), or (M, T) for T integrands in one
-    pass (value and error are then (T,) arrays).
+    density for ``measure``.  ``integrand`` and the density receive rho as
+    an (m, 1) column of radial nodes and omega as the (K, n) sphere nodes;
+    the integrand returns an array broadcasting to (m, K), or (m, K, T) for
+    T integrands in one pass (value and error are then (T,) arrays), so a
+    radial integrand may return (m, 1).  The radial nodes are walked in
+    blocks of about ``_SHELL_BLOCK`` points.
     """
     if not (0.0 < eps < radius):
         raise QuadratureError(f"need 0 < eps < radius, got {eps}, {radius}")
     dirs, swts = sphere_nodes(model.n, spec)
+    # a multiple of 4 nodes per block keeps the BLAS row grouping of the
+    # per-node sphere sums, so the blocking moves no bit; a rule of more
+    # than _SHELL_BLOCK / 4 directions (n >= 5 at the default order) takes
+    # one node per block, and a scalar integrand's sums may then differ
+    # from one unblocked product in the last place
+    rows = max(1, (_SHELL_BLOCK // swts.size) & ~3)
+
+    def block(rr: np.ndarray) -> np.ndarray:
+        vals = np.asarray(integrand(rr, dirs), dtype=float)
+        dens = model.polar_density(measure, rr, dirs)
+        if vals.ndim < 3:
+            return (vals * dens) @ swts
+        return swts @ (vals * dens[..., None])
 
     def shell(rho: np.ndarray) -> np.ndarray:
-        m, k = rho.size, dirs.shape[0]
-        rr = np.repeat(rho, k)
-        ww = np.tile(dirs, (m, 1))
-        vals = np.asarray(integrand(rr, ww), dtype=float)
-        dens = model.polar_density(measure, rr, ww)
-        if vals.ndim == 1:
-            return (vals * dens).reshape(m, k) @ swts
-        return swts @ (vals * dens[:, None]).reshape(m, k, -1)
+        # a lone last node joins the block before it: BLAS sums a single
+        # row in another order
+        starts = range(0, max(rho.size - 1, 1), rows)
+        stops = [*starts[1:], rho.size]
+        return np.concatenate([block(rho[a:b, None])
+                               for a, b in zip(starts, stops)])
 
     return radial_integrate(shell, eps, radius, spec)
-

@@ -5,8 +5,10 @@ by a different route: finite differences of F^2/2 and F*^2/2, a variational
 maximisation for the dual norm, random triples for Lambda_F, and the
 classical Cauchy inequality that the sharpened one refines.  A stratified
 Monte Carlo rule on Cartesian boxes cross-checks the backward-polar
-quadrature :func:`finslerineq.quadrature.annulus_integrate`, and a plain
-sphere rule checks the product sphere nodes.  The field helpers build -u
+quadrature :func:`finslerineq.quadrature.annulus_integrate`, a plain
+sphere rule checks the product sphere nodes, and a tiled annulus rule,
+which evaluates every (radial node, direction) pair as a flat point,
+pins the bits of the blocked, broadcasting one.  The field helpers build -u
 and div(u grad u) for the reverse-metric and divergence identities.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 from finslerineq.fields import ScalarField, gradient_norm, numeric_laplacian
 from finslerineq.minkowski import MinkowskiNorm
 from finslerineq.quadrature import QuadratureError, QuadratureSpec, \
-    pairwise_sum, sphere_nodes
+    pairwise_sum, radial_integrate, sphere_nodes
 
 
 def _enorm(a: np.ndarray) -> np.ndarray:
@@ -141,6 +143,31 @@ def box_montecarlo(model, measure: str,
     mean = pairwise_sum(vals) / samples
     var = pairwise_sum((vals - mean) ** 2) / (samples - 1)
     return vol * mean, vol * math.sqrt(var / samples)
+
+
+def annulus_integrate_tiled(model, measure: str,
+                            integrand: Callable[[np.ndarray, np.ndarray],
+                                                np.ndarray],
+                            eps: float, radius: float, spec: QuadratureSpec
+                            ) -> tuple[float, float]:
+    """``annulus_integrate`` on flat tiles: the integrand and the density
+    receive every node-direction pair as rho (M,) and omega (M, n) and
+    return (M,) or (M, T), all M = m K points in one evaluation."""
+    if not (0.0 < eps < radius):
+        raise QuadratureError(f"need 0 < eps < radius, got {eps}, {radius}")
+    dirs, swts = sphere_nodes(model.n, spec)
+
+    def shell(rho: np.ndarray) -> np.ndarray:
+        m, k = rho.size, dirs.shape[0]
+        rr = np.repeat(rho, k)
+        ww = np.tile(dirs, (m, 1))
+        vals = np.asarray(integrand(rr, ww), dtype=float)
+        dens = model.polar_density(measure, rr, ww)
+        if vals.ndim == 1:
+            return (vals * dens).reshape(m, k) @ swts
+        return swts @ (vals * dens[:, None]).reshape(m, k, -1)
+
+    return radial_integrate(shell, eps, radius, spec)
 
 
 def sphere_integrate(g: Callable[[np.ndarray], np.ndarray],

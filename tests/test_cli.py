@@ -10,7 +10,7 @@ import pytest
 
 import finslerineq
 from finslerineq import harness
-from finslerineq.cli import main
+from finslerineq.cli import RunConfig, main
 from finslerineq.fields import CriticalPointError
 
 
@@ -56,6 +56,19 @@ def test_determinism_byte_identical(tmp_path):
     a = (tmp_path / "a" / "report.json").read_bytes()
     b = (tmp_path / "b" / "report.json").read_bytes()
     assert a == b
+
+
+def test_cached_parser_leaks_no_flag_between_calls(tmp_path):
+    # the parser is built once per process; flags of one call must not
+    # reach the next one
+    assert run_cli(["hardy-sweep", "--t", "0.3", "--eps", "1e-2,1e-3",
+                    "--seed", "99", "--out", str(tmp_path / "a")]) == 0
+    assert run_cli(["refined-cs", "--samples", "200",
+                    "--out", str(tmp_path / "b")]) == 0
+    config = json.loads((tmp_path / "b" / "report.json").read_text())["config"]
+    assert config["t"] == RunConfig.t
+    assert config["seed"] == RunConfig.seed
+    assert tuple(config["eps"]) == RunConfig.eps
 
 
 def test_config_file_with_flag_override(tmp_path):

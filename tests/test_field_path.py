@@ -1,12 +1,20 @@
 """The batched field path against a per-point reference and the radial path."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import finslerineq
 from finslerineq import fields as fc
 from finslerineq import harness as H
+from finslerineq import quadrature
 from finslerineq.models import HyperbolicBall, RadialProfile, RandersFlat
 from finslerineq.quadrature import QuadratureSpec, annulus_integrate
+from oracles import annulus_integrate_tiled
 
 # the per-point reference is slow, so it runs in the plane at a tiny spec
 TINY = QuadratureSpec(radial_nodes=2, radial_panels=1, sphere_order=2)
@@ -75,8 +83,9 @@ def ref_terms(model, u, beta, kind):
     hi = u.support_radius * model.reversibility
 
     def integrand(rr, ww):
+        pts = model.point_from_backward_polar(rr, ww)
         rows = []
-        for p in model.point_from_backward_polar(rr, ww):
+        for p in pts.reshape(-1, model.n):
             val = u(p)
             rp, rm = float(model.rho_plus(p)), float(model.rho_minus(p))
             rho = rm if val > 0.0 else rp if val < 0.0 else 0.5 * (rp + rm)
@@ -95,7 +104,7 @@ def ref_terms(model, u, beta, kind):
                 div = 2.0 * rho ** (-beta - 2.0) * \
                     (fstar**2 + val * ref_laplacian(model, u, p))
             rows.append([val * val * varrho, div])
-        return np.array(rows)
+        return np.array(rows).reshape(pts.shape[:-1] + (-1,))
 
     lo = (H.RADIAL_FLOOR if kind == "hardy" else 1e-6) * hi
     return annulus_integrate(model, "bh", integrand, lo, hi, TINY)[0]
@@ -141,6 +150,40 @@ def test_gbeta_batched_matches_reference_and_block_size(model, monkeypatch):
     # the Laplacian's block size bounds memory and never changes a bit
     monkeypatch.setattr(fc, "_LAPLACIAN_BLOCK", 1)
     assert H.gbeta(model, "bh", u, BETA, TINY) == (value, scale, error)
+
+
+@pytest.mark.parametrize("model", PLANE, ids=repr)
+def test_field_road_independent_of_shell_blocks(model, monkeypatch):
+    # the annulus shell's point budget bounds memory and never changes a
+    # bit: one radial node per block and the tiled rule agree exactly
+    u = sign_changing_field(model)
+
+    def both():
+        return (H.hardy_report(model, "bh", u, BETA, TINY).as_dict(),
+                H.gbeta(model, "bh", u, BETA, TINY))
+
+    want = both()
+    monkeypatch.setattr(quadrature, "_SHELL_BLOCK", 1)
+    assert both() == want
+    monkeypatch.setattr(H, "annulus_integrate", annulus_integrate_tiled)
+    assert both() == want
+
+
+def test_default_spec_field_report_memory():
+    # a fresh interpreter, so the peak is this report's alone; a shell that
+    # tiles every node-direction pair peaks near 300 MB, the blocked one
+    # near 40 MB
+    src = str(Path(finslerineq.__file__).parents[1])
+    code = ("import resource\n"
+            "from finslerineq import fields, harness, models\n"
+            "m = models.RandersFlat(3, 0.4)\n"
+            "u = fields.radial_field(m, harness.radial_battery(10, 0.9)[0])\n"
+            "harness.hardy_report(m, 'bh', u, 0.0)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert int(proc.stdout) <= 100 * 1024      # ru_maxrss is in KiB
 
 
 def field_report(name, model, u, spec=None):

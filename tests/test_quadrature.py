@@ -9,8 +9,8 @@ from finslerineq.models import HyperbolicBall, RandersFlat, euclidean_flat
 from finslerineq.quadrature import (QuadratureError, QuadratureSpec,
                                     annulus_integrate, pairwise_sum,
                                     power_integral, radial_integrate,
-                                    unit_sphere_area)
-from oracles import box_montecarlo, sphere_integrate
+                                    sphere_nodes, unit_sphere_area)
+from oracles import annulus_integrate_tiled, box_montecarlo, sphere_integrate
 
 SPEC = QuadratureSpec()
 
@@ -100,6 +100,49 @@ def test_coarea_consistency():
 
     iterated, _ = radial_integrate(shell_exact, 0.1, 1.0, SPEC)
     assert full == pytest.approx(iterated, rel=1e-10)
+
+
+def test_sphere_nodes_shared_and_read_only():
+    dirs, wts = sphere_nodes(3, SPEC)
+    again = sphere_nodes(3, SPEC)
+    assert again[0] is dirs and again[1] is wts
+    for a in (dirs, wts):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def _columns(*cols):
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)
+
+
+# scalar and column integrands, radial and direction dependent; the blocked
+# shell gets rho (m, 1) and omega (K, n), the tiled oracle flat (M,), (M, n)
+ANNULUS_INTEGRANDS = {
+    "radial": lambda r, w: r ** -3.0,
+    "directional": lambda r, w: np.exp(-r) * (1.0 + 0.3 * w[..., 0] ** 2),
+    "radial-columns": lambda r, w: _columns(r ** -2.0, np.cos(r)),
+    "directional-columns": lambda r, w: _columns(
+        r ** -2.0, r * w[..., -1], np.sin(r + w[..., 0])),
+}
+
+
+# the n = 4 rule has 1372 directions, so a block holds 44 nodes, and the
+# 45-node coarse pass on (2e-3, 0.8) ends in a lone node
+@pytest.mark.parametrize("measure", ("bh", "ht"))
+@pytest.mark.parametrize("model,spec", [
+    (RandersFlat(3, 0.5), SPEC), (HyperbolicBall(3, -1.0), SPEC),
+    (RandersFlat(4, 0.3), QuadratureSpec(radial_nodes=5, radial_panels=3,
+                                         sphere_order=7)),
+    (HyperbolicBall(2, -0.5), QuadratureSpec(radial_nodes=7,
+                                             sphere_order=9))], ids=repr)
+@pytest.mark.parametrize("name", ANNULUS_INTEGRANDS)
+def test_annulus_bit_identical_to_tiled(name, model, spec, measure):
+    # broadcasting nodes against directions in blocks keeps every bit of
+    # the rule that evaluates each node-direction pair as a flat point
+    f = ANNULUS_INTEGRANDS[name]
+    got = annulus_integrate(model, measure, f, 2e-3, 0.8, spec)
+    want = annulus_integrate_tiled(model, measure, f, 2e-3, 0.8, spec)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_power_integral_helper():
