@@ -13,7 +13,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -40,7 +40,7 @@ SUITES = {
     "uncertainty": "uncertainty-principle corollary; requires K <= 0 and "
                    "n - 2 > beta",
     "gbeta-check": "kernel functional on radial batteries; requires "
-                   "beta < n - 4",
+                   "-2 < beta < n - 4",
     "poincare": "weighted Poincare-type inequality; requires k < 0",
     "refined-cs": "sharpened Cauchy-Schwarz campaign on random covector "
                   "pairs",
@@ -184,13 +184,7 @@ def run(cfg: RunConfig) -> int:
             "measure": cfg.measure, "beta": cfg.beta, "r": cfg.r,
             "R": cfg.R, "eps": list(cfg.eps), "samples": cfg.samples,
             "seed": cfg.seed, "tol": cfg.tol,
-            "quadrature": {
-                "radial_nodes": spec.radial_nodes,
-                "radial_panels": spec.radial_panels,
-                "sphere_order": spec.sphere_order,
-                "abs_tol": spec.abs_tol,
-                "rel_tol": spec.rel_tol,
-            },
+            "quadrature": asdict(spec),
         },
     }
     assertions: list[dict] = []

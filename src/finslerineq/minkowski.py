@@ -8,15 +8,20 @@ the Euclidean case).  Two linear presentations of the same norm are used:
   coordinates, where the dual norm is again of Randers form,
   ``F*(xi) = |xi| + b xi_n``.
 
-The two are linked by the diagonal map ``adapt_covector`` (entries
-``1/sqrt(1-b^2)`` and ``-1/(1-b^2)`` on the drift axis): a raw differential
-``xi`` in natural coordinates satisfies ``F*(xi) = dual_norm(adapt(xi))``.
-The Legendre transform here maps natural vectors to adapted covectors, so
-``dual_norm(legendre(y)) == norm(y)`` holds exactly; the musical maps
-``flat``/``sharp``/``conorm`` act purely in natural coordinates and are what
-field calculus on the flat Randers model consumes.
+So the dual norm and the dual fundamental tensor are the same Randers
+formulas as the primal ones, read in adapted coordinates: ``dual_norm`` and
+``dual_fundamental_form`` are aliases of ``norm`` and ``fundamental_form``.
+The two presentations are linked by the diagonal map ``adapt_covector``
+(entries ``1/sqrt(1-b^2)`` and ``-1/(1-b^2)`` on the drift axis): a raw
+differential ``xi`` in natural coordinates satisfies
+``F*(xi) = dual_norm(adapt(xi))``.  The Legendre transform here maps natural
+vectors to adapted covectors, so ``dual_norm(legendre(y)) == norm(y)`` holds
+exactly; the musical maps ``flat``/``sharp``/``conorm`` act purely in natural
+coordinates and are what field calculus on the flat Randers model consumes.
 
-All operations are pure functions of immutable data and safe to call
+The norms and the fundamental tensor take a point ``(n,)`` or a stack
+``(..., n)`` and return a float or an array over the leading axes.  All
+operations are pure functions of immutable data and safe to call
 concurrently.
 """
 
@@ -32,8 +37,12 @@ def _last(a: np.ndarray) -> np.ndarray:
     return a[..., -1]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sum(a * b, axis=-1)
+
+
 def _enorm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(a * a, axis=-1))
+    return np.sqrt(_dot(a, a))
 
 
 @dataclass(frozen=True)
@@ -50,27 +59,27 @@ class MinkowskiNorm:
             raise ValueError("Randers drift must satisfy |b| < 1")
 
     # ---------------------------------------------------------------- basic
+    @staticmethod
+    def _randers(y: np.ndarray, drift: float) -> float | np.ndarray:
+        """|y| + drift * y_n, the one Randers expression of this module."""
+        y = np.asarray(y, dtype=float)
+        out = _enorm(y) + drift * _last(y)
+        return out if out.ndim else float(out)
+
     def norm(self, y: np.ndarray) -> float | np.ndarray:
         """F(y); positive for y != 0 and positively 1-homogeneous."""
-        y = np.asarray(y, dtype=float)
-        out = _enorm(y) + self.drift * _last(y)
-        return out if out.ndim else float(out)
+        return self._randers(y, self.drift)
 
     def reverse_norm(self, y: np.ndarray) -> float | np.ndarray:
         """The reverse norm evaluated at y, i.e. F(-y)."""
-        y = np.asarray(y, dtype=float)
-        out = _enorm(y) - self.drift * _last(y)
-        return out if out.ndim else float(out)
+        return self._randers(y, -self.drift)
 
     def reverse(self) -> "MinkowskiNorm":
         """The reverse norm as its own Randers object (drift flips sign)."""
         return MinkowskiNorm(self.dim, -self.drift)
 
-    def dual_norm(self, xi: np.ndarray) -> float | np.ndarray:
-        """F*(xi) = |xi| + b xi_n in the adapted dual coordinates."""
-        xi = np.asarray(xi, dtype=float)
-        out = _enorm(xi) + self.drift * _last(xi)
-        return out if out.ndim else float(out)
+    # F*(xi) = |xi| + b xi_n in the adapted dual coordinates
+    dual_norm = norm
 
     # --------------------------------------------------- coordinate adapters
     def adapt_covector(self, xi: np.ndarray) -> np.ndarray:
@@ -115,8 +124,9 @@ class MinkowskiNorm:
             if y.ndim == 1:
                 return np.zeros_like(y)
             raise ValueError("flat of a zero vector in a batch")
-        out = (y / ny[..., None]) * np.asarray(self.norm(y))[..., None]
-        out[..., -1] += self.drift * np.asarray(self.norm(y))
+        f = np.asarray(self.norm(y))
+        out = (y / ny[..., None]) * f[..., None]
+        out[..., -1] += self.drift * f
         return out
 
     def sharp(self, xi: np.ndarray) -> np.ndarray:
@@ -148,7 +158,6 @@ class MinkowskiNorm:
             return np.zeros_like(xi)
         nxi = _enorm(xi)
         grad = xi / nxi[..., None]
-        grad = grad.copy()
         grad[..., -1] += self.drift
         half_grad_sq = grad * np.asarray(self.dual_norm(xi))[..., None]
         # the same axis adaptation carries the dual gradient back to vectors
@@ -156,37 +165,28 @@ class MinkowskiNorm:
 
     # -------------------------------------------------------------- tensors
     def fundamental_form(self, y: np.ndarray, u: np.ndarray,
-                         v: np.ndarray) -> float:
-        """g_y(u, v), the Hessian of F^2/2 at y != 0 (natural coordinates)."""
+                         v: np.ndarray) -> float | np.ndarray:
+        """g_y(u, v), the Hessian of F^2/2 at y != 0 (natural coordinates).
+
+        Broadcasts over leading axes ``(..., n)``; raises ``ValueError`` if
+        any row of ``y`` is zero.
+        """
         y = np.asarray(y, dtype=float)
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        ny = float(_enorm(y))
-        if ny == 0.0:
+        ny = _enorm(y)
+        if np.any(ny == 0.0):
             raise ValueError("fundamental form undefined at y = 0")
-        yh = y / ny
+        yh = y / ny[..., None]
         ell = yh.copy()
-        ell[-1] += self.drift
-        f = float(self.norm(y))
-        return float(np.dot(ell, u) * np.dot(ell, v)
-                     + (f / ny) * (np.dot(u, v) - np.dot(yh, u) * np.dot(yh, v)))
+        ell[..., -1] += self.drift
+        f = self.norm(y)
+        out = _dot(ell, u) * _dot(ell, v) \
+            + (f / ny) * (_dot(u, v) - _dot(yh, u) * _dot(yh, v))
+        return out if out.ndim else float(out)
 
-    def dual_fundamental_form(self, xi: np.ndarray, eta: np.ndarray,
-                              zeta: np.ndarray) -> float:
-        """g*_xi(eta, zeta) for xi != 0, in adapted dual coordinates."""
-        xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        zeta = np.asarray(zeta, dtype=float)
-        nxi = float(_enorm(xi))
-        if nxi == 0.0:
-            raise ValueError("dual fundamental form undefined at xi = 0")
-        xh = xi / nxi
-        ell = xh.copy()
-        ell[-1] += self.drift
-        fs = float(self.dual_norm(xi))
-        return float(np.dot(ell, eta) * np.dot(ell, zeta)
-                     + (fs / nxi) * (np.dot(eta, zeta)
-                                     - np.dot(xh, eta) * np.dot(xh, zeta)))
+    # g*_xi(eta, zeta) for xi != 0, in adapted dual coordinates
+    dual_fundamental_form = fundamental_form
 
     # ---------------------------------------------------- asymmetry constants
     def reversibility(self) -> float:
@@ -286,7 +286,7 @@ class MinkowskiNorm:
         nxi = _enorm(xi)
         safe = np.where(nxi == 0.0, 1.0, nxi)
         # g*_xi(xi, eta) = F*(xi) (<xi, eta>/|xi| + b eta_n)
-        cross = fs_xi * (np.sum(xi * eta, axis=-1) / safe + b * _last(eta))
+        cross = fs_xi * (_dot(xi, eta) / safe + b * _last(eta))
         cross = np.where(nxi == 0.0, 0.0, cross)
         out = fs_sum**2 - fs_xi**2 - 2.0 * cross - fs_eta**2 / self.uniformity()
         return out if out.ndim else float(out)

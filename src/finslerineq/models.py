@@ -348,28 +348,26 @@ class RandersFlat(_ModelBase):
 
     # ---- distances and balls
     def rho_plus(self, x: np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.sqrt(np.sum(x * x, axis=-1)) + self.drift * x[..., -1]
-        return out if out.ndim else float(out)
+        return self.norm.norm(x)
 
     def rho_minus(self, x: np.ndarray) -> float | np.ndarray:
+        return self.norm.reverse_norm(x)
+
+    @staticmethod
+    def _d_randers(x: np.ndarray, drift: float) -> np.ndarray:
+        """Differential of |x| + drift x_n: x/|x| + drift e_n (x != 0)."""
         x = np.asarray(x, dtype=float)
-        out = np.sqrt(np.sum(x * x, axis=-1)) - self.drift * x[..., -1]
-        return out if out.ndim else float(out)
+        out = x / _enorm(x)
+        out[..., -1] += drift
+        return out
 
     def d_rho_plus(self, x: np.ndarray) -> np.ndarray:
         """Differential of rho_plus: x/|x| + t e_n (x != 0)."""
-        x = np.asarray(x, dtype=float)
-        out = x / _enorm(x)
-        out[..., -1] += self.drift
-        return out
+        return self._d_randers(x, self.drift)
 
     def d_rho_minus(self, x: np.ndarray) -> np.ndarray:
         """Differential of rho_minus: x/|x| - t e_n (x != 0)."""
-        x = np.asarray(x, dtype=float)
-        out = x / _enorm(x)
-        out[..., -1] -= self.drift
-        return out
+        return self._d_randers(x, -self.drift)
 
     # ---- measures
     def density(self, x: np.ndarray, measure: str) -> float | np.ndarray:
@@ -462,7 +460,6 @@ class HyperbolicBall(_ModelBase):
         self.ball_radius = 1.0 / math.sqrt(-curvature)
         self.reversibility = 1.0
         self.uniformity = 1.0
-        self.norm = MinkowskiNorm(n, 0.0)
 
     def __repr__(self) -> str:
         return f"HyperbolicBall(n={self.n}, k={self.curvature})"

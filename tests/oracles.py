@@ -9,7 +9,10 @@ quadrature :func:`finslerineq.quadrature.annulus_integrate`, a plain
 sphere rule checks the product sphere nodes, and a tiled annulus rule,
 which evaluates every (radial node, direction) pair as a flat point,
 pins the bits of the blocked, broadcasting one.  The field helpers build -u
-and div(u grad u) for the reverse-metric and divergence identities.
+and div(u grad u) for the reverse-metric and divergence identities.  The
+per-point Randers formulas (distances, their differentials, the scalar
+dual tensor and the segment-convexity loop of the refined Cauchy-Schwarz
+campaign) pin the shared, stacked forms of the library.
 """
 
 from __future__ import annotations
@@ -57,6 +60,65 @@ def dual_fundamental_form_fd(norm: MinkowskiNorm, xi: np.ndarray,
     return (q(xi + h * eta + h * zeta) - q(xi + h * eta - h * zeta)
             - q(xi - h * eta + h * zeta) + q(xi - h * eta - h * zeta)) \
         / (4.0 * h * h)
+
+
+def randers_rho(x: np.ndarray, drift: float,
+                sign: float) -> float | np.ndarray:
+    """Inline rho_plus (sign +1) or rho_minus (sign -1): |x| +- t x_n."""
+    x = np.asarray(x, dtype=float)
+    if sign > 0:
+        out = np.sqrt(np.sum(x * x, axis=-1)) + drift * x[..., -1]
+    else:
+        out = np.sqrt(np.sum(x * x, axis=-1)) - drift * x[..., -1]
+    return out if out.ndim else float(out)
+
+
+def randers_d_rho(x: np.ndarray, drift: float, sign: float) -> np.ndarray:
+    """Inline differential of rho_plus/rho_minus: x/|x| +- t e_n."""
+    x = np.asarray(x, dtype=float)
+    out = x / np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+    if sign > 0:
+        out[..., -1] += drift
+    else:
+        out[..., -1] -= drift
+    return out
+
+
+def dual_fundamental_form_point(norm: MinkowskiNorm, xi: np.ndarray,
+                                eta: np.ndarray, zeta: np.ndarray) -> float:
+    """g*_xi(eta, zeta) at one covector xi != 0, with scalar dot products."""
+    nxi = float(_enorm(xi))
+    xh = xi / nxi
+    ell = xh.copy()
+    ell[-1] += norm.drift
+    fs = float(norm.dual_norm(xi))
+    return float(np.dot(ell, eta) * np.dot(ell, zeta)
+                 + (fs / nxi) * (np.dot(eta, zeta)
+                                 - np.dot(xh, eta) * np.dot(xh, zeta)))
+
+
+def segment_convexity_margin(norm: MinkowskiNorm, samples: int,
+                             seed: int) -> float:
+    """min over the first 200 segments xi + t eta, t on 9 nodes in [0, 1],
+    of 2 g*(eta, eta) - 2 F*^2(eta)/Lambda_F, one point at a time; segments
+    passing within 1e-6 of the origin are skipped.  Draws xi and eta as
+    :func:`finslerineq.harness.refined_cs_campaign` does."""
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal((samples, norm.dim))
+    eta = rng.standard_normal((samples, norm.dim))
+    lam = norm.uniformity()
+    margin = math.inf
+    t_grid = np.linspace(0.0, 1.0, 9)
+    for i in range(min(samples, 200)):
+        a, e = xi[i], eta[i]
+        seg = a[None, :] + t_grid[:, None] * e[None, :]
+        if np.min(np.linalg.norm(seg, axis=1)) < 1e-6:
+            continue
+        bound = 2.0 * float(norm.dual_norm(e)) ** 2 / lam
+        for row in seg:
+            f2 = 2.0 * dual_fundamental_form_point(norm, row, e, e)
+            margin = min(margin, f2 - bound)
+    return margin
 
 
 def sampled_uniformity_random(norm: MinkowskiNorm, samples: int,

@@ -12,6 +12,7 @@ from finslerineq.models import (HyperbolicBall, RadialTestFunction,
                                 RandersFlat, SmoothCutoff, cutoff_profile,
                                 euclidean_flat)
 from finslerineq.quadrature import QuadratureSpec
+from oracles import segment_convexity_margin
 
 SPEC = QuadratureSpec()
 FAST = QuadratureSpec(radial_nodes=12, radial_panels=6, sphere_order=6)
@@ -321,16 +322,6 @@ def test_hardy_sweep_measure_invariance():
     assert ht.extrapolated == pytest.approx(0.25, rel=1e-6)
 
 
-def test_hardy_sweep_orientations_identical():
-    m = RandersFlat(3, 0.5)
-    minus = H.hardy_sharpness_sweep(m, "bh", 0.0, 0.5, 1.0,
-                                    [1e-3, 1e-4], SPEC, "minus")
-    plus = H.hardy_sharpness_sweep(m, "bh", 0.0, 0.5, 1.0,
-                                   [1e-3, 1e-4], SPEC, "plus")
-    for a, b in zip(minus.rows, plus.rows):
-        assert a.quotient == pytest.approx(b.quotient, rel=1e-12)
-
-
 def test_hardy_sweep_quotient_scale_invariance():
     # I1 and I2 are quadratic in u, so the quotient ignores u -> c u;
     # verified through the report path on a scaled profile
@@ -396,6 +387,17 @@ def test_refined_cs_campaign_properties():
         assert s.case3_margin >= -1e-9
     s0 = H.refined_cs_campaign(MinkowskiNorm(2, 0.0), 20000, seed=99)
     assert abs(s0.min_slack) <= 1e-12
+
+
+@pytest.mark.parametrize("n, t, seed", [(3, 0.5, 1234), (2, 0.0, 1),
+                                        (5, 0.3, 99), (3, 0.7, 7)])
+def test_refined_cs_segment_margin_matches_point_loop(n, t, seed):
+    # the CLI's default sample count, so the draws are the CLI's
+    norm = MinkowskiNorm(n, t)
+    s = H.refined_cs_campaign(norm, 100_000, seed)
+    want = segment_convexity_margin(norm, 100_000, seed)
+    assert math.isfinite(want)
+    assert abs(s.case3_margin - want) <= 1e-13
 
 
 def test_battery_profiles_admissible():

@@ -7,8 +7,8 @@ import pytest
 
 from finslerineq.minkowski import MinkowskiNorm
 from oracles import (cauchy_slack, conorm_variational,
-                     dual_fundamental_form_fd, fundamental_form_fd,
-                     sampled_uniformity_random)
+                     dual_fundamental_form_fd, dual_fundamental_form_point,
+                     fundamental_form_fd, sampled_uniformity_random)
 
 DRIFTS = [0.0, 0.3, 0.5, 0.7]
 
@@ -126,6 +126,32 @@ def test_fundamental_form_rejects_origin():
         mn.fundamental_form(np.zeros(3), np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         mn.dual_fundamental_form(np.zeros(3), np.ones(3), np.ones(3))
+
+
+def test_fundamental_form_stack_matches_rows():
+    rng = np.random.default_rng(17)
+    for n in range(2, 7):
+        for b in (0.0, 0.6, -0.6):
+            mn = MinkowskiNorm(n, b)
+            y, u, v = rng.standard_normal((3, 4, 5, n))
+            stacked = mn.fundamental_form(y, u, v)
+            assert stacked.shape == (4, 5)
+            rows = [[mn.fundamental_form(y[i, j], u[i, j], v[i, j])
+                     for j in range(5)] for i in range(4)]
+            assert isinstance(rows[0][0], float)
+            assert np.array_equal(stacked, np.array(rows))
+            # a direction shared by the stack broadcasts like its copies
+            w = np.broadcast_to(u[0, 0], y.shape)
+            assert np.array_equal(mn.fundamental_form(y, u[0, 0], u[0, 0]),
+                                  mn.fundamental_form(y, w, w))
+            # the dual tensor is the same formula in adapted coordinates,
+            # within rounding of the scalar dot products it replaced
+            assert mn.dual_fundamental_form(y[0, 0], u[0, 0], v[0, 0]) == \
+                pytest.approx(dual_fundamental_form_point(
+                    mn, y[0, 0], u[0, 0], v[0, 0]), rel=1e-13, abs=1e-13)
+            y[2, 3] = 0.0
+            with pytest.raises(ValueError):
+                mn.fundamental_form(y, u, v)
 
 
 def test_dual_fundamental_form():

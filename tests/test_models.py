@@ -9,6 +9,7 @@ from finslerineq.models import (DomainError, HyperbolicBall, RadialTestFunction,
                                 RandersFlat, SmoothCutoff, comparison_D,
                                 comparison_s, cutoff_profile, euclidean_flat)
 from finslerineq.quadrature import unit_sphere_area
+from oracles import randers_d_rho, randers_rho
 
 
 def test_rho_closed_forms():
@@ -41,6 +42,22 @@ def test_rho_minus_is_reverse_metric_distance():
     # backward balls are the sublevel sets of rho_minus
     inside = np.asarray(m.rho_minus(x)) < 1.0
     assert np.array_equal(inside, np.asarray(m.norm.reverse_norm(x)) < 1.0)
+
+
+def test_rho_and_differentials_match_inline_formulas():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5):
+        for t in (0.0, 0.4, 0.9, -0.6):
+            m = RandersFlat(n, t)
+            for x in (rng.standard_normal(n), rng.standard_normal((7, n)),
+                      rng.standard_normal((3, 4, n))):
+                got = (m.rho_plus(x), m.rho_minus(x))
+                want = (randers_rho(x, t, 1), randers_rho(x, t, -1))
+                assert type(got[0]) is type(want[0])
+                assert np.array_equal(got, want)
+                assert np.array_equal(m.d_rho_plus(x), randers_d_rho(x, t, 1))
+                assert np.array_equal(m.d_rho_minus(x),
+                                      randers_d_rho(x, t, -1))
 
 
 def test_rho_u_case_split():
