@@ -257,8 +257,8 @@ def run(cfg: RunConfig) -> int:
                   "rellich-bv": harness.rellich_bv_report,
                   "uncertainty": harness.uncertainty_report}.get(cfg.suite)
             if fn is None:
-                poincare = harness.poincare_report
-                reports = [poincare(model, cfg.measure, prof, 1, spec)
+                reports = [harness.poincare_report(model, cfg.measure, prof,
+                                                   spec)
                            for prof in battery]
             else:
                 reports = [fn(model, cfg.measure, prof, cfg.beta, spec)

@@ -147,47 +147,24 @@ def _sum_squares(x: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", x, x)
 
 
-def varrho_density(model, sign, beta: float, x: np.ndarray,
-                   measure: str = "bh") -> float | np.ndarray:
-    """The sign-cased density entering the G^beta functional:
-    -Delta(rho_minus^(-beta-2)) where u > 0, Delta(-rho_plus^(-beta-2)) where
-    u < 0, and the average of the two branches on the zero set.  ``sign``
-    is an int or an array broadcasting against ``x.shape[:-1]``.  Evaluated
-    through the model's closed-form radial Laplacians (the rho_minus branch
-    is exactly the reverse-metric forward computation)."""
-    x = np.asarray(x, dtype=float)
-    sign = np.asarray(sign)
-    nn = beta + 2.0
-    minus = -np.asarray(model.radial_laplacian(measure, nn, "minus",
-                                               model.rho_minus(x)))
-    plus = np.asarray(model.radial_laplacian(measure, nn, "plus",
-                                             model.rho_plus(x)))
-    out = np.where(sign > 0, minus,
-                   np.where(sign < 0, plus, 0.5 * (minus + plus)))
-    return float(out) if out.ndim == 0 else out
-
-
 # ------------------------------------------------------- field constructors
 def radial_field(model, profile, orientation: str = "minus") -> ScalarField:
     """The scalar field u = f(rho_minus) (orientation "minus") or
     u = -f(rho_plus) (orientation "plus") with analytic differential."""
-    sgn = 1.0 if orientation == "minus" else -1.0
+    if orientation == "minus":
+        rho, drho, sgn = model.rho_minus, model.d_rho_minus, 1.0
+    elif orientation == "plus":
+        rho, drho, sgn = model.rho_plus, model.d_rho_plus, -1.0
+    else:
+        raise ValueError(f"unknown orientation {orientation!r} "
+                         "(use 'minus' or 'plus')")
 
     def fn(x: np.ndarray) -> np.ndarray:
-        rho = model.rho_minus(x) if orientation == "minus" \
-            else model.rho_plus(x)
-        return sgn * np.asarray(profile.f(np.asarray(rho)))
+        return sgn * np.asarray(profile.f(np.asarray(rho(x))))
 
     def grad(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if orientation == "minus":
-            rho = model.rho_minus(x)
-            drho = model.d_rho_minus(x)
-        else:
-            rho = model.rho_plus(x)
-            drho = model.d_rho_plus(x)
-        return (sgn * np.asarray(profile.d1(np.asarray(rho))))[..., None] * \
-            drho
+        return (sgn * np.asarray(profile.d1(np.asarray(rho(x)))))[..., None] \
+            * drho(x)
 
     return ScalarField(fn, grad, support_radius=profile.support)
-

@@ -15,16 +15,18 @@ A report writes its integrands once, as a table of named columns of a jet
 (u, F*(du), rho, Delta u, the G^beta density), which ``_terms`` integrates
 on one of two roads.  Radial inputs reduce through the model's polar
 reduction (``cp_constant`` x radial density) to one ``radial_integrate``
-pass per breakpoint segment of the profile jet (a sweep row makes one pass
-per region).  Scalar fields take one backward-polar annulus pass of a field
+pass per breakpoint segment of the profile jet (a sweep makes one pass
+per region and eps, and one for the cutoff region, which no eps
+changes).  Scalar fields take one backward-polar annulus pass of a field
 jet that evaluates u, F*(du), the sign-cased distance ``rho_u`` and the
 numeric Laplacian once per node set: the points of a block of radial
 nodes (m, 1) against the sphere directions (K, n), an (m, K, n) stack, so
-every column comes out (m, K).  The Hardy, Brezis-Vazquez Hardy,
-Poincare and uncertainty reports and ``gbeta`` accept a
-``fields.ScalarField``; the Rellich pair stays radial, because its G^beta
-membership gate needs the distributional terms (flux jumps, the Green
-point mass) that only the radial road reads so far.
+every column comes out (m, K).  Both roads read the G^beta density
+-Delta(rho^(-beta-2)) at the jet's rho, which on the field road is rho_u.
+The Hardy, Brezis-Vazquez Hardy, Poincare and uncertainty reports and
+``gbeta`` accept a ``fields.ScalarField``; the Rellich pair stays radial,
+because its G^beta membership gate needs the distributional terms (flux
+jumps, the Green point mass) that only the radial road reads so far.
 
 Reports are independent of one another and deterministic, so batteries and
 campaigns may be evaluated concurrently.
@@ -190,14 +192,11 @@ def poincare_constant(model) -> float:
 
 # ----------------------------------------------------------- radial plumbing
 def _as_radial(u) -> RadialProfile | None:
-    """The profile of a radial input (a test function, a profile or a
-    (profile, orientation) pair); both orientations share their terms."""
+    """The profile of a radial input (a test function or a profile)."""
     if isinstance(u, RadialTestFunction):
         return u.profile()
     if isinstance(u, RadialProfile):
         return u
-    if isinstance(u, tuple) and len(u) == 2:
-        return u[0]
     return None
 
 
@@ -213,8 +212,8 @@ class _Jet:
     Laplacian f'' + f' (n-1) s'/s, each evaluated at most once; the G^beta
     density ``varrho`` has one reader, the G^beta column."""
 
-    def __init__(self, model, measure: str, prof: RadialProfile, rho):
-        self.model, self.measure, self.prof = model, measure, prof
+    def __init__(self, model, prof: RadialProfile, rho):
+        self.model, self.prof = model, prof
         self.rho = rho
 
     @cached_property
@@ -231,15 +230,18 @@ class _Jet:
             np.asarray(self.model.radial_mean_curvature(self.rho))
 
     def varrho(self, beta: float) -> np.ndarray:
-        """-Delta(rho^(-beta-2)), the density of u^2 in G^beta."""
-        return -np.asarray(self.model.radial_laplacian(
-            self.measure, beta + 2.0, "minus", self.rho))
+        """-Delta(rho^(-beta-2)) read at the jet's rho, the density of u^2
+        in G^beta.  At field nodes rho is rho_u, so this is the sign-cased
+        density: -Delta(rho_minus^(-beta-2)) where u > 0 and
+        Delta(-rho_plus^(-beta-2)) where u < 0; where u = 0 the column's
+        u^2 factor vanishes."""
+        return -np.asarray(self.model.radial_laplacian(beta + 2.0, self.rho))
 
 
 class _FieldJet(_Jet):
     """The same names at backward-polar nodes x of a scalar field: f = u,
-    d1 = F*(du), rho = rho_u, the numeric Laplacian and the sign-cased
-    G^beta density of ``fields.varrho_density``."""
+    d1 = F*(du), rho = rho_u and the numeric Laplacian; ``varrho`` is the
+    radial one, read at rho_u."""
 
     def __init__(self, model, measure: str, u: fc.ScalarField, x):
         self.model, self.measure, self.u, self.x = model, measure, u, x
@@ -266,10 +268,6 @@ class _FieldJet(_Jet):
         lap[live] = fc.numeric_laplacian(self.model, self.measure, self.u,
                                          self.x[live])
         return np.where(np.isnan(lap), 0.0, lap)
-
-    def varrho(self, beta: float) -> np.ndarray:
-        return fc.varrho_density(self.model, np.sign(self.f), beta, self.x,
-                                 self.measure)
 
 
 _Column = Callable[[_Jet], np.ndarray]
@@ -308,7 +306,7 @@ def _radial_terms(model, measure: str, prof: RadialProfile,
     names = list(columns)
 
     def integrand(rho: np.ndarray) -> np.ndarray:
-        jet = _Jet(model, measure, prof, rho)
+        jet = _Jet(model, prof, rho)
         cols = np.stack([columns[k](jet) for k in names], axis=-1)
         return cols * model.radial_volume_density(rho)[:, None]
 
@@ -427,7 +425,7 @@ def hardy_bv_report(model, measure: str, u, beta: float,
                    spec)
 
 
-def poincare_report(model, measure: str, v, anchor_sign: int = 1,
+def poincare_report(model, measure: str, v,
                     spec: QuadratureSpec | None = None) -> InequalityReport:
     """Weighted Poincare-type inequality
     int v^2/rho^{n-2} <= (2 lambda_F/(sqrt(|k|) min(1,n-1)))^2
@@ -442,7 +440,6 @@ def poincare_report(model, measure: str, v, anchor_sign: int = 1,
     terms = {"lhs": raw["lhs"], "gradient_side": raw["grad"].scaled(c)}
     slack = terms["gradient_side"].value - terms["lhs"].value
     constants = {"n": n, "k": model.curvature, "constant": c,
-                 "anchor_sign": anchor_sign,
                  "lambda_F": model.reversibility}
     return _report("poincare", model, measure, 0.0, constants, terms, slack,
                    spec)
@@ -655,58 +652,66 @@ def rellich_bv_report(model, measure: str, u, beta: float,
 
 # ------------------------------------------------------------------- sweeps
 def _truncated_family_integrals(model, measure: str, gamma: float,
-                                order: int, eps: float, r: float, R: float,
-                                spec: QuadratureSpec
-                                ) -> tuple[float, float, float, float]:
-    """(I1, I2, J1, error) for u = psi * max(eps, rho)^(-gamma).
+                                order: int, eps_list: Sequence[float],
+                                r: float, R: float, spec: QuadratureSpec
+                                ) -> list[tuple[float, float, float, float]]:
+    """(I1, I2, J1, error) for u = psi * max(eps, rho)^(-gamma), one tuple
+    per eps.
 
     ``order`` 1 selects the gradient functional (Hardy), 2 the Laplacian
     functional (Rellich); beta is implied by gamma through the sharp-exponent
-    relations, so the inner power integrals stay exact.
+    relations, so the inner power integrals stay exact.  On the cutoff
+    region (r, R) max(eps, rho) = rho and no breakpoint of the profile falls
+    inside, so its terms are integrated once for every eps.
     """
     n = model.n
     beta = (n - 2.0 - 2.0 * gamma) if order == 1 else (n - 4.0 - 2.0 * gamma)
     weight = 2.0 + beta if order == 1 else 4.0 + beta
     cp = model.cp_constant(measure)
-    prof = RadialTestFunction(gamma, eps, SmoothCutoff(r, R)).profile()
     energy = _du2(-beta) if order == 1 else _lap2(-beta)
 
+    def profile(eps: float) -> RadialProfile:
+        return RadialTestFunction(gamma, eps, SmoothCutoff(r, R)).profile()
+
+    outer = _radial_terms(model, measure, profile(eps_list[0]),
+                          {"energy": energy, "tail": _u2(-weight)}, spec,
+                          lo=r, hi=R)
     # the annulus (eps, r): J1, the mass of rho^{-n}, and for Rellich the
-    # Laplacian energy (u is constant there, so Hardy has none); then the
-    # cutoff region (r, R)
+    # Laplacian energy (u is constant there, so Hardy has none)
     annulus = {"j1": lambda j: j.rho ** (-n)}
     if order == 2:
         annulus["energy"] = energy
-    mid = _radial_terms(model, measure, prof, annulus, spec, lo=eps, hi=r)
-    outer = _radial_terms(model, measure, prof,
-                          {"energy": energy, "tail": _u2(-weight)}, spec,
-                          lo=r, hi=R)
-    j1 = mid["j1"]
-    j1_val = j1.value
-    err = j1.error
+    out = []
+    for eps in eps_list:
+        prof = profile(eps)
+        mid = _radial_terms(model, measure, prof, annulus, spec, lo=eps, hi=r)
+        j1 = mid["j1"]
+        j1_val = j1.value
+        err = j1.error
 
-    if order == 1:
-        i1 = gamma * gamma * j1_val + outer["energy"].value
-        err *= gamma * gamma
-    else:
-        i1 = mid["energy"].value + outer["energy"].value
-        err += mid["energy"].error
-    err += outer["energy"].error + j1.error
+        if order == 1:
+            i1 = gamma * gamma * j1_val + outer["energy"].value
+            err *= gamma * gamma
+        else:
+            i1 = mid["energy"].value + outer["energy"].value
+            err += mid["energy"].error
+        err += outer["energy"].error + j1.error
 
-    # I2: inner ball (exact monomial on flat models), annulus (= J1), tail
-    if model.curvature == 0.0:
-        inner = cp * eps ** (-2.0 * gamma) * \
-            power_integral(n - 1.0 - weight, 0.0, eps)
-    else:
-        inner_tv = _radial_terms(
-            model, measure, prof,
-            {"inner": lambda j: eps ** (-2.0 * gamma) * j.rho ** (-weight)},
-            spec, hi=eps)["inner"]
-        inner = inner_tv.value
-        err += inner_tv.error
-    i2 = inner + j1_val + outer["tail"].value
-    err += outer["tail"].error
-    return i1, i2, j1_val, err
+        # I2: inner ball (exact monomial on flat models), annulus (= J1), tail
+        if model.curvature == 0.0:
+            inner = cp * eps ** (-2.0 * gamma) * \
+                power_integral(n - 1.0 - weight, 0.0, eps)
+        else:
+            inner_tv = _radial_terms(
+                model, measure, prof,
+                {"inner": lambda j: eps ** (-2.0 * gamma)
+                 * j.rho ** (-weight)}, spec, hi=eps)["inner"]
+            inner = inner_tv.value
+            err += inner_tv.error
+        i2 = inner + j1_val + outer["tail"].value
+        err += outer["tail"].error
+        out.append((i1, i2, j1_val, err))
+    return out
 
 
 def _extrapolate_structured(ls: np.ndarray, quotients: np.ndarray,
@@ -765,9 +770,10 @@ def _sharpness_sweep(model, measure: str, beta: float, r: float, R: float,
     rows = []
     cp = model.cp_constant(measure)
     use_annulus = model.n <= 4
-    for eps in eps_arr:
-        i1, i2, j1, err = _truncated_family_integrals(
-            model, measure, gamma, order, float(eps), r, R, spec)
+    integrals = _truncated_family_integrals(model, measure, gamma, order,
+                                            [float(e) for e in eps_arr], r, R,
+                                            spec)
+    for eps, (i1, i2, j1, err) in zip(eps_arr, integrals):
         j1_exact = cp * math.log(r / eps) if model.curvature == 0.0 \
             else float("nan")
         if use_annulus:

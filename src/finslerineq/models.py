@@ -16,7 +16,10 @@ Two families are implemented:
 Every inequality functional evaluated on these models reduces, for radial
 data, to one-dimensional integrals against ``cp_constant * radial density``;
 the pointwise machinery (``sharp``, ``conorm``, ``density``) additionally
-supports full Cartesian finite-difference checks.
+supports full Cartesian finite-difference checks.  The sign-cased distance
+``rho_u`` (rho_minus where u > 0, rho_plus where u < 0) is the only map
+from the sign of u to a distance; ``radial_laplacian`` is a function of
+the radius alone and is read at whatever distance the caller holds.
 
 Also here: the comparison functions ``s_k`` and ``D_{k,h}``, the smooth
 cutoff profile, and the truncated radial test-function family used by the
@@ -198,26 +201,20 @@ def cutoff_profile(r: float, R: float) -> RadialProfile:
 class RadialTestFunction:
     """The truncated sharpness family u = psi(rho) * max(eps, rho)^(-gamma).
 
-    ``orientation`` selects the branch: "minus" is the nonnegative family
-    built on the backward distance rho_minus, "plus" is the nonpositive
-    family ``v = -psi(rho_plus) max(eps, rho_plus)^(-gamma)``.  The profile
-    below is the nonnegative radial factor in either case.
+    Its profile is the nonnegative radial factor.  A report integrates it
+    at rho = rho_minus, the distance ``rho_u`` reads where u > 0; the
+    nonpositive member ``-psi(rho_plus) max(eps, rho_plus)^(-gamma)`` has
+    the same terms, and as a field it is ``fields.radial_field(model,
+    profile, "plus")``.
     """
 
     gamma: float
     eps: float
     cutoff: SmoothCutoff
-    orientation: str = "minus"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps < self.cutoff.r):
             raise ValueError("need 0 < eps < r")
-        if self.orientation not in ("minus", "plus"):
-            raise ValueError("orientation must be 'minus' or 'plus'")
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.orientation == "minus" else -1
 
     def profile(self) -> RadialProfile:
         g, e = self.gamma, self.eps
@@ -278,30 +275,18 @@ class _ModelBase:
         raise NotImplementedError
 
     # ---- radial Laplacians
-    def radial_laplacian(self, measure: str, exponent: float,
-                         orientation: str, rho: np.ndarray | float
+    def radial_laplacian(self, exponent: float, rho: np.ndarray | float
                          ) -> np.ndarray | float:
-        """Closed-form Laplacian of the power test profiles.
-
-        orientation "minus": Delta(rho_minus^(-N)); orientation "plus":
-        Delta(-rho_plus^(-N)).  Both canonical measures give the same value
-        on these models (their densities differ by constants), so ``measure``
-        only participates in validation.
-        """
-        self._check_measure(measure)
+        """Closed-form Laplacian of the power profile rho^(-N) at radius rho:
+        Delta(rho_minus^(-N)) at rho = rho_minus, and -Delta(-rho_plus^(-N))
+        at rho = rho_plus.  Both canonical measures give this value on these
+        models: their densities differ by constants."""
         rho = np.asarray(rho, dtype=float)
         if np.any(rho <= 0.0):
             raise DomainError("radial Laplacian undefined at the base point")
         nn = exponent
         mc = self.radial_mean_curvature(rho)
-        val = nn * rho ** (-nn - 2.0) * ((nn + 1.0) - rho * mc)
-        if orientation == "minus":
-            out = val
-        elif orientation == "plus":
-            out = -val
-        else:
-            raise ValueError("orientation must be 'minus' or 'plus'")
-        out = np.asarray(out)
+        out = np.asarray(nn * rho ** (-nn - 2.0) * ((nn + 1.0) - rho * mc))
         return out if out.ndim else float(out)
 
     # ---- distances

@@ -189,7 +189,7 @@ def test_criterion_07_rellich_sharpness():
         x = rng.standard_normal(6)
         x *= rho_target / float(m.rho_minus(x))
         fd = fc.numeric_laplacian(m, "bh", u, x)
-        closed = m.radial_laplacian("bh", 1.0, "minus", rho_target)
+        closed = m.radial_laplacian(1.0, rho_target)
         assert abs(fd - closed) / abs(closed) <= 1e-4
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
@@ -219,7 +219,7 @@ def test_criterion_09_poincare_constant():
     assert H.poincare_constant(h) == pytest.approx(4.0)
     worst = math.inf
     for prof in H.radial_battery(10, radius=0.9):
-        rep = H.poincare_report(h, "bh", prof, 1, SPEC)
+        rep = H.poincare_report(h, "bh", prof, SPEC)
         worst = min(worst, rep.slack)
         assert rep.slack >= -rep.slack_tolerance
     _report(9, f"Poincare-type inequality with constant 4, min slack "

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from finslerineq import fields as fc
-from finslerineq.models import HyperbolicBall, RandersFlat, euclidean_flat
+from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
+                                euclidean_flat)
 from finslerineq.quadrature import QuadratureSpec, annulus_integrate
 from oracles import div_u_grad_u, negated
 
@@ -164,7 +165,7 @@ def test_numeric_laplacian_matches_closed_form_randers():
         x = rng.standard_normal(5)
         x *= 0.7 / float(m.rho_minus(x))
         got = fc.numeric_laplacian(m, "bh", u, x)
-        want = m.radial_laplacian("bh", 1.0, "minus", 0.7)
+        want = m.radial_laplacian(1.0, 0.7)
         assert got == pytest.approx(want, rel=1e-4)
     # the n=3 exponent is harmonic away from the pole
     m3 = RandersFlat(3, 0.5)
@@ -230,17 +231,25 @@ def test_div_u_grad_u():
     assert got2 == pytest.approx(want2, rel=1e-5, abs=1e-7)
 
 
+def varrho(model, sign, beta, x):
+    """The G^beta density -Delta(rho_u^(-beta-2)) read at rho_u."""
+    return -model.radial_laplacian(beta + 2.0, model.rho_u(sign, x))
+
+
 def test_varrho_density_cases():
     m = RandersFlat(6, 0.5)
     x = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -2.0 / 3.0])  # rho_minus = 1
     assert m.rho_minus(x) == pytest.approx(1.0)
-    assert fc.varrho_density(m, 1, 0.0, x) == pytest.approx(4.0)
+    assert varrho(m, 1, 0.0, x) == pytest.approx(4.0)
+    # u < 0 reads rho_plus = 1/3 there: Delta(-rho_plus^-2) = 4 * 3^4
+    assert m.rho_plus(x) == pytest.approx(1.0 / 3.0)
+    assert varrho(m, -1, 0.0, x) == pytest.approx(4.0 * 3.0**4)
     # reversible model: branches coincide
     e = euclidean_flat(6)
     y = np.array([0.5, 0.1, 0.0, 0.0, 0.0, 0.2])
-    a = fc.varrho_density(e, 1, 0.0, y)
-    b = fc.varrho_density(e, -1, 0.0, y)
-    c = fc.varrho_density(e, 0, 0.0, y)
+    a = varrho(e, 1, 0.0, y)
+    b = varrho(e, -1, 0.0, y)
+    c = varrho(e, 0, 0.0, y)
     assert a == pytest.approx(b) and a == pytest.approx(c)
 
 
@@ -257,11 +266,23 @@ def test_varrho_upper_bound():
                 continue
             for sign in (1, -1):
                 rho_u = float(model.rho_u(sign, x))
-                lhs = -fc.varrho_density(model, sign, beta, x)
+                lhs = -varrho(model, sign, beta, x)
                 d_val = float(model.comparison_remainder(rho_u))
                 rhs = (-2.0 - beta) * rho_u ** (-4.0 - beta) * \
                     (2.0 * gamma + (n - 1.0) * d_val)
                 assert lhs <= rhs + 1e-10 * abs(rhs)
+
+
+def test_radial_field_orientations():
+    m = RandersFlat(3, 0.5)
+    prof = cutoff_profile(0.225, 0.585)
+    x = np.array([0.0, 0.0, 0.3])       # rho_minus = 0.15, rho_plus = 0.45
+    assert fc.radial_field(m, prof)(x) == 1.0
+    want = -float(prof.f(np.array([0.45]))[0])
+    assert fc.radial_field(m, prof, "plus")(x) == pytest.approx(want)
+    assert want == pytest.approx(-0.256, abs=1e-3)
+    with pytest.raises(ValueError, match="orientation"):
+        fc.radial_field(m, prof, "minsu")
 
 
 def test_integration_by_parts():

@@ -156,19 +156,14 @@ def test_point_from_polar_has_requested_radius():
 def test_radial_laplacian_closed_forms():
     # flat: Delta(rho_minus^-N) = N (N + 2 - n) rho^(-N-2)
     m3 = RandersFlat(3, 0.5)
-    assert m3.radial_laplacian("bh", 1.0, "minus", 0.7) == pytest.approx(0.0)
+    assert m3.radial_laplacian(1.0, 0.7) == pytest.approx(0.0)
     m5 = RandersFlat(5, 0.5)
-    assert m5.radial_laplacian("bh", 1.0, "minus", 1.0) == pytest.approx(-2.0)
-    # plus orientation mirrors the sign
-    assert m5.radial_laplacian("bh", 1.0, "plus", 1.0) == pytest.approx(2.0)
-    # measure-independent on the models
-    assert m5.radial_laplacian("ht", 2.0, "minus", 0.3) == \
-        m5.radial_laplacian("bh", 2.0, "minus", 0.3)
+    assert m5.radial_laplacian(1.0, 1.0) == pytest.approx(-2.0)
     with pytest.raises(DomainError):
-        m5.radial_laplacian("bh", 1.0, "minus", 0.0)
+        m5.radial_laplacian(1.0, 0.0)
     # hyperbolic: mean curvature is (n-1) sqrt|k| coth(sqrt|k| rho)
     h = HyperbolicBall(3, -1.0)
-    got = h.radial_laplacian("bh", 1.0, "minus", 1.0)
+    got = h.radial_laplacian(1.0, 1.0)
     mc = 2.0 / math.tanh(1.0)
     assert got == pytest.approx(1.0 * (2.0 - mc))
 
@@ -207,9 +202,6 @@ def test_radial_test_function_profile():
     h = 1e-7
     fd = (prof.f(mid + h) - prof.f(mid - h)) / (2 * h)
     assert np.allclose(fd, prof.d1(mid), rtol=1e-5, atol=1e-5)
-    assert tf.sign == 1
-    assert RadialTestFunction(0.5, 0.01, SmoothCutoff(0.5, 1.0),
-                              "plus").sign == -1
     with pytest.raises(ValueError):
         RadialTestFunction(0.5, 0.6, SmoothCutoff(0.5, 1.0))
 

@@ -133,7 +133,7 @@ def ref_gbeta(model, measure, prof, beta):
     hi, bks = prof.support, prof.breakpoints
     t1 = ref_integral(
         model, measure, lambda rho: prof.f(rho) ** 2 * -np.asarray(
-            model.radial_laplacian(measure, nn, "minus", rho)),
+            model.radial_laplacian(nn, rho)),
         hi, breakpoints=bks)
     t2 = ref_integral(
         model, measure, lambda rho: 2.0 * rho ** (-nn) * (
@@ -298,7 +298,7 @@ def test_hardy_family_matches_reference(model, measure):
         if model.curvature < 0.0:
             assert_report(H.hardy_bv_report(model, measure, prof, 0.5, SPEC),
                           ref_hardy_bv(model, measure, prof, 0.5))
-            assert_report(H.poincare_report(model, measure, prof, 1, SPEC),
+            assert_report(H.poincare_report(model, measure, prof, SPEC),
                           ref_poincare(model, measure, prof))
 
 
@@ -359,8 +359,8 @@ def test_one_pass_per_segment_and_no_nested_reports(monkeypatch):
         calls.clear()
         report(h, "bh", prof, 0.0, SPEC)
         assert len(calls) == 2, report.__name__
-    # a curved sweep row: the annulus (eps, r), the cutoff region (r, R)
-    # and the inner ball (0, eps)
+    # a curved sweep: the cutoff region (r, R) once, then per row the
+    # annulus (eps, r) and the inner ball (0, eps)
     calls.clear()
     H.rellich_sharpness_sweep(h, "bh", 0.0, 0.4, 0.9, (1e-2, 1e-3), SPEC)
-    assert len(calls) == 2 * 3
+    assert len(calls) == 1 + 2 * 2
