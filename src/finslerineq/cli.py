@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
@@ -108,6 +109,14 @@ class RunConfig:
             raise ConfigError("n must be >= 2")
         if self.measure not in ("bh", "ht"):
             raise ConfigError("measure must be bh or ht")
+        for name in ("t", "k", "beta", "r", "R", "tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not all(math.isfinite(e) for e in self.eps):
+            raise ConfigError(f"every eps must be finite, got {self.eps}")
+        if self.samples < 0:
+            raise ConfigError(f"samples must be >= 0, got {self.samples}")
         if self.model == "randers" and not 0.0 <= self.t < 1.0:
             raise ConfigError("randers drift t must be in [0, 1)")
         needs_hardy = self.suite in ("hardy", "hardy-bv", "hardy-sweep",
@@ -391,8 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         code = run(cfg)
-    # first: CriticalPointError is also a ValueError
-    except (QuadratureError, CriticalPointError, FloatingPointError,
+    # first: CriticalPointError is also a ValueError; ArithmeticError
+    # covers the OverflowError of sizes beyond double range
+    except (QuadratureError, CriticalPointError, ArithmeticError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -77,21 +77,6 @@ def differential(field: ScalarField, x: np.ndarray,
         (2.0 * np.asarray(h)[..., None])
 
 
-def gradient(model, field: ScalarField, x: np.ndarray,
-             step: float | None = None) -> np.ndarray:
-    """Finsler gradient: inverse Legendre transform of du (zero covector maps
-    to the zero vector by convention, which ``model.sharp`` keeps)."""
-    x = np.asarray(x, dtype=float)
-    return model.sharp(x, differential(field, x, step))
-
-
-def gradient_norm(model, field: ScalarField, x: np.ndarray,
-                  step: float | None = None) -> float | np.ndarray:
-    """F(grad u) = F*(du) at x."""
-    x = np.asarray(x, dtype=float)
-    return model.conorm(x, differential(field, x, step))
-
-
 def numeric_laplacian(model, measure: str, field: ScalarField, x: np.ndarray,
                       flux_step: float | None = None,
                       diff_step: float | None = None) -> float | np.ndarray:

@@ -11,13 +11,12 @@ the Euclidean case).  Two linear presentations of the same norm are used:
 So the dual norm and the dual fundamental tensor are the same Randers
 formulas as the primal ones, read in adapted coordinates: ``dual_norm`` and
 ``dual_fundamental_form`` are aliases of ``norm`` and ``fundamental_form``.
-The two presentations are linked by the diagonal map ``adapt_covector``
-(entries ``1/sqrt(1-b^2)`` and ``-1/(1-b^2)`` on the drift axis): a raw
-differential ``xi`` in natural coordinates satisfies
-``F*(xi) = dual_norm(adapt(xi))``.  The Legendre transform here maps natural
-vectors to adapted covectors, so ``dual_norm(legendre(y)) == norm(y)`` holds
-exactly; the musical maps ``flat``/``sharp``/``conorm`` act purely in natural
-coordinates and are what field calculus on the flat Randers model consumes.
+The two presentations are linked by a diagonal map (entries
+``1/sqrt(1-b^2)`` and ``-1/(1-b^2)`` on the drift axis), so a raw
+differential ``xi`` in natural coordinates has the same dual norm as its
+adapted image.  Raw differentials never need that map here: ``conorm`` and
+``sharp`` act on them in natural coordinates, and are what field calculus
+on the flat Randers model consumes.
 
 The norms and the fundamental tensor take a point ``(n,)`` or a stack
 ``(..., n)`` and return a float or an array over the leading axes.  All
@@ -74,36 +73,8 @@ class MinkowskiNorm:
         """The reverse norm evaluated at y, i.e. F(-y)."""
         return self._randers(y, -self.drift)
 
-    def reverse(self) -> "MinkowskiNorm":
-        """The reverse norm as its own Randers object (drift flips sign)."""
-        return MinkowskiNorm(self.dim, -self.drift)
-
     # F*(xi) = |xi| + b xi_n in the adapted dual coordinates
     dual_norm = norm
-
-    # --------------------------------------------------- coordinate adapters
-    def adapt_covector(self, xi: np.ndarray) -> np.ndarray:
-        """Natural covector -> adapted dual coordinates (drift axis rescales
-        by -1/(1-b^2), the rest by 1/sqrt(1-b^2)).  The axis flip is forced
-        by the drift term of the dual norm whenever b != 0; the Euclidean
-        member keeps the identity so its Legendre map is the identity."""
-        xi = np.asarray(xi, dtype=float)
-        if self.drift == 0.0:
-            return xi.copy()
-        s = 1.0 - self.drift**2
-        out = xi / math.sqrt(s)
-        out[..., -1] = -xi[..., -1] / s
-        return out
-
-    def unadapt_covector(self, xi_hat: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`adapt_covector`."""
-        xi_hat = np.asarray(xi_hat, dtype=float)
-        if self.drift == 0.0:
-            return xi_hat.copy()
-        s = 1.0 - self.drift**2
-        out = xi_hat * math.sqrt(s)
-        out[..., -1] = -xi_hat[..., -1] * s
-        return out
 
     # ------------------------------------------------ natural musical maps
     def conorm(self, xi: np.ndarray) -> float | np.ndarray:
@@ -116,21 +87,9 @@ class MinkowskiNorm:
         out = (q - b * xi[..., -1]) / s
         return out if out.ndim else float(out)
 
-    def flat(self, y: np.ndarray) -> np.ndarray:
-        """Natural Legendre image g_y(y, .) = F(y) (yhat + b e_n); flat(0)=0."""
-        y = np.asarray(y, dtype=float)
-        ny = _enorm(y)
-        if np.any(ny == 0.0):
-            if y.ndim == 1:
-                return np.zeros_like(y)
-            raise ValueError("flat of a zero vector in a batch")
-        f = np.asarray(self.norm(y))
-        out = (y / ny[..., None]) * f[..., None]
-        out[..., -1] += self.drift * f
-        return out
-
     def sharp(self, xi: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`flat`: half the conorm-squared gradient; sharp(0)=0."""
+        """Inverse Legendre map on raw differentials: the vector y with
+        g_y(y, .) = xi, half the conorm-squared gradient; sharp(0)=0."""
         xi = np.asarray(xi, dtype=float)
         b = self.drift
         s = 1.0 - b * b
@@ -142,26 +101,6 @@ class MinkowskiNorm:
         out = xi * (fstar / np.where(q > 0.0, q, 1.0))[..., None]
         out[..., -1] = (out[..., -1] - b * fstar) / s
         return out
-
-    # ------------------------------------------------------ legendre pair
-    def legendre(self, y: np.ndarray) -> np.ndarray:
-        """Legendre transform: natural vector -> adapted covector."""
-        y = np.asarray(y, dtype=float)
-        if not np.any(y):
-            return np.zeros_like(y)
-        return self.adapt_covector(self.flat(y))
-
-    def legendre_inv(self, xi: np.ndarray) -> np.ndarray:
-        """Inverse Legendre transform: adapted covector -> natural vector."""
-        xi = np.asarray(xi, dtype=float)
-        if not np.any(xi):
-            return np.zeros_like(xi)
-        nxi = _enorm(xi)
-        grad = xi / nxi[..., None]
-        grad[..., -1] += self.drift
-        half_grad_sq = grad * np.asarray(self.dual_norm(xi))[..., None]
-        # the same axis adaptation carries the dual gradient back to vectors
-        return self.adapt_covector(half_grad_sq)
 
     # -------------------------------------------------------------- tensors
     def fundamental_form(self, y: np.ndarray, u: np.ndarray,

@@ -328,9 +328,6 @@ class RandersFlat(_ModelBase):
     def __repr__(self) -> str:
         return f"RandersFlat(n={self.n}, t={self.drift})"
 
-    def reverse(self) -> "RandersFlat":
-        return RandersFlat(self.n, -self.drift)
-
     # ---- distances and balls
     def rho_plus(self, x: np.ndarray) -> float | np.ndarray:
         return self.norm.norm(x)
@@ -408,16 +405,6 @@ class RandersFlat(_ModelBase):
         x[..., -1] = big_x[..., -1] / math.sqrt(s2) + t * rho / s2
         return x
 
-    def backward_polar_from_point(self, x: np.ndarray
-                                  ) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        t = self.drift
-        s2 = 1.0 - t * t
-        rho = np.asarray(self.rho_minus(x))
-        big_x = x.copy()
-        big_x[..., -1] = math.sqrt(s2) * (x[..., -1] - t * rho / s2)
-        return rho, big_x / (rho / math.sqrt(s2))[..., None]
-
     # ---- pointwise metric operations (natural coordinates)
     def sharp(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.norm.sharp(xi)
@@ -448,9 +435,6 @@ class HyperbolicBall(_ModelBase):
 
     def __repr__(self) -> str:
         return f"HyperbolicBall(n={self.n}, k={self.curvature})"
-
-    def reverse(self) -> "HyperbolicBall":
-        return self
 
     def _conformal(self, x: np.ndarray) -> np.ndarray:
         r2 = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)

@@ -5,8 +5,10 @@ products of a 1-d radial integral against a sphere integral.  The radial
 rule is composite Gauss-Legendre on panels graded geometrically from the
 inner radius, because every sharpness integrand behaves like ``1/rho`` near
 the truncation radius.  Error estimates come from a doubled-resolution
-comparison.  All reductions use a fixed-shape pairwise summation tree, so a
-given :class:`QuadratureSpec` and integrand always reproduce the same bits.
+comparison.  Every sum, over radial nodes and over sphere directions
+alike, goes through the one fixed-shape tree of :func:`pairwise_sum`; no
+BLAS product is involved.  So a given :class:`QuadratureSpec` and integrand
+reproduce the same bits whatever the BLAS thread count or block size.
 """
 
 from __future__ import annotations
@@ -55,26 +57,24 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive and finite")
 
 
-def pairwise_sum(values: np.ndarray) -> float | np.ndarray:
-    """Sum with a fixed-shape pairwise tree (order independent of callers).
+def pairwise_sum(values: np.ndarray, axis: int = 0) -> float | np.ndarray:
+    """Sum along ``axis`` with a fixed-shape pairwise tree.
 
-    An (L, T) array gives its T column sums, each reduced by the same tree
-    as a flat array of length L; any other shape is summed flat.
+    Each level adds the neighbours (0, 1), (2, 3), ...; an odd last element
+    moves up with 0.0 added, so the tree is that of the values zero-padded
+    to a power of two.  Every slice along ``axis`` is reduced exactly as the
+    1-d array of its values would be, so the bits depend only on the values
+    and their count.  A 1-d input gives a float, any other the array of the
+    remaining axes.
     """
-    a = np.asarray(values, dtype=float)
-    columns = a.ndim == 2
-    if not columns:
-        a = a.ravel()
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(a.shape[1:]) if columns else 0.0
-    # pad to a power of two so the reduction tree depends only on the size
-    m = 1 << (n - 1).bit_length()
-    if m != n:
-        a = np.concatenate([a, np.zeros((m - n,) + a.shape[1:])])
+    a = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    if a.shape[0] == 0:
+        a = np.zeros((1,) + a.shape[1:])
     while a.shape[0] > 1:
-        a = a[0::2] + a[1::2]
-    return a[0] if columns else float(a[0])
+        n = a.shape[0]
+        pairs = a[:n - 1:2] + a[1::2]
+        a = np.concatenate([pairs, a[n - 1:] + 0.0]) if n % 2 else pairs
+    return a[0] if a.ndim > 1 else float(a[0])
 
 
 @lru_cache(maxsize=64)
@@ -103,7 +103,8 @@ def _composite_gauss(f: Callable[[np.ndarray], np.ndarray],
         bad = pts.ravel()[~finite][:3]
         raise QuadratureError(f"non-finite integrand samples near rho={bad}")
     wts = (w[None, :] * half).ravel()
-    return pairwise_sum(vals * (wts if vals.ndim == 1 else wts[:, None]))
+    # the weights take a trailing axis for each integrand axis (T columns)
+    return pairwise_sum(vals * wts[(...,) + (None,) * (vals.ndim - 1)])
 
 
 def radial_integrate(f: Callable[[np.ndarray], np.ndarray],
@@ -193,32 +194,26 @@ def annulus_integrate(model, measure: str,
     an (m, 1) column of radial nodes and omega as the (K, n) sphere nodes;
     the integrand returns an array broadcasting to (m, K), or (m, K, T) for
     T integrands in one pass (value and error are then (T,) arrays), so a
-    radial integrand may return (m, 1).  The radial nodes are walked in
-    blocks of about ``_SHELL_BLOCK`` points.
+    radial integrand may return (m, 1).  Each node's sphere sum is the
+    :func:`pairwise_sum` of its K weighted values, so it does not depend on
+    how the radial nodes are walked: in blocks of about ``_SHELL_BLOCK``
+    points, which only bounds memory.
     """
     if not (0.0 < eps < radius):
         raise QuadratureError(f"need 0 < eps < radius, got {eps}, {radius}")
     dirs, swts = sphere_nodes(model.n, spec)
-    # a multiple of 4 nodes per block keeps the BLAS row grouping of the
-    # per-node sphere sums, so the blocking moves no bit; a rule of more
-    # than _SHELL_BLOCK / 4 directions (n >= 5 at the default order) takes
-    # one node per block, and a scalar integrand's sums may then differ
-    # from one unblocked product in the last place
-    rows = max(1, (_SHELL_BLOCK // swts.size) & ~3)
+    rows = max(1, _SHELL_BLOCK // swts.size)
 
     def block(rr: np.ndarray) -> np.ndarray:
         vals = np.asarray(integrand(rr, dirs), dtype=float)
-        dens = model.polar_density(measure, rr, dirs)
-        if vals.ndim < 3:
-            return (vals * dens) @ swts
-        return swts @ (vals * dens[..., None])
+        wd = model.polar_density(measure, rr, dirs) * swts
+        # (m, K) weights; a column integrand (m, K, T) takes them on a new
+        # trailing axis
+        return pairwise_sum(vals * wd[(...,) + (None,) * (vals.ndim - 2)],
+                            axis=1)
 
     def shell(rho: np.ndarray) -> np.ndarray:
-        # a lone last node joins the block before it: BLAS sums a single
-        # row in another order
-        starts = range(0, max(rho.size - 1, 1), rows)
-        stops = [*starts[1:], rho.size]
-        return np.concatenate([block(rho[a:b, None])
-                               for a, b in zip(starts, stops)])
+        return np.concatenate([block(rho[a:a + rows, None])
+                               for a in range(0, rho.size, rows)])
 
     return radial_integrate(shell, eps, radius, spec)

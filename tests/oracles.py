@@ -8,8 +8,12 @@ Monte Carlo rule on Cartesian boxes cross-checks the backward-polar
 quadrature :func:`finslerineq.quadrature.annulus_integrate`, a plain
 sphere rule checks the product sphere nodes, and a tiled annulus rule,
 which evaluates every (radial node, direction) pair as a flat point,
-pins the bits of the blocked, broadcasting one.  The field helpers build -u
-and div(u grad u) for the reverse-metric and divergence identities.  The
+pins the bits of the blocked, broadcasting one.  The field helpers build -u,
+the reverse space, the Finsler gradient and div(u grad u) for the
+reverse-metric and divergence identities.  The Legendre pair (natural
+vectors to adapted covectors, through ``flat`` and the covector adapter) and
+the inverse of the backward-polar chart are checked against the library's
+``sharp``, ``dual_norm`` and ``point_from_backward_polar``.  The
 per-point Randers formulas (distances, their differentials, the scalar
 dual tensor and the segment-convexity loop of the refined Cauchy-Schwarz
 campaign) pin the shared, stacked forms of the library.
@@ -22,14 +26,113 @@ from typing import Callable
 
 import numpy as np
 
-from finslerineq.fields import ScalarField, gradient_norm, numeric_laplacian
+from finslerineq.fields import ScalarField, differential, numeric_laplacian
 from finslerineq.minkowski import MinkowskiNorm
+from finslerineq.models import HyperbolicBall, RandersFlat
 from finslerineq.quadrature import QuadratureError, QuadratureSpec, \
     pairwise_sum, radial_integrate, sphere_nodes
 
 
 def _enorm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(a * a, axis=-1))
+
+
+def adapt_covector(norm: MinkowskiNorm, xi: np.ndarray) -> np.ndarray:
+    """Natural covector -> adapted dual coordinates (drift axis rescales
+    by -1/(1-b^2), the rest by 1/sqrt(1-b^2)).  The axis flip is forced
+    by the drift term of the dual norm whenever b != 0; the Euclidean
+    member keeps the identity so its Legendre map is the identity."""
+    xi = np.asarray(xi, dtype=float)
+    if norm.drift == 0.0:
+        return xi.copy()
+    s = 1.0 - norm.drift**2
+    out = xi / math.sqrt(s)
+    out[..., -1] = -xi[..., -1] / s
+    return out
+
+
+def unadapt_covector(norm: MinkowskiNorm, xi_hat: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`adapt_covector`."""
+    xi_hat = np.asarray(xi_hat, dtype=float)
+    if norm.drift == 0.0:
+        return xi_hat.copy()
+    s = 1.0 - norm.drift**2
+    out = xi_hat * math.sqrt(s)
+    out[..., -1] = -xi_hat[..., -1] * s
+    return out
+
+
+def flat(norm: MinkowskiNorm, y: np.ndarray) -> np.ndarray:
+    """Natural Legendre image g_y(y, .) = F(y) (yhat + b e_n); flat(0)=0."""
+    y = np.asarray(y, dtype=float)
+    ny = _enorm(y)
+    if np.any(ny == 0.0):
+        if y.ndim == 1:
+            return np.zeros_like(y)
+        raise ValueError("flat of a zero vector in a batch")
+    f = np.asarray(norm.norm(y))
+    out = (y / ny[..., None]) * f[..., None]
+    out[..., -1] += norm.drift * f
+    return out
+
+
+def legendre(norm: MinkowskiNorm, y: np.ndarray) -> np.ndarray:
+    """Legendre transform: natural vector -> adapted covector."""
+    y = np.asarray(y, dtype=float)
+    if not np.any(y):
+        return np.zeros_like(y)
+    return adapt_covector(norm, flat(norm, y))
+
+
+def legendre_inv(norm: MinkowskiNorm, xi: np.ndarray) -> np.ndarray:
+    """Inverse Legendre transform: adapted covector -> natural vector."""
+    xi = np.asarray(xi, dtype=float)
+    if not np.any(xi):
+        return np.zeros_like(xi)
+    nxi = _enorm(xi)
+    grad = xi / nxi[..., None]
+    grad[..., -1] += norm.drift
+    half_grad_sq = grad * np.asarray(norm.dual_norm(xi))[..., None]
+    # the same axis adaptation carries the dual gradient back to vectors
+    return adapt_covector(norm, half_grad_sq)
+
+
+def reverse(space):
+    """The same space under the reverse norm F(-y): a Randers norm or flat
+    Randers model with its drift negated; the hyperbolic ball is reversible."""
+    if isinstance(space, HyperbolicBall):
+        return space
+    if isinstance(space, RandersFlat):
+        return RandersFlat(space.n, -space.drift)
+    return MinkowskiNorm(space.dim, -space.drift)
+
+
+def backward_polar_from_point(model: RandersFlat, x: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_minus, omega) of x on the flat Randers model: the inverse of
+    ``model.point_from_backward_polar``."""
+    x = np.asarray(x, dtype=float)
+    t = model.drift
+    s2 = 1.0 - t * t
+    rho = np.asarray(model.rho_minus(x))
+    big_x = x.copy()
+    big_x[..., -1] = math.sqrt(s2) * (x[..., -1] - t * rho / s2)
+    return rho, big_x / (rho / math.sqrt(s2))[..., None]
+
+
+def gradient(model, field: ScalarField, x: np.ndarray,
+             step: float | None = None) -> np.ndarray:
+    """Finsler gradient: inverse Legendre transform of du (zero covector maps
+    to the zero vector by convention, which ``model.sharp`` keeps)."""
+    x = np.asarray(x, dtype=float)
+    return model.sharp(x, differential(field, x, step))
+
+
+def gradient_norm(model, field: ScalarField, x: np.ndarray,
+                  step: float | None = None) -> float | np.ndarray:
+    """F(grad u) = F*(du) at x."""
+    x = np.asarray(x, dtype=float)
+    return model.conorm(x, differential(field, x, step))
 
 
 def fundamental_form_fd(norm: MinkowskiNorm, y: np.ndarray, u: np.ndarray,
@@ -224,10 +327,9 @@ def annulus_integrate_tiled(model, measure: str,
         rr = np.repeat(rho, k)
         ww = np.tile(dirs, (m, 1))
         vals = np.asarray(integrand(rr, ww), dtype=float)
-        dens = model.polar_density(measure, rr, ww)
-        if vals.ndim == 1:
-            return (vals * dens).reshape(m, k) @ swts
-        return swts @ (vals * dens[:, None]).reshape(m, k, -1)
+        wd = model.polar_density(measure, rr, ww) * np.tile(swts, m)
+        terms = vals * wd[(...,) + (None,) * (vals.ndim - 1)]
+        return pairwise_sum(terms.reshape((m, k) + vals.shape[1:]), axis=1)
 
     return radial_integrate(shell, eps, radius, spec)
 

@@ -123,6 +123,21 @@ def test_validation_exit_codes(tmp_path, capsys):
     for tol in ("nan", "inf"):
         assert run_cli(["hardy", "--tol", tol, "--out", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
+    # every float flag must be finite, named in the message
+    for suite, name, value in (("hardy-sweep", "R", "inf"),
+                               ("rellich-sweep", "R", "inf"),
+                               ("hardy", "beta", "nan"),
+                               ("constants", "t", "nan"),
+                               ("constants", "k", "-inf"),
+                               ("hardy-sweep", "r", "nan"),
+                               ("hardy-sweep", "eps", "0.1,nan")):
+        assert run_cli([suite, f"--{name}={value}",
+                        "--out", str(tmp_path)]) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+    # a negative sample count no longer falls back to the default
+    assert run_cli(["refined-cs", "--samples", "-3",
+                    "--out", str(tmp_path)]) == 2
+    assert "samples must be >= 0" in capsys.readouterr().err
     # the drift rule also holds for refined-cs, which builds no model
     for suite in ("constants", "refined-cs"):
         assert run_cli([suite, "--t", "-0.5", "--out", str(tmp_path)]) == 2
@@ -226,6 +241,15 @@ def test_critical_point_error_exits_numerical(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(harness, "hardy_report", critical)
     assert run_cli(["hardy", "--samples", "1", "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["constants", "--n", "400"],
+                                  ["hardy-sweep", "--R", "1e308"]])
+def test_overflow_exits_numerical(tmp_path, capsys, args):
+    # finite input past the range of a double (|S^{n-1}| at n >= 344, the
+    # panel count of log(R/eps)) is a numerical failure, not a traceback
+    assert run_cli([*args, "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 

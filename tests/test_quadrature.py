@@ -1,10 +1,15 @@
 """Radial/sphere/annulus rules, error estimates, determinism, Monte Carlo."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finslerineq
 from finslerineq.models import HyperbolicBall, RandersFlat, euclidean_flat
 from finslerineq.quadrature import (QuadratureError, QuadratureSpec,
                                     annulus_integrate, pairwise_sum,
@@ -116,9 +121,11 @@ def _columns(*cols):
 
 
 # scalar and column integrands, radial and direction dependent; the blocked
-# shell gets rho (m, 1) and omega (K, n), the tiled oracle flat (M,), (M, n)
+# shell gets rho (m, 1) and omega (K, n), the tiled oracle flat (M,), (M, n),
+# so a direction-only integrand returns (K,) to the one and (M,) to the other
 ANNULUS_INTEGRANDS = {
     "radial": lambda r, w: r ** -3.0,
+    "sphere-only": lambda r, w: 1.0 + 0.3 * w[..., 0] ** 2,
     "directional": lambda r, w: np.exp(-r) * (1.0 + 0.3 * w[..., 0] ** 2),
     "radial-columns": lambda r, w: _columns(r ** -2.0, np.cos(r)),
     "directional-columns": lambda r, w: _columns(
@@ -126,8 +133,8 @@ ANNULUS_INTEGRANDS = {
 }
 
 
-# the n = 4 rule has 1372 directions, so a block holds 44 nodes, and the
-# 45-node coarse pass on (2e-3, 0.8) ends in a lone node
+# the n = 4 rule has 1372 directions, so a block holds 47 nodes, and the
+# 90-node fine pass on (2e-3, 0.8) ends in a partial block of 43
 @pytest.mark.parametrize("measure", ("bh", "ht"))
 @pytest.mark.parametrize("model,spec", [
     (RandersFlat(3, 0.5), SPEC), (HyperbolicBall(3, -1.0), SPEC),
@@ -157,6 +164,57 @@ def test_pairwise_sum_matches_numpy():
     a = rng.standard_normal(1000)
     assert pairwise_sum(a) == pytest.approx(float(np.sum(a)), rel=1e-12)
     assert pairwise_sum(np.array([])) == 0.0
+
+
+def _padded_tree(values):
+    """The pairwise tree on a list zero-padded to a power of two."""
+    v = list(values) or [0.0]
+    v += [0.0] * ((1 << (len(v) - 1).bit_length()) - len(v))
+    while len(v) > 1:
+        v = [v[i] + v[i + 1] for i in range(0, len(v), 2)]
+    return v[0]
+
+
+@pytest.mark.parametrize("axis", (0, 1, 2))
+@pytest.mark.parametrize("shape", [(5, 6, 7), (16, 3, 13), (1, 9, 4),
+                                   (0, 3, 5), (7, 0, 2)])
+def test_pairwise_sum_axis(shape, axis):
+    # every slice along the axis is summed as the 1-d array of its values;
+    # magnitudes spread over 16 decades make any other order show
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    got = pairwise_sum(a, axis=axis)
+    rows = np.moveaxis(a, axis, -1)
+    flat = rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])
+    want = [pairwise_sum(v) for v in flat]
+    assert got.shape == rows.shape[:-1]
+    assert np.array_equal(got.ravel(), want)
+    assert want == [_padded_tree(v) for v in flat]
+
+
+def test_annulus_bits_independent_of_blas_threads():
+    # the sphere sums must not depend on the BLAS thread count; at n = 5 the
+    # rule has 262144 directions, long enough for OpenBLAS to split a dot
+    # product over threads
+    code = ("import numpy as np\n"
+            "from finslerineq.models import RandersFlat\n"
+            "from finslerineq.quadrature import QuadratureSpec, "
+            "annulus_integrate\n"
+            "spec = QuadratureSpec(radial_nodes=4, radial_panels=1)\n"
+            "fs = (lambda r, w: np.stack(np.broadcast_arrays(r ** -2.0, "
+            "r * w[..., -1], np.sin(r + w[..., 0])), axis=-1),\n"
+            "      lambda r, w: np.exp(-r) * (1.0 + 0.3 * w[..., 0] ** 2))\n"
+            "for f in fs:\n"
+            "    v, e = annulus_integrate(RandersFlat(5, 0.3), 'bh', f, 0.2, "
+            "0.8, spec)\n"
+            "    print(*(x.hex() for x in np.ravel([v, e]).tolist()))\n")
+    src = str(Path(finslerineq.__file__).parents[1])
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert len(outs[0].split()) == 8 and outs[0] == outs[1]
 
 
 def test_determinism_bit_identical():
