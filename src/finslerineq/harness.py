@@ -15,7 +15,8 @@ A report writes its integrands once, as a table of named columns of a jet
 (u, F*(du), rho, Delta u, the G^beta density), which ``_terms`` integrates
 on one of two roads.  Radial inputs reduce through the model's polar
 reduction (``cp_constant`` x radial density) to one ``radial_integrate``
-pass per breakpoint segment of the profile jet (a sweep makes one pass
+pass per report, split at the profile's breakpoints, which evaluates the
+profile jet once on the nodes of every segment (a sweep makes one pass
 per region and eps, and one for the cutoff region, which no eps
 changes).  Scalar fields take one backward-polar annulus pass of a field
 jet that evaluates u, F*(du), the sign-cased distance ``rho_u`` and the
@@ -294,11 +295,10 @@ def _radial_terms(model, measure: str, prof: RadialProfile,
                   ) -> dict[str, TermValue]:
     """cp * integral of every column(jet) * radial density over (lo, hi).
 
-    All columns share one radial pass per segment between the profile's
-    breakpoints, each summed exactly as a lone integrand would be.  ``hi``
-    defaults to the support and ``lo`` to a floor tiny enough that the
-    omitted mass of every integrable report integrand is below the error
-    budget.
+    All columns share one radial pass, split at the profile's breakpoints,
+    each summed exactly as a lone integrand would be.  ``hi`` defaults to
+    the support and ``lo`` to a floor tiny enough that the omitted mass of
+    every integrable report integrand is below the error budget.
     """
     hi = prof.support if hi is None else hi
     lo = RADIAL_FLOOR * hi if lo is None else lo
@@ -310,11 +310,7 @@ def _radial_terms(model, measure: str, prof: RadialProfile,
         cols = np.stack([columns[k](jet) for k in names], axis=-1)
         return cols * model.radial_volume_density(rho)[:, None]
 
-    value, error = np.zeros(len(names)), np.zeros(len(names))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        v, e = radial_integrate(integrand, a, b, spec)
-        value += v
-        error += e
+    value, error = radial_integrate(integrand, cuts, spec)
     cp = model.cp_constant(measure)
     return {k: TermValue(float(cp * value[i]), float(cp * error[i]))
             for i, k in enumerate(names)}

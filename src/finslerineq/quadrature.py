@@ -3,12 +3,15 @@
 The inequality functionals reduce, in (backward) polar coordinates, to
 products of a 1-d radial integral against a sphere integral.  The radial
 rule is composite Gauss-Legendre on panels graded geometrically from the
-inner radius, because every sharpness integrand behaves like ``1/rho`` near
-the truncation radius.  Error estimates come from a doubled-resolution
-comparison.  Every sum, over radial nodes and over sphere directions
-alike, goes through the one fixed-shape tree of :func:`pairwise_sum`; no
-BLAS product is involved.  So a given :class:`QuadratureSpec` and integrand
-reproduce the same bits whatever the BLAS thread count or block size.
+inner radius of each segment between the caller's cuts, because every
+sharpness integrand behaves like ``1/rho`` near the truncation radius.
+Error estimates come from a doubled-resolution comparison.  A radial pass
+calls its integrand once, on the coarse and fine nodes of every segment
+together, so a table of columns is built once per pass.  Every sum, over
+radial nodes and over sphere directions alike, goes through the one
+fixed-shape tree of :func:`pairwise_sum`; no BLAS product is involved.  So
+a given :class:`QuadratureSpec` and integrand reproduce the same bits
+whatever the BLAS thread count or block size.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,40 +93,56 @@ def _graded_edges(a: float, b: float, min_panels: int) -> np.ndarray:
     return a * np.exp(np.linspace(0.0, span, panels + 1))
 
 
-def _composite_gauss(f: Callable[[np.ndarray], np.ndarray],
-                     edges: np.ndarray, nodes: int) -> float | np.ndarray:
+def _composite_gauss(edges: np.ndarray,
+                     nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (M,) of the Gauss rule on every panel of ``edges``."""
     x, w = _gauss_rule(nodes)
     lo = edges[:-1][:, None]
     hi = edges[1:][:, None]
     half = 0.5 * (hi - lo)
     pts = lo + half * (x[None, :] + 1.0)
-    vals = np.asarray(f(pts.ravel()), dtype=float)
-    finite = np.isfinite(vals).reshape(pts.size, -1).all(axis=1)
-    if not np.all(finite):
-        bad = pts.ravel()[~finite][:3]
-        raise QuadratureError(f"non-finite integrand samples near rho={bad}")
-    wts = (w[None, :] * half).ravel()
-    # the weights take a trailing axis for each integrand axis (T columns)
-    return pairwise_sum(vals * wts[(...,) + (None,) * (vals.ndim - 1)])
+    return pts.ravel(), (w[None, :] * half).ravel()
 
 
 def radial_integrate(f: Callable[[np.ndarray], np.ndarray],
-                     a: float, b: float,
+                     cuts: Sequence[float],
                      spec: QuadratureSpec) -> tuple[float, float]:
-    """Integrate ``f`` on [a, b], 0 < a < b, with log-graded panels.
+    """Integrate ``f`` on [a, b] split at ``cuts`` = (a, ..., b), 0 < a.
 
-    Returns (value, error estimate); the estimate is the difference against
-    a half-resolution pass.  ``f`` must accept a 1-d numpy array of M nodes
-    and return (M,), or (M, T) for T integrands at once; then value and
-    error are (T,) arrays, each column summed as a scalar integrand would be.
+    Each segment between consecutive cuts gets its own log-graded panels.
+    Returns (value, error estimate) summed over the segments in order; a
+    segment's estimate is the difference against a half-resolution pass.
+    ``f`` is called once, on the coarse and fine nodes of every segment
+    together: it must accept a 1-d numpy array of M nodes and return (M,),
+    or (M, T) for T integrands at once; then value and error are (T,)
+    arrays, each column summed as a scalar integrand would be.
     """
-    if not (0.0 < a < b):
-        raise QuadratureError(f"need 0 < a < b, got a={a}, b={b}")
-    coarse_edges = _graded_edges(a, b, spec.radial_panels)
-    fine_edges = _graded_edges(a, b, 2 * (coarse_edges.size - 1))
-    coarse = _composite_gauss(f, coarse_edges, spec.radial_nodes)
-    fine = _composite_gauss(f, fine_edges, spec.radial_nodes)
-    return fine, abs(fine - coarse)
+    cuts = [float(c) for c in cuts]
+    if (len(cuts) < 2 or not all(map(math.isfinite, cuts)) or cuts[0] <= 0.0
+            or any(a >= b for a, b in zip(cuts, cuts[1:]))):
+        raise QuadratureError(f"need finite cuts 0 < a < ... < b, got {cuts}")
+    rules = []                      # coarse, fine for every segment
+    for a, b in zip(cuts, cuts[1:]):
+        coarse_edges = _graded_edges(a, b, spec.radial_panels)
+        fine_edges = _graded_edges(a, b, 2 * (coarse_edges.size - 1))
+        rules += [_composite_gauss(edges, spec.radial_nodes)
+                  for edges in (coarse_edges, fine_edges)]
+    nodes, weights = zip(*rules)
+    pts = np.concatenate(nodes)
+    vals = np.asarray(f(pts), dtype=float)
+    finite = np.isfinite(vals).reshape(pts.size, -1).all(axis=1)
+    if not np.all(finite):
+        bad = pts[~finite][:3]
+        raise QuadratureError(f"non-finite integrand samples near rho={bad}")
+    parts = np.split(vals, np.cumsum([w.size for w in weights])[:-1])
+    # the weights take a trailing axis for each integrand axis (T columns)
+    sums = [pairwise_sum(v * w[(...,) + (None,) * (v.ndim - 1)])
+            for v, w in zip(parts, weights)]
+    value = error = 0.0
+    for coarse, fine in zip(sums[::2], sums[1::2]):
+        value = value + fine
+        error = error + abs(fine - coarse)
+    return value, error
 
 
 def power_integral(exponent: float, a: float, b: float) -> float:
@@ -196,8 +215,9 @@ def annulus_integrate(model, measure: str,
     T integrands in one pass (value and error are then (T,) arrays), so a
     radial integrand may return (m, 1).  Each node's sphere sum is the
     :func:`pairwise_sum` of its K weighted values, so it does not depend on
-    how the radial nodes are walked: in blocks of about ``_SHELL_BLOCK``
-    points, which only bounds memory.
+    how the radial nodes are walked: the radial pass hands over its coarse
+    and fine nodes at once, and they are taken in blocks of about
+    ``_SHELL_BLOCK`` points, which only bounds memory.
     """
     if not (0.0 < eps < radius):
         raise QuadratureError(f"need 0 < eps < radius, got {eps}, {radius}")
@@ -216,4 +236,4 @@ def annulus_integrate(model, measure: str,
         return np.concatenate([block(rho[a:a + rows, None])
                                for a in range(0, rho.size, rows)])
 
-    return radial_integrate(shell, eps, radius, spec)
+    return radial_integrate(shell, (eps, radius), spec)

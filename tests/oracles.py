@@ -331,7 +331,7 @@ def annulus_integrate_tiled(model, measure: str,
         terms = vals * wd[(...,) + (None,) * (vals.ndim - 1)]
         return pairwise_sum(terms.reshape((m, k) + vals.shape[1:]), axis=1)
 
-    return radial_integrate(shell, eps, radius, spec)
+    return radial_integrate(shell, (eps, radius), spec)
 
 
 def sphere_integrate(g: Callable[[np.ndarray], np.ndarray],

@@ -170,18 +170,19 @@ def test_field_road_independent_of_shell_blocks(model, monkeypatch):
 def test_default_spec_field_report_memory():
     # a fresh interpreter, so the peak is this report's alone; a shell that
     # tiles every node-direction pair peaks near 300 MB, the blocked one
-    # near 40 MB
+    # near 40 MB.  VmHWM starts over at exec, where ru_maxrss would keep
+    # the high-water mark of the test process that started the child.
     src = str(Path(finslerineq.__file__).parents[1])
-    code = ("import resource\n"
-            "from finslerineq import fields, harness, models\n"
+    code = ("from finslerineq import fields, harness, models\n"
             "m = models.RandersFlat(3, 0.4)\n"
             "u = fields.radial_field(m, harness.radial_battery(10, 0.9)[0])\n"
             "harness.hardy_report(m, 'bh', u, 0.0)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert int(proc.stdout) <= 100 * 1024      # ru_maxrss is in KiB
+    assert int(proc.stdout) <= 100 * 1024      # VmHWM is in kB
 
 
 def field_report(name, model, u, spec=None):

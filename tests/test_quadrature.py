@@ -21,21 +21,64 @@ SPEC = QuadratureSpec()
 
 
 def test_radial_log_integral():
-    val, err = radial_integrate(lambda t: 1.0 / t, 1e-4, 0.5, SPEC)
+    val, err = radial_integrate(lambda t: 1.0 / t, (1e-4, 0.5), SPEC)
     assert val == pytest.approx(math.log(0.5 / 1e-4), rel=1e-12)
     assert err < 1e-10
 
 
 def test_radial_polynomial_exactness():
-    val, _ = radial_integrate(lambda t: t**2, 0.1, 1.0, SPEC)
+    val, _ = radial_integrate(lambda t: t**2, (0.1, 1.0), SPEC)
     assert val == pytest.approx((1.0 - 1e-3) / 3.0, rel=1e-14)
 
 
 def test_radial_rejects_bad_interval_and_nan():
     with pytest.raises(QuadratureError):
-        radial_integrate(lambda t: t, -1.0, 1.0, SPEC)
+        radial_integrate(lambda t: t, (-1.0, 1.0), SPEC)
     with pytest.raises(QuadratureError):
-        radial_integrate(lambda t: np.full_like(t, np.nan), 0.1, 1.0, SPEC)
+        radial_integrate(lambda t: np.full_like(t, np.nan), (0.1, 1.0),
+                         SPEC)
+
+
+@pytest.mark.parametrize("cuts", [(0.1,), (0.5, 0.2), (0.1, 0.3, 0.3, 1.0),
+                                  (0.0, 1.0), (-1.0, 0.5, 1.0),
+                                  (0.1, math.inf), (math.nan, 1.0),
+                                  (0.1, 0.5, math.nan)], ids=repr)
+def test_radial_rejects_bad_cuts(cuts):
+    # fewer than two cuts, not strictly increasing, a first cut <= 0, or a
+    # non-finite cut; the integrand is never called
+    def never(t):
+        raise AssertionError("integrand called on bad cuts")
+
+    with pytest.raises(QuadratureError):
+        radial_integrate(never, cuts, SPEC)
+
+
+@pytest.mark.parametrize("cuts", [(0.05, 0.9), (1e-6, 0.3, 0.9),
+                                  (1e-6, 0.2, 0.45, 0.9)], ids=repr)
+@pytest.mark.parametrize("columns", [False, True], ids=["M", "MxT"])
+def test_radial_integrate_cuts_match_segment_sums(cuts, columns):
+    # one call over all cuts: f sees every segment's coarse and fine nodes
+    # at once, and the segments add in order as separate calls would
+    def f(t):
+        g = np.sin(3.0 * t) / t
+        return np.stack([g, t ** 2, np.exp(-t)], axis=-1) if columns else g
+
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return f(t)
+
+    value, error = radial_integrate(counted, cuts, SPEC)
+    assert len(calls) == 1
+    want_v, want_e = 0.0, 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        v, e = radial_integrate(f, (a, b), SPEC)
+        want_v = want_v + v
+        want_e = want_e + e
+    got, want = np.append(value, error), np.append(want_v, want_e)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    assert np.shape(value) == ((3,) if columns else ())
 
 
 def test_radial_convergence_order():
@@ -43,8 +86,8 @@ def test_radial_convergence_order():
     exact = math.exp(1.0) - math.exp(0.25)
     coarse = QuadratureSpec(radial_nodes=2, radial_panels=4)
     fine = QuadratureSpec(radial_nodes=2, radial_panels=8)
-    e1 = abs(radial_integrate(np.exp, 0.25, 1.0, coarse)[0] - exact)
-    e2 = abs(radial_integrate(np.exp, 0.25, 1.0, fine)[0] - exact)
+    e1 = abs(radial_integrate(np.exp, (0.25, 1.0), coarse)[0] - exact)
+    e2 = abs(radial_integrate(np.exp, (0.25, 1.0), fine)[0] - exact)
     assert e1 / e2 >= 8.0
 
 
@@ -103,7 +146,7 @@ def test_coarea_consistency():
         # angular integral of (1 + 0.3 w0^2)(1 + t h) over S^2 = area(1+0.1)
         return np.exp(-r) * r**2 * 4.0 * math.pi * 1.1
 
-    iterated, _ = radial_integrate(shell_exact, 0.1, 1.0, SPEC)
+    iterated, _ = radial_integrate(shell_exact, (0.1, 1.0), SPEC)
     assert full == pytest.approx(iterated, rel=1e-10)
 
 
@@ -303,5 +346,5 @@ def test_hyperbolic_annulus_mass_lower_bound():
     h = HyperbolicBall(3, -1.0)
     eps, r = 1e-4, 0.5
     val, _ = radial_integrate(
-        lambda t: t ** -3.0 * np.sinh(t) ** 2, eps, r, SPEC)
+        lambda t: t ** -3.0 * np.sinh(t) ** 2, (eps, r), SPEC)
     assert val >= math.log(r / eps)
