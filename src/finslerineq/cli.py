@@ -48,6 +48,8 @@ SUITES = {
     "constants": "closed-form and sampled asymmetry/model constants",
 }
 
+MODELS = ("randers", "euclidean", "hyperbolic")
+
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -80,16 +82,19 @@ class RunConfig:
         """The Randers drift t; the other models are reversible."""
         return self.t if self.model == "randers" else 0.0
 
+    @property
+    def curvature(self) -> float:
+        """The curvature k of the hyperbolic model; the others are flat."""
+        return self.k if self.model == "hyperbolic" else 0.0
+
     def build_model(self):
         if self.model == "randers":
             return RandersFlat(self.n, self.t)
         if self.model == "euclidean":
             return euclidean_flat(self.n)
-        if self.model == "hyperbolic":
-            if not self.k < 0.0:
-                raise ConfigError("hyperbolic model needs k < 0")
-            return HyperbolicBall(self.n, self.k)
-        raise ConfigError(f"unknown model {self.model!r}")
+        if not self.k < 0.0:
+            raise ConfigError("hyperbolic model needs k < 0")
+        return HyperbolicBall(self.n, self.k)
 
     def build_spec(self) -> QuadratureSpec:
         accepted = [f.name for f in fields(QuadratureSpec)]
@@ -109,6 +114,9 @@ class RunConfig:
             raise ConfigError("n must be >= 2")
         if self.measure not in ("bh", "ht"):
             raise ConfigError("measure must be bh or ht")
+        if self.model not in MODELS:
+            raise ConfigError(f"unknown model {self.model!r}; accepted: "
+                              f"{', '.join(MODELS)}")
         for name in ("t", "k", "beta", "r", "R", "tol"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -189,10 +197,10 @@ def run(cfg: RunConfig) -> int:
         "suite": cfg.suite,
         "version": __version__,
         "config": {
-            "model": cfg.model, "n": cfg.n, "t": cfg.t, "k": cfg.k,
-            "measure": cfg.measure, "beta": cfg.beta, "r": cfg.r,
-            "R": cfg.R, "eps": list(cfg.eps), "samples": cfg.samples,
-            "seed": cfg.seed, "tol": cfg.tol,
+            "model": cfg.model, "n": cfg.n, "t": cfg.drift,
+            "k": cfg.curvature, "measure": cfg.measure, "beta": cfg.beta,
+            "r": cfg.r, "R": cfg.R, "eps": list(cfg.eps),
+            "samples": cfg.samples, "seed": cfg.seed, "tol": cfg.tol,
             "quadrature": asdict(spec),
         },
     }
@@ -314,8 +322,7 @@ def _parser() -> argparse.ArgumentParser:
     for name in SUITES:
         sp = sub.add_parser(name, help=SUITES[name])
         sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--model", type=str, default=None,
-                        choices=["randers", "euclidean", "hyperbolic"])
+        sp.add_argument("--model", type=str, default=None, choices=MODELS)
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--t", "--b", dest="t", type=float, default=None,
                         help="Randers drift")

@@ -63,25 +63,23 @@ def _unit_steps(x: np.ndarray, h) -> np.ndarray:
     return z
 
 
-def differential(field: ScalarField, x: np.ndarray,
-                 step: float | None = None) -> np.ndarray:
-    """du at x (..., n): analytic when available, else O(step^2) central
-    differences over all 2n shifted points of every point in one stack."""
+def differential(field: ScalarField, x: np.ndarray) -> np.ndarray:
+    """du at x (..., n): analytic when available, else central differences
+    of step 1e-6 max(1, |x|) over all 2n shifted points of every point in
+    one stack."""
     x = np.asarray(x, dtype=float)
     if field.grad is not None:
         return np.asarray(field.grad(x), dtype=float)
-    h = step if step is not None \
-        else 1e-6 * np.maximum(1.0, np.sqrt(_sum_squares(x)))
+    h = 1e-6 * np.maximum(1.0, np.sqrt(_sum_squares(x)))
     vals = field(_unit_steps(x, h))
     return (vals[..., 0, :] - vals[..., 1, :]) / \
         (2.0 * np.asarray(h)[..., None])
 
 
-def numeric_laplacian(model, measure: str, field: ScalarField, x: np.ndarray,
-                      flux_step: float | None = None,
-                      diff_step: float | None = None) -> float | np.ndarray:
+def numeric_laplacian(model, measure: str, field: ScalarField,
+                      x: np.ndarray) -> float | np.ndarray:
     """Divergence-form Laplacian: (1/sigma) d_i (sigma (grad u)^i) by central
-    differences of the flux.
+    differences of the flux, step 1e-4 max(1, |x|).
 
     For a single point (n,) returns a float and raises CriticalPointError
     when any stencil point has |du| below the reliability threshold.  For a
@@ -90,8 +88,7 @@ def numeric_laplacian(model, measure: str, field: ScalarField, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        lap, du_min = _laplacian_block(model, measure, field, x[None],
-                                       flux_step, diff_step)
+        lap, du_min = _laplacian_block(model, measure, field, x[None])
         if du_min[0] < CRITICAL_DIFFERENTIAL:
             raise CriticalPointError(
                 f"|du| ~ {du_min[0]:.2e} near {x}: Laplacian branch "
@@ -102,20 +99,17 @@ def numeric_laplacian(model, measure: str, field: ScalarField, x: np.ndarray,
     for start in range(0, flat.shape[0], _LAPLACIAN_BLOCK):
         stop = start + _LAPLACIAN_BLOCK
         lap, du_min = _laplacian_block(model, measure, field,
-                                       flat[start:stop], flux_step, diff_step)
+                                       flat[start:stop])
         out[start:stop] = np.where(du_min < CRITICAL_DIFFERENTIAL, np.nan, lap)
     return out.reshape(x.shape[:-1])
 
 
-def _laplacian_block(model, measure: str, field: ScalarField, x: np.ndarray,
-                     flux_step: float | None, diff_step: float | None
+def _laplacian_block(model, measure: str, field: ScalarField, x: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Laplacian of the points (B, n) and the smallest |du| on each stencil."""
-    h = flux_step if flux_step is not None \
-        else 1e-4 * np.maximum(1.0, np.sqrt(_sum_squares(x)))
-    h = np.broadcast_to(h, x.shape[:-1])
+    h = 1e-4 * np.maximum(1.0, np.sqrt(_sum_squares(x)))
     z = _unit_steps(x, h)                               # (B, 2, n, n)
-    du = differential(field, z, diff_step)
+    du = differential(field, z)
     flux = np.asarray(model.density(z, measure))[..., None] * \
         model.sharp(z, du)
     diag = np.diagonal(flux, axis1=2, axis2=3)          # (B, 2, n)

@@ -16,9 +16,9 @@ A report writes its integrands once, as a table of named columns of a jet
 on one of two roads.  Radial inputs reduce through the model's polar
 reduction (``cp_constant`` x radial density) to one ``radial_integrate``
 pass per report, split at the profile's breakpoints, which evaluates the
-profile jet once on the nodes of every segment (a sweep makes one pass
-per region and eps, and one for the cutoff region, which no eps
-changes).  Scalar fields take one backward-polar annulus pass of a field
+profile jet once on the nodes of every segment; a sweep's one pass is cut
+at every eps, and each row sums its ``radial_segments`` shells above its
+eps.  Scalar fields take one backward-polar annulus pass of a field
 jet that evaluates u, F*(du), the sign-cased distance ``rho_u`` and the
 numeric Laplacian once per node set: the points of a block of radial
 nodes (m, 1) against the sphere directions (K, n), an (m, K, n) stack, so
@@ -47,7 +47,7 @@ from .minkowski import MinkowskiNorm
 from .models import (RadialProfile, RadialTestFunction, SmoothCutoff,
                      cutoff_profile, profile_product)
 from .quadrature import QuadratureSpec, annulus_integrate, power_integral, \
-    radial_integrate
+    radial_integrate, radial_segments
 
 RADIAL_FLOOR = 1e-12     # relative inner cutoff for integrals reaching rho=0
 # relative inner cutoff of the G^beta field road, whose numeric Laplacian
@@ -116,12 +116,8 @@ class SweepRow:
     error: float
 
     def as_dict(self) -> dict:
-        return {"eps": self.eps, "i1": self.i1, "i2": self.i2,
-                "quotient": self.quotient,
-                "j1_quadrature": self.j1_quadrature,
-                "j1_exact": self.j1_exact
-                if math.isfinite(self.j1_exact) else None,
-                "error": self.error}
+        exact = self.j1_exact if math.isfinite(self.j1_exact) else None
+        return _record_dict(self, j1_exact=exact)
 
 
 @dataclass
@@ -289,31 +285,36 @@ def _lap2(p: float) -> _Column:
     return lambda j: j.lap ** 2 * j.rho ** p
 
 
-def _radial_terms(model, measure: str, prof: RadialProfile,
-                  columns: dict[str, _Column], spec: QuadratureSpec,
-                  lo: float | None = None, hi: float | None = None
-                  ) -> dict[str, TermValue]:
-    """cp * integral of every column(jet) * radial density over (lo, hi).
-
-    All columns share one radial pass, split at the profile's breakpoints,
-    each summed exactly as a lone integrand would be.  ``hi`` defaults to
-    the support and ``lo`` to a floor tiny enough that the omitted mass of
-    every integrable report integrand is below the error budget.
-    """
-    hi = prof.support if hi is None else hi
-    lo = RADIAL_FLOOR * hi if lo is None else lo
-    cuts = sorted({lo, hi, *[b for b in prof.breakpoints if lo < b < hi]})
-    names = list(columns)
-
+def _radial_integrand(model, prof: RadialProfile,
+                      columns: dict[str, _Column]
+                      ) -> Callable[[np.ndarray], np.ndarray]:
+    """The (M, T) table of every column(jet) times the radial density."""
     def integrand(rho: np.ndarray) -> np.ndarray:
         jet = _Jet(model, prof, rho)
-        cols = np.stack([columns[k](jet) for k in names], axis=-1)
+        cols = np.stack([col(jet) for col in columns.values()], axis=-1)
         return cols * model.radial_volume_density(rho)[:, None]
 
-    value, error = radial_integrate(integrand, cuts, spec)
+    return integrand
+
+
+def _radial_terms(model, measure: str, prof: RadialProfile,
+                  columns: dict[str, _Column], spec: QuadratureSpec
+                  ) -> dict[str, TermValue]:
+    """cp * integral of every column(jet) * radial density over the support.
+
+    All columns share one radial pass, split at the profile's breakpoints,
+    each summed exactly as a lone integrand would be.  The pass starts at a
+    floor tiny enough that the omitted mass of every integrable report
+    integrand is below the error budget.
+    """
+    hi = prof.support
+    lo = RADIAL_FLOOR * hi
+    cuts = sorted({lo, hi, *[b for b in prof.breakpoints if lo < b < hi]})
+    value, error = radial_integrate(_radial_integrand(model, prof, columns),
+                                    cuts, spec)
     cp = model.cp_constant(measure)
     return {k: TermValue(float(cp * value[i]), float(cp * error[i]))
-            for i, k in enumerate(names)}
+            for i, k in enumerate(columns)}
 
 
 def _field_terms(model, measure: str, u: fc.ScalarField,
@@ -647,67 +648,56 @@ def rellich_bv_report(model, measure: str, u, beta: float,
 
 
 # ------------------------------------------------------------------- sweeps
+def _suffix_sums(a: np.ndarray) -> np.ndarray:
+    """a[s] + a[s + 1] + ... for every s, added from the last entry inward."""
+    return np.cumsum(a[::-1], axis=0)[::-1]
+
+
 def _truncated_family_integrals(model, measure: str, gamma: float,
-                                order: int, eps_list: Sequence[float],
+                                order: int, eps_arr: np.ndarray,
                                 r: float, R: float, spec: QuadratureSpec
-                                ) -> list[tuple[float, float, float, float]]:
-    """(I1, I2, J1, error) for u = psi * max(eps, rho)^(-gamma), one tuple
-    per eps.
+                                ) -> tuple[np.ndarray, ...]:
+    """(I1, I2, J1, error) arrays for u = psi * max(eps, rho)^(-gamma), one
+    entry per eps of the decreasing ``eps_arr``, from one radial pass.
 
     ``order`` 1 selects the gradient functional (Hardy), 2 the Laplacian
     functional (Rellich); beta is implied by gamma through the sharp-exponent
-    relations, so the inner power integrals stay exact.  On the cutoff
-    region (r, R) max(eps, rho) = rho and no breakpoint of the profile falls
-    inside, so its terms are integrated once for every eps.
+    relations.  Above its eps every member is psi * rho^(-gamma), so a row
+    sums the shells above its eps of one pass of the smallest-eps profile,
+    cut at every eps, r and R: the energy (I1), u^2 rho^(-weight) (I2) and
+    rho^(-n) short of r (J1), with the shells' error estimates.  Inside eps
+    u = eps^(-gamma), whose mass is exact on flat models (a floor would drop
+    nearly all of it as the exponent nears -1); curved models add the shell
+    from RADIAL_FLOOR * min(eps) to the pass.
     """
     n = model.n
     beta = (n - 2.0 - 2.0 * gamma) if order == 1 else (n - 4.0 - 2.0 * gamma)
     weight = 2.0 + beta if order == 1 else 4.0 + beta
     cp = model.cp_constant(measure)
-    energy = _du2(-beta) if order == 1 else _lap2(-beta)
-
-    def profile(eps: float) -> RadialProfile:
-        return RadialTestFunction(gamma, eps, SmoothCutoff(r, R)).profile()
-
-    outer = _radial_terms(model, measure, profile(eps_list[0]),
-                          {"energy": energy, "tail": _u2(-weight)}, spec,
-                          lo=r, hi=R)
-    # the annulus (eps, r): J1, the mass of rho^{-n}, and for Rellich the
-    # Laplacian energy (u is constant there, so Hardy has none)
-    annulus = {"j1": lambda j: j.rho ** (-n)}
-    if order == 2:
-        annulus["energy"] = energy
-    out = []
-    for eps in eps_list:
-        prof = profile(eps)
-        mid = _radial_terms(model, measure, prof, annulus, spec, lo=eps, hi=r)
-        j1 = mid["j1"]
-        j1_val = j1.value
-        err = j1.error
-
-        if order == 1:
-            i1 = gamma * gamma * j1_val + outer["energy"].value
-            err *= gamma * gamma
-        else:
-            i1 = mid["energy"].value + outer["energy"].value
-            err += mid["energy"].error
-        err += outer["energy"].error + j1.error
-
-        # I2: inner ball (exact monomial on flat models), annulus (= J1), tail
-        if model.curvature == 0.0:
-            inner = cp * eps ** (-2.0 * gamma) * \
-                power_integral(n - 1.0 - weight, 0.0, eps)
-        else:
-            inner_tv = _radial_terms(
-                model, measure, prof,
-                {"inner": lambda j: eps ** (-2.0 * gamma)
-                 * j.rho ** (-weight)}, spec, hi=eps)["inner"]
-            inner = inner_tv.value
-            err += inner_tv.error
-        i2 = inner + j1_val + outer["tail"].value
-        err += outer["tail"].error
-        out.append((i1, i2, j1_val, err))
-    return out
+    curved = model.curvature != 0.0
+    floor = [RADIAL_FLOOR * eps_arr[-1]] if curved else []
+    cuts = [*floor, *eps_arr[::-1], r, R]
+    prof = RadialTestFunction(gamma, eps_arr[-1], SmoothCutoff(r, R)).profile()
+    columns = {"energy": _du2(-beta) if order == 1 else _lap2(-beta),
+               "mass": _u2(-weight), "j1": lambda j: j.rho ** (-n),
+               "inner": lambda j: j.rho ** (-weight)}
+    values, errors = radial_segments(_radial_integrand(model, prof, columns),
+                                     cuts, spec)
+    values, errors = cp * values, cp * errors
+    first = len(cuts) - 3 - np.arange(eps_arr.size)   # the shell above eps
+    above, err_above = _suffix_sums(values)[first], _suffix_sums(errors)[first]
+    j1 = _suffix_sums(values[:-1, 2])[first]           # (eps, r) only
+    if curved:
+        inner, inner_err = (np.cumsum(a[:, 3])[first - 1]
+                            for a in (values, errors))
+    else:
+        inner = np.array([cp * power_integral(n - 1.0 - weight, 0.0, e)
+                          for e in eps_arr])
+        inner_err = 0.0
+    scale = eps_arr ** (-2.0 * gamma)
+    i2 = scale * inner + above[:, 1]
+    error = err_above[:, 0] + err_above[:, 1] + scale * inner_err
+    return above[:, 0], i2, j1, error
 
 
 def _extrapolate_structured(ls: np.ndarray, quotients: np.ndarray,
@@ -763,28 +753,16 @@ def _sharpness_sweep(model, measure: str, beta: float, r: float, R: float,
     if not (0.0 < eps_arr[-1] and eps_arr[0] < r < R):
         raise PreconditionError("need 0 < eps < r < R")
 
-    rows = []
     cp = model.cp_constant(measure)
-    use_annulus = model.n <= 4
-    integrals = _truncated_family_integrals(model, measure, gamma, order,
-                                            [float(e) for e in eps_arr], r, R,
-                                            spec)
-    for eps, (i1, i2, j1, err) in zip(eps_arr, integrals):
-        j1_exact = cp * math.log(r / eps) if model.curvature == 0.0 \
-            else float("nan")
-        if use_annulus:
-            j1_quad = annulus_integrate(
-                model, measure,
-                lambda rr, ww: rr ** (-model.n), float(eps), r, spec)[0]
-        else:
-            j1_quad = j1
-        rows.append(SweepRow(float(eps), i1, i2, i1 / i2, j1_quad, j1_exact,
-                             err))
-
+    i1s, i2s, j1s, errs = _truncated_family_integrals(
+        model, measure, gamma, order, eps_arr, r, R, spec)
+    quotients = i1s / i2s
+    rows = [SweepRow(float(eps), float(i1), float(i2), float(q), float(j1),
+                     cp * math.log(r / eps) if model.curvature == 0.0
+                     else float("nan"), float(err))
+            for eps, i1, i2, q, j1, err
+            in zip(eps_arr, i1s, i2s, quotients, j1s, errs)]
     ls = np.log(r / eps_arr)
-    quotients = np.array([row.quotient for row in rows])
-    j1s = np.array([row.j1_quadrature for row in rows])
-    i2s = np.array([row.i2 for row in rows])
     a_struct, d_gap = _extrapolate_structured(ls, quotients, j1s, i2s)
     a_struct, d_gap = float(a_struct), float(d_gap)
     a_moeb = float(_extrapolate_moebius(ls, quotients)) \
@@ -804,7 +782,8 @@ def hardy_sharpness_sweep(model, measure: str, beta: float, r: float,
                           R: float, eps_list: Sequence[float],
                           spec: QuadratureSpec | None = None) -> SweepTable:
     """Rayleigh quotients of the truncated family converging to the sharp
-    Hardy constant (n-2-beta)^2/4, with the exact annulus-mass cross-check."""
+    Hardy constant (n-2-beta)^2/4; each row's annulus mass J1 stands beside
+    its exact value n omega_n log(r/eps) on the flat models."""
     return _sharpness_sweep(model, measure, beta, r, R, eps_list,
                             spec or QuadratureSpec(), 1)
 

@@ -7,11 +7,13 @@ inner radius of each segment between the caller's cuts, because every
 sharpness integrand behaves like ``1/rho`` near the truncation radius.
 Error estimates come from a doubled-resolution comparison.  A radial pass
 calls its integrand once, on the coarse and fine nodes of every segment
-together, so a table of columns is built once per pass.  Every sum, over
-radial nodes and over sphere directions alike, goes through the one
-fixed-shape tree of :func:`pairwise_sum`; no BLAS product is involved.  So
-a given :class:`QuadratureSpec` and integrand reproduce the same bits
-whatever the BLAS thread count or block size.
+together, so a table of columns is built once per pass; it gives every
+segment's integral (:func:`radial_segments`) or their sum in order
+(:func:`radial_integrate`).  Every sum, over radial nodes and over sphere
+directions alike, goes through the one fixed-shape tree of
+:func:`pairwise_sum`; no BLAS product is involved.  So a given
+:class:`QuadratureSpec` and integrand reproduce the same bits whatever the
+BLAS thread count or block size.
 """
 
 from __future__ import annotations
@@ -104,18 +106,18 @@ def _composite_gauss(edges: np.ndarray,
     return pts.ravel(), (w[None, :] * half).ravel()
 
 
-def radial_integrate(f: Callable[[np.ndarray], np.ndarray],
-                     cuts: Sequence[float],
-                     spec: QuadratureSpec) -> tuple[float, float]:
-    """Integrate ``f`` on [a, b] split at ``cuts`` = (a, ..., b), 0 < a.
+def radial_segments(f: Callable[[np.ndarray], np.ndarray],
+                    cuts: Sequence[float],
+                    spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate ``f`` on every segment of ``cuts`` = (a, ..., b), 0 < a.
 
     Each segment between consecutive cuts gets its own log-graded panels.
-    Returns (value, error estimate) summed over the segments in order; a
+    Returns the (values, error estimates) of the S segments in order; a
     segment's estimate is the difference against a half-resolution pass.
     ``f`` is called once, on the coarse and fine nodes of every segment
     together: it must accept a 1-d numpy array of M nodes and return (M,),
-    or (M, T) for T integrands at once; then value and error are (T,)
-    arrays, each column summed as a scalar integrand would be.
+    or (M, T) for T integrands at once; values and errors are then (S,) or
+    (S, T), each column summed as a scalar integrand would be.
     """
     cuts = [float(c) for c in cuts]
     if (len(cuts) < 2 or not all(map(math.isfinite, cuts)) or cuts[0] <= 0.0
@@ -136,12 +138,24 @@ def radial_integrate(f: Callable[[np.ndarray], np.ndarray],
         raise QuadratureError(f"non-finite integrand samples near rho={bad}")
     parts = np.split(vals, np.cumsum([w.size for w in weights])[:-1])
     # the weights take a trailing axis for each integrand axis (T columns)
-    sums = [pairwise_sum(v * w[(...,) + (None,) * (v.ndim - 1)])
-            for v, w in zip(parts, weights)]
+    sums = np.array([pairwise_sum(v * w[(...,) + (None,) * (v.ndim - 1)])
+                     for v, w in zip(parts, weights)])
+    return sums[1::2], np.abs(sums[1::2] - sums[::2])   # fine, |fine-coarse|
+
+
+def radial_integrate(f: Callable[[np.ndarray], np.ndarray],
+                     cuts: Sequence[float],
+                     spec: QuadratureSpec) -> tuple[float, float]:
+    """Integrate ``f`` on [a, b] split at ``cuts`` = (a, ..., b): the
+    :func:`radial_segments` values and error estimates added in segment
+    order; for (M, T) integrands value and error are (T,) arrays."""
+    values, errors = radial_segments(f, cuts, spec)
+    if values.ndim == 1:            # a scalar integrand sums to floats
+        values, errors = values.tolist(), errors.tolist()
     value = error = 0.0
-    for coarse, fine in zip(sums[::2], sums[1::2]):
+    for fine, err in zip(values, errors):
         value = value + fine
-        error = error + abs(fine - coarse)
+        error = error + err
     return value, error
 
 

@@ -120,19 +120,18 @@ def backward_polar_from_point(model: RandersFlat, x: np.ndarray
     return rho, big_x / (rho / math.sqrt(s2))[..., None]
 
 
-def gradient(model, field: ScalarField, x: np.ndarray,
-             step: float | None = None) -> np.ndarray:
+def gradient(model, field: ScalarField, x: np.ndarray) -> np.ndarray:
     """Finsler gradient: inverse Legendre transform of du (zero covector maps
     to the zero vector by convention, which ``model.sharp`` keeps)."""
     x = np.asarray(x, dtype=float)
-    return model.sharp(x, differential(field, x, step))
+    return model.sharp(x, differential(field, x))
 
 
-def gradient_norm(model, field: ScalarField, x: np.ndarray,
-                  step: float | None = None) -> float | np.ndarray:
+def gradient_norm(model, field: ScalarField,
+                  x: np.ndarray) -> float | np.ndarray:
     """F(grad u) = F*(du) at x."""
     x = np.asarray(x, dtype=float)
-    return model.conorm(x, differential(field, x, step))
+    return model.conorm(x, differential(field, x))
 
 
 def fundamental_form_fd(norm: MinkowskiNorm, y: np.ndarray, u: np.ndarray,
@@ -350,10 +349,9 @@ def negated(field: ScalarField) -> ScalarField:
     return ScalarField(lambda x: -field.fn(x), g, field.support_radius)
 
 
-def div_u_grad_u(model, measure: str, field: ScalarField, x: np.ndarray,
-                 flux_step: float | None = None) -> float | np.ndarray:
+def div_u_grad_u(model, measure: str, field: ScalarField,
+                 x: np.ndarray) -> float | np.ndarray:
     """div(u grad u) = F^2(grad u) + u * Laplacian(u) at x."""
     x = np.asarray(x, dtype=float)
     fsq = gradient_norm(model, field, x) ** 2
-    return fsq + field(x) * numeric_laplacian(model, measure, field, x,
-                                              flux_step=flux_step)
+    return fsq + field(x) * numeric_laplacian(model, measure, field, x)

@@ -149,6 +149,14 @@ def test_validation_exit_codes(tmp_path, capsys):
                     "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "mc_samples" in err and "sphere_order" in err
+    # an unknown model kind from a config file, which argparse never sees
+    kind = tmp_path / "kind.ini"
+    kind.write_text("[model]\nkind = banana\n")
+    for suite in ("refined-cs", "constants", "hardy"):
+        assert run_cli([suite, "--config", str(kind),
+                        "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "'banana'" in err and "randers, euclidean, hyperbolic" in err
     # argparse rejects bad choices itself, also with status 2
     with pytest.raises(SystemExit) as exc:
         run_cli(["hardy", "--measure", "xx", "--out", str(tmp_path)])
@@ -186,6 +194,26 @@ def test_drift_rule_on_reversible_models(tmp_path):
     assert rep["results"]["drift"] == 0.0
     res = json.loads((tmp_path / "constants" / "report.json").read_text())
     assert res["results"]["lambda_F"] == 1.0
+
+
+def test_report_records_the_model_it_ran(tmp_path):
+    # the drift belongs to the Randers model and k to the hyperbolic one; a
+    # flag that the model ignores leaves report.json byte for byte unchanged
+    for args in (["hardy-bv"], ["hardy-bv", "--t", "0.331"]):
+        out = tmp_path / "-".join(args)
+        assert run_cli([*args, "--samples", "2", "--out", str(out)]) == 0
+    texts = [(tmp_path / name / "report.json").read_text()
+             for name in ("hardy-bv", "hardy-bv---t-0.331")]
+    assert texts[0] == texts[1]
+    config = json.loads(texts[0])["config"]
+    assert (config["model"], config["t"], config["k"]) == \
+        ("hyperbolic", 0.0, -1.0)
+    out = tmp_path / "flat"
+    assert run_cli(["hardy", "--k", "-3", "--samples", "1",
+                    "--out", str(out)]) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert (config["model"], config["t"], config["k"]) == \
+        ("randers", 0.5, 0.0)
 
 
 def test_gbeta_and_constants(tmp_path):

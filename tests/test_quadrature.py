@@ -14,7 +14,8 @@ from finslerineq.models import HyperbolicBall, RandersFlat, euclidean_flat
 from finslerineq.quadrature import (QuadratureError, QuadratureSpec,
                                     annulus_integrate, pairwise_sum,
                                     power_integral, radial_integrate,
-                                    sphere_nodes, unit_sphere_area)
+                                    radial_segments, sphere_nodes,
+                                    unit_sphere_area)
 from oracles import annulus_integrate_tiled, box_montecarlo, sphere_integrate
 
 SPEC = QuadratureSpec()
@@ -53,32 +54,48 @@ def test_radial_rejects_bad_cuts(cuts):
         radial_integrate(never, cuts, SPEC)
 
 
+def _mixed(columns):
+    """A singular scalar integrand, or it stacked with two smooth columns."""
+    def f(t):
+        g = np.sin(3.0 * t) / t
+        return np.stack([g, t ** 2, np.exp(-t)], axis=-1) if columns else g
+    return f
+
+
+def _hexes(*values):
+    return [x.hex() for x in np.hstack(values).tolist()]
+
+
 @pytest.mark.parametrize("cuts", [(0.05, 0.9), (1e-6, 0.3, 0.9),
                                   (1e-6, 0.2, 0.45, 0.9)], ids=repr)
 @pytest.mark.parametrize("columns", [False, True], ids=["M", "MxT"])
 def test_radial_integrate_cuts_match_segment_sums(cuts, columns):
     # one call over all cuts: f sees every segment's coarse and fine nodes
-    # at once, and the segments add in order as separate calls would
-    def f(t):
-        g = np.sin(3.0 * t) / t
-        return np.stack([g, t ** 2, np.exp(-t)], axis=-1) if columns else g
-
+    # at once; each segment of the pass is radial_integrate on that segment
+    # alone, bit for bit, and radial_integrate adds the segments in order
+    f = _mixed(columns)
     calls = []
 
     def counted(t):
         calls.append(t.size)
         return f(t)
 
-    value, error = radial_integrate(counted, cuts, SPEC)
+    values, errors = radial_segments(counted, cuts, SPEC)
     assert len(calls) == 1
+    segments = len(cuts) - 1
+    assert values.shape == errors.shape == \
+        ((segments, 3) if columns else (segments,))
     want_v, want_e = 0.0, 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    for s, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
         v, e = radial_integrate(f, (a, b), SPEC)
+        assert _hexes(values[s], errors[s]) == _hexes(v, e)
         want_v = want_v + v
         want_e = want_e + e
-    got, want = np.append(value, error), np.append(want_v, want_e)
-    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    value, error = radial_integrate(f, cuts, SPEC)
+    assert _hexes(value, error) == _hexes(want_v, want_e)
     assert np.shape(value) == ((3,) if columns else ())
+    if not columns:
+        assert type(value) is float and type(error) is float
 
 
 def test_radial_convergence_order():

@@ -5,7 +5,10 @@ The reference integrates every term of every radial report on its own, one
 integrand written out in full.  The reports integrate all of their terms
 and segments in one pass; the column sums use the same pairwise tree and
 the segments add in the same order, so every value, error, slack, G^beta
-figure and check must agree bit for bit.
+figure and check must agree bit for bit.  The sweep reference integrates
+every shell between consecutive cuts on its own and sums the shells above
+each eps in the sweep's order; a second one integrates every eps on its
+own, region by region, as sweeps once did, and bounds the regrouping.
 """
 
 import math
@@ -17,7 +20,8 @@ from finslerineq import harness as H
 from finslerineq.models import (HyperbolicBall, RadialTestFunction,
                                 RandersFlat, SmoothCutoff)
 from finslerineq.quadrature import (QuadratureSpec, annulus_integrate,
-                                    power_integral, radial_integrate)
+                                    power_integral, radial_integrate,
+                                    radial_segments)
 
 SPEC = QuadratureSpec()
 FLOOR = 1e-12
@@ -227,7 +231,63 @@ def ref_rellich_bv(model, measure, prof, beta):
     return terms, slack, checks
 
 
-def ref_sweep_row(model, measure, gamma, order, eps, r, R):
+def ref_sweep_rows(model, measure, gamma, order, eps_list, r, R):
+    """The sweep rows from one pass: ``ref_integral`` on every shell between
+    the cuts eps..., r, R (and FLOOR * min eps below them on curved
+    models), one call per shell and column, and each row a sum over the
+    shells above its eps, added from the outermost shell inward."""
+    n = model.n
+    beta = (n - 2.0 - 2.0 * gamma) if order == 1 else (n - 4.0 - 2.0 * gamma)
+    weight = 2.0 + beta if order == 1 else 4.0 + beta
+    cp = model.cp_constant(measure)
+    eps_list = sorted(eps_list, reverse=True)
+    prof = RadialTestFunction(gamma, eps_list[-1],
+                              SmoothCutoff(r, R)).profile()
+    curved = model.curvature != 0.0
+    floor = [FLOOR * eps_list[-1]] if curved else []
+    cuts = floor + eps_list[::-1] + [r, R]
+    if order == 1:
+        def energy(rho):
+            return prof.d1(rho) ** 2 * rho ** (-beta)
+    else:
+        def energy(rho):
+            return ref_lap(model, prof, rho) ** 2 * rho ** (-beta)
+    columns = (energy, lambda rho: prof.f(rho) ** 2 * rho ** (-weight),
+               lambda rho: rho ** (-n), lambda rho: rho ** (-weight))
+    shells = [[ref_integral(model, measure, g, b, lo=a) for g in columns]
+              for a, b in zip(cuts[:-1], cuts[1:])]
+    scale = np.asarray(eps_list) ** (-2.0 * gamma)
+
+    def total(column, part, shell_range):
+        acc = 0.0
+        for s in shell_range:
+            acc = acc + shells[s][column][part]
+        return acc
+
+    rows = []
+    for eps, eps_scale in zip(eps_list, scale):
+        first = cuts.index(eps)
+        above = range(len(shells) - 1, first - 1, -1)   # outermost first
+        i1, mass = total(0, 0, above), total(1, 0, above)
+        j1 = total(2, 0, above[1:])                      # (eps, r) only
+        if curved:
+            below = range(first)                         # innermost first
+            inner, inner_err = total(3, 0, below), total(3, 1, below)
+        else:
+            inner = cp * power_integral(n - 1.0 - weight, 0.0, eps)
+            inner_err = 0.0
+        i2 = eps_scale * inner + mass
+        err = total(0, 1, above) + total(1, 1, above) + eps_scale * inner_err
+        j1_exact = float("nan") if curved else cp * math.log(r / eps)
+        rows.append(H.SweepRow(eps, i1, i2, i1 / i2, j1, j1_exact,
+                               err).as_dict())
+    return rows
+
+
+def ref_sweep_row_per_eps(model, measure, gamma, order, eps, r, R):
+    """The row of one eps from its own profile, region by region: the
+    annulus (eps, r), the cutoff region (r, R) and the inner ball (0, eps),
+    with J1 on the annulus rule for n <= 4."""
     n = model.n
     beta = (n - 2.0 - 2.0 * gamma) if order == 1 else (n - 4.0 - 2.0 * gamma)
     cp = model.cp_constant(measure)
@@ -323,21 +383,41 @@ def test_rellich_family_matches_reference(model):
                         rep.constants["gbeta_scale"]) == want[:2]
 
 
-@pytest.mark.parametrize("model", (RANDERS, HyperbolicBall(3, -1.0),
-                                   RandersFlat(5, 0.3),
-                                   RandersFlat(6, 0.5),
-                                   HyperbolicBall(6, -1.0)), ids=repr)
-def test_sweep_rows_match_reference(model):
-    eps_list = (1e-2, 1e-3, 1e-4)
+SWEEP_MODELS = (RANDERS, HyperbolicBall(3, -1.0), RandersFlat(5, 0.3),
+                RandersFlat(6, 0.5), HyperbolicBall(6, -1.0))
+
+
+def sweeps_of(model):
+    """(sweep, order, beta) of every sweep the model admits."""
     sweeps = [(H.hardy_sharpness_sweep, 1, 0.0)]
     if model.n > 4:
         sweeps.append((H.rellich_sharpness_sweep, 2, 0.5))
-    for sweep, order, beta in sweeps:
+    return sweeps
+
+
+@pytest.mark.parametrize("model", SWEEP_MODELS, ids=repr)
+def test_sweep_rows_match_reference(model):
+    eps_list = (1e-2, 1e-3, 1e-4)
+    for sweep, order, beta in sweeps_of(model):
         tab = sweep(model, "bh", beta, 0.4, 0.9, eps_list, SPEC)
-        gamma = tab.constants["gamma"]
+        want = ref_sweep_rows(model, "bh", tab.constants["gamma"], order,
+                              eps_list, 0.4, 0.9)
+        assert [row.as_dict() for row in tab.rows] == want
+
+
+@pytest.mark.parametrize("model", SWEEP_MODELS, ids=repr)
+def test_sweep_rows_match_per_eps_decomposition(model):
+    # the one pass regroups the per-eps integrals: the rows stay within
+    # rounding of integrating every eps on its own, region by region
+    eps_list = (1e-2, 1e-3, 1e-4)
+    for sweep, order, beta in sweeps_of(model):
+        tab = sweep(model, "bh", beta, 0.4, 0.9, eps_list, SPEC)
         for row, eps in zip(tab.rows, eps_list):
-            assert row.as_dict() == ref_sweep_row(model, "bh", gamma, order,
-                                                  eps, 0.4, 0.9)
+            want = ref_sweep_row_per_eps(model, "bh", tab.constants["gamma"],
+                                         order, eps, 0.4, 0.9)
+            for key in ("i1", "i2", "quotient", "j1_quadrature"):
+                assert getattr(row, key) == pytest.approx(want[key],
+                                                          rel=1e-12), key
 
 
 def test_one_pass_per_report_and_no_nested_reports(monkeypatch):
@@ -347,10 +427,16 @@ def test_one_pass_per_report_and_no_nested_reports(monkeypatch):
         calls.append(tuple(cuts))
         return radial_integrate(f, cuts, spec)
 
+    def counted_segments(f, cuts, spec):
+        calls.append(("segments",) + tuple(cuts))
+        return radial_segments(f, cuts, spec)
+
     def forbidden(*args, **kwargs):
-        raise AssertionError("a report re-ran another report")
+        raise AssertionError("a report re-ran another report or pass")
 
     monkeypatch.setattr(H, "radial_integrate", counted)
+    monkeypatch.setattr(H, "radial_segments", counted_segments)
+    monkeypatch.setattr(H, "annulus_integrate", forbidden)
     monkeypatch.setattr(H, "hardy_report", forbidden)
     monkeypatch.setattr(H, "gbeta", forbidden)
     h = HyperbolicBall(6, -1.0)
@@ -362,8 +448,12 @@ def test_one_pass_per_report_and_no_nested_reports(monkeypatch):
         report(h, "bh", prof, 0.0, SPEC)
         assert len(calls) == 1, report.__name__
         assert inner in calls[0], report.__name__
-    # a curved sweep: the cutoff region (r, R) once, then per row the
-    # annulus (eps, r) and the inner ball (0, eps)
-    calls.clear()
-    H.rellich_sharpness_sweep(h, "bh", 0.0, 0.4, 0.9, (1e-2, 1e-3), SPEC)
-    assert len(calls) == 1 + 2 * 2
+    # every sweep, flat or curved and at any n, is one pass cut at every
+    # eps, r and R (and the floor under the inner ball on curved models)
+    eps_list = (1e-2, 1e-3)
+    for model in (h, RandersFlat(3, 0.5), HyperbolicBall(4, -1.0)):
+        for sweep, _, beta in sweeps_of(model):
+            calls.clear()
+            sweep(model, "bh", beta, 0.4, 0.9, eps_list, SPEC)
+            floor = (FLOOR * 1e-3,) if model.curvature else ()
+            assert calls == [("segments", *floor, 1e-3, 1e-2, 0.4, 0.9)]
