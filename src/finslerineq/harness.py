@@ -53,14 +53,11 @@ RADIAL_FLOOR = 1e-12     # relative inner cutoff for integrals reaching rho=0
 # relative inner cutoff of the G^beta field road, whose numeric Laplacian
 # takes an absolute flux step
 GBETA_FIELD_FLOOR = 1e-6
+GBETA_BAND = 1e-6        # kernel membership: |G^beta(u)| <= band * scale
 
 
 class PreconditionError(ValueError):
     """A report was requested outside its parameter domain."""
-
-
-class GBetaViolation(PreconditionError):
-    """The test function is not in the kernel of the admissibility functional."""
 
 
 # ------------------------------------------------------------------ records
@@ -160,7 +157,26 @@ class CampaignSummary:
         return _record_dict(self)
 
 
-# ---------------------------------------------------------------- constants
+# ---------------------------------------------------------- domains, constants
+def hardy_domain(n: int, beta: float, what: str) -> None:
+    """The Hardy family's domain n - 2 > beta; ``what`` names the theorem."""
+    if not n - 2.0 > beta:
+        raise PreconditionError(f"{what} needs n - 2 > beta, got n={n}, "
+                                f"beta={beta}")
+
+
+def rellich_domain(n: int, beta: float, what: str) -> None:
+    """The Rellich family's domain -2 < beta < n - 4."""
+    if not -2.0 < beta < n - 4.0:
+        raise PreconditionError(f"{what} needs -2 < beta < n - 4, got n={n}, "
+                                f"beta={beta}")
+
+
+def gbeta_member(value: float, scale: float) -> bool:
+    """Whether G^beta(u) = ``value`` lies in the kernel band of ``scale``."""
+    return abs(value) <= GBETA_BAND * max(scale, 1e-300)
+
+
 def hardy_gamma(n: int, beta: float) -> float:
     return 0.5 * (n - 2.0 - beta)
 
@@ -175,9 +191,11 @@ def rellich_sharp_constant(n: int, beta: float) -> float:
 
 def bv_constant(model) -> float:
     """The explicit Brezis-Vazquez constant |k| min(1, n-1)^2 / (4 lambda_F^2)
-    (the reciprocal of the Poincare-type constant below)."""
+    (the reciprocal of the Poincare-type constant below); it checks the
+    refined and Poincare-type forms' domain k < 0."""
     if not model.curvature < 0.0:
-        raise PreconditionError("refined inequalities need curvature k < 0")
+        raise PreconditionError(f"the refined and Poincare-type inequalities "
+                                f"need k < 0, got k={model.curvature}")
     m = min(1.0, model.n - 1.0)
     return abs(model.curvature) * m * m / (4.0 * model.reversibility**2)
 
@@ -362,11 +380,9 @@ def _report(theorem: str, model, measure: str, beta: float, constants: dict,
 
 
 # ------------------------------------------------------------- hardy family
-def _hardy_constants(model, beta: float) -> dict:
+def _hardy_constants(model, beta: float, what: str) -> dict:
     n = model.n
-    if not n - 2.0 > beta:
-        raise PreconditionError(f"hardy needs n - 2 > beta, got n={n}, "
-                                f"beta={beta}")
+    hardy_domain(n, beta, what)
     gam = hardy_gamma(n, beta)
     return {"n": n, "beta": beta, "gamma": gam,
             "main_coefficient": gam * gam,
@@ -395,7 +411,7 @@ def hardy_report(model, measure: str, u, beta: float,
     """The curvature-weighted Hardy inequality: gradient energy against the
     sharp ``(n-2-beta)^2/4`` term plus the comparison remainder term."""
     spec = spec or QuadratureSpec()
-    constants = _hardy_constants(model, beta)
+    constants = _hardy_constants(model, beta, "hardy")
     raw = _terms(model, measure, u, _hardy_columns(model, beta), spec)
     terms = _hardy_terms(constants, raw)
     slack = terms["lhs"].value - terms["main"].value - terms["remainder"].value
@@ -408,7 +424,7 @@ def hardy_bv_report(model, measure: str, u, beta: float,
     """Refined Hardy inequality with the Brezis-Vazquez remainder
     (C/Lambda_F) * integral of u^2/rho_u^beta, for strictly negative k."""
     spec = spec or QuadratureSpec()
-    constants = _hardy_constants(model, beta)
+    constants = _hardy_constants(model, beta, "hardy-bv")
     cbv = bv_constant(model)
     coeff = cbv / model.uniformity
     raw = _terms(model, measure, u,
@@ -428,8 +444,6 @@ def poincare_report(model, measure: str, v,
     int v^2/rho^{n-2} <= (2 lambda_F/(sqrt(|k|) min(1,n-1)))^2
     int F^2(grad v)/rho^{n-2}; slack is RHS - LHS."""
     spec = spec or QuadratureSpec()
-    if not model.curvature < 0.0:
-        raise PreconditionError("poincare-type inequality needs k < 0")
     c = poincare_constant(model)
     n = model.n
     raw = _terms(model, measure, v,
@@ -449,8 +463,7 @@ def uncertainty_report(model, measure: str, u, beta: float,
     >= ((n-2-beta)/2) int u^2."""
     spec = spec or QuadratureSpec()
     n = model.n
-    if not n - 2.0 > beta:
-        raise PreconditionError("uncertainty needs n - 2 > beta")
+    hardy_domain(n, beta, "uncertainty")
     if model.curvature > 0.0:
         raise PreconditionError("uncertainty corollary needs K <= 0")
     gam = hardy_gamma(n, beta)
@@ -522,7 +535,8 @@ def gbeta(model, measure: str, u, beta: float,
     G^beta(u) = int [u^2 varrho_{u,beta} + 2 rho_u^{-beta-2} div(u grad u)].
 
     Returns (value, scale, error) where scale is the sum of the absolute
-    term integrals; membership in the kernel class is |value| <= 1e-6 * scale.
+    term integrals; membership in the kernel class is ``gbeta_member``.
+    Any beta is accepted: only the Rellich reports need -2 < beta < n - 4.
     """
     spec = spec or QuadratureSpec()
     prof = _as_radial(u)
@@ -537,17 +551,34 @@ def _profile_flux_jump(model, measure: str, prof: RadialProfile, nn: float,
     spheres where the profile derivative jumps (the radial flux is f f')."""
     cp = model.cp_constant(measure)
     total = 0.0
-    for bp in prof.breakpoints:
-        if not 0.0 < bp < hi:
-            continue
-        below = float(prof.d1(np.array([np.nextafter(bp, 0.0)]))[0])
-        above = float(prof.d1(np.array([np.nextafter(bp, np.inf)]))[0])
+    for bp, below, above in _d1_sides(prof, hi):
         if below == above:
             continue
         fval = float(prof.f(np.array([bp]))[0])
         w = float(model.radial_volume_density(np.array([bp]))[0])
         total += 2.0 * bp ** (-nn) * fval * (above - below) * w
     return cp * total
+
+
+def _d1_sides(prof: RadialProfile, hi: float):
+    """(b, f'(b-), f'(b+)) at every breakpoint b in (0, hi), each side read
+    at the double next to b."""
+    for bp in prof.breakpoints:
+        if 0.0 < bp < hi:
+            yield bp, *(float(prof.d1(np.array([np.nextafter(bp, side)]))[0])
+                        for side in (0.0, np.inf))
+
+
+def _require_c1(prof: RadialProfile) -> None:
+    """Reject a derivative jump at an inner breakpoint b, beyond rounding:
+    Delta u then has a singular part on rho = b that (Delta u)^2 misses."""
+    for bp, below, above in _d1_sides(prof, prof.support):
+        fval = float(prof.f(np.array([bp]))[0])
+        if abs(above - below) > 1e-8 * (abs(fval) / bp + abs(below)
+                                        + abs(above)):
+            raise PreconditionError(f"refined rellich needs a C^1 profile; "
+                                    f"f' jumps by {above - below:.3e} "
+                                    f"at rho = {bp}")
 
 
 def _rellich_pass(model, measure: str, prof: RadialProfile, beta: float,
@@ -561,10 +592,10 @@ def _rellich_pass(model, measure: str, prof: RadialProfile, beta: float,
         cols["weight4_rem"] = _u2(-4.0 - beta, model)
     raw = _radial_terms(model, measure, prof, {**cols, **extra}, spec)
     gval, gscale, _gerr = _gbeta_value(model, measure, prof, beta, raw)
-    if abs(gval) > 1e-6 * max(gscale, 1e-300):
-        raise GBetaViolation(
+    if not gbeta_member(gval, gscale):
+        raise PreconditionError(
             f"G^beta(u) = {gval:.3e} exceeds the membership band "
-            f"1e-6 * {gscale:.3e}")
+            f"{GBETA_BAND:g} * {gscale:.3e}")
     return raw, gval, gscale
 
 
@@ -573,9 +604,7 @@ def rellich_report(model, measure: str, u, beta: float,
     """Sharp Rellich inequality for kernel-class test functions."""
     spec = spec or QuadratureSpec()
     n = model.n
-    if not (-2.0 < beta < n - 4.0):
-        raise PreconditionError(f"rellich needs -2 < beta < n - 4, got "
-                                f"beta={beta}, n={n}")
+    rellich_domain(n, beta, "rellich")
     raw, gval, gscale = _rellich_pass(model, measure, _require_radial(u),
                                       beta, spec, {})
     delta = rellich_sharp_constant(n, beta)
@@ -597,11 +626,12 @@ def rellich_bv_report(model, measure: str, u, beta: float,
     plus the intermediate square-completion inequality as an internal check."""
     spec = spec or QuadratureSpec()
     n = model.n
-    if not (0.0 <= beta < n - 2.0):
-        raise PreconditionError("refined rellich needs 0 <= beta < n - 2")
-    if not model.curvature < 0.0:
-        raise PreconditionError("refined rellich needs k < 0")
+    if not 0.0 <= beta < n - 2.0:
+        raise PreconditionError(f"refined rellich needs 0 <= beta < n - 2, "
+                                f"got n={n}, beta={beta}")
     cbv = bv_constant(model)
+    prof = _require_radial(u)
+    _require_c1(prof)
     lam = model.uniformity
     delta = rellich_sharp_constant(n, beta)
     c_rem4 = (n - 1.0) * (n - 2.0) * (n + beta) * (n - 4.0 - beta) / 4.0
@@ -616,8 +646,8 @@ def rellich_bv_report(model, measure: str, u, beta: float,
     if beta < n - 4.0:
         extra["de1"] = lambda j: (j.lap + q * j.f / j.rho**2) ** 2 * \
             j.rho ** (-beta)
-    raw, gval, gscale = _rellich_pass(model, measure, _require_radial(u),
-                                      beta, spec, extra)
+    raw, gval, gscale = _rellich_pass(model, measure, prof, beta, spec,
+                                      extra)
     terms = {
         "lhs": raw["lhs"],
         "main": raw["weight4"].scaled(delta),
@@ -735,23 +765,22 @@ def _sharpness_sweep(model, measure: str, beta: float, r: float, R: float,
                      order: int) -> SweepTable:
     n = model.n
     if order == 1:
-        if not n - 2.0 > beta:
-            raise PreconditionError("hardy sweep needs n - 2 > beta")
+        theorem = "hardy-sweep"
+        hardy_domain(n, beta, theorem)
         gamma = hardy_gamma(n, beta)
         sharp = gamma * gamma
-        theorem = "hardy-sweep"
     else:
-        if not (-2.0 < beta < n - 4.0):
-            raise PreconditionError("rellich sweep needs -2 < beta < n - 4")
+        theorem = "rellich-sweep"
+        rellich_domain(n, beta, theorem)
         gamma = rellich_gamma(n, beta)
         sharp = rellich_sharp_constant(n, beta)
-        theorem = "rellich-sweep"
     eps_arr = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
+    if not (all(0.0 < e < r for e in eps_arr) and r < R):
+        raise PreconditionError(f"{theorem} needs 0 < eps < r < R, got "
+                                f"eps={eps_arr.tolist()}, r={r}, R={R}")
     if eps_arr.size < 2:
         raise PreconditionError("the sweep needs at least two distinct eps "
                                 "values to extrapolate")
-    if not (0.0 < eps_arr[-1] and eps_arr[0] < r < R):
-        raise PreconditionError("need 0 < eps < r < R")
 
     cp = model.cp_constant(measure)
     i1s, i2s, j1s, errs = _truncated_family_integrals(

@@ -10,7 +10,7 @@ import pytest
 
 import finslerineq
 from finslerineq import harness
-from finslerineq.cli import RunConfig, main
+from finslerineq.cli import SUITES, RunConfig, main
 from finslerineq.fields import CriticalPointError
 
 
@@ -112,8 +112,10 @@ def test_validation_exit_codes(tmp_path, capsys):
                     "--out", str(tmp_path)]) == 2
     assert run_cli(["poincare", "--model", "euclidean",
                     "--out", str(tmp_path)]) == 2
+    # the eps range is checked before the count of distinct eps values
     assert run_cli(["hardy-sweep", "--eps", "0.9",
                     "--out", str(tmp_path)]) == 2
+    assert "0 < eps < r < R" in capsys.readouterr().err
     # the sweep extrapolates from at least two distinct eps values
     for eps in ("0.01", "0.01,0.01"):
         assert run_cli(["hardy-sweep", "--eps", eps,
@@ -157,11 +159,56 @@ def test_validation_exit_codes(tmp_path, capsys):
                         "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "'banana'" in err and "randers, euclidean, hyperbolic" in err
+    # each theorem's domain is checked by the harness alone; its message
+    # names n and beta, or the range broken, and no directory is made
+    fail = tmp_path / "fail"
+    for args, words in (
+            (["uncertainty", "--n", "3", "--beta", "1"],
+             ("n - 2 > beta", "n=3", "beta=1.0")),
+            (["rellich-sweep", "--n", "6", "--beta", "3"],
+             ("-2 < beta < n - 4", "n=6", "beta=3.0")),
+            (["gbeta-check", "--beta", "-3"], ("n=6", "beta=-3.0")),
+            (["gbeta-check", "--beta", "2"], ("n=6", "beta=2.0")),
+            (["rellich-bv", "--beta", "-1"],
+             ("0 <= beta < n - 2", "n=6", "beta=-1.0")),
+            (["rellich-bv", "--model", "euclidean"], ("k < 0",)),
+            (["hardy-sweep", "--r", "0.5", "--R", "0.4"],
+             ("0 < eps < r < R", "r=0.5", "R=0.4")),
+            (["hardy-sweep", "--eps", "0,0.01"],
+             ("0 < eps < r < R", "0.0"))):
+        assert run_cli([*args, "--out", str(fail)]) == 2, args
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), (args, err)
+        assert not fail.exists(), args
+    # nor does a numerical failure
+    assert run_cli(["constants", "--n", "400", "--out", str(fail)]) == 3
+    assert not fail.exists()
+    capsys.readouterr()
     # argparse rejects bad choices itself, also with status 2
     with pytest.raises(SystemExit) as exc:
         run_cli(["hardy", "--measure", "xx", "--out", str(tmp_path)])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("section,key", [("model", "kind"), ("model", "n"),
+                                         ("run", "eps"), ("run", "out")])
+def test_empty_config_value_is_an_error(tmp_path, capsys, section, key):
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text(f"[{section}]\n{key} =\n")
+    assert run_cli(["hardy-sweep", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+    assert f"[{section}] {key} has an empty value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unparsable_config_file(tmp_path, capsys):
+    # no section header: a configuration error, not a traceback
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text("n = 3\n")
+    assert run_cli(["constants", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+    assert "config file unreadable" in capsys.readouterr().err
 
 
 def test_quadrature_tolerances_from_config(tmp_path, capsys):
@@ -270,6 +317,38 @@ def test_critical_point_error_exits_numerical(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "hardy_report", critical)
     assert run_cli(["hardy", "--samples", "1", "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite,attr", [("hardy-sweep", "hardy_sharpness_sweep"),
+                                        ("gbeta-check", "gbeta")])
+def test_runners_look_up_harness_functions(tmp_path, monkeypatch, capsys,
+                                           suite, attr):
+    # a runner finds its harness function when it runs, so a function
+    # replaced on the module after import is the one called
+    def critical(*args, **kwargs):
+        raise CriticalPointError("du vanishes at the stencil centre")
+
+    monkeypatch.setattr(harness, attr, critical)
+    assert run_cli([suite, "--samples", "1", "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_suite_defaults_reach_the_report(tmp_path):
+    # each suite's default model and n, as the README lists them
+    defaults = {"hardy": ("randers", 3), "hardy-bv": ("hyperbolic", 4),
+                "hardy-sweep": ("randers", 3), "rellich": ("randers", 6),
+                "rellich-bv": ("hyperbolic", 6),
+                "rellich-sweep": ("randers", 6),
+                "uncertainty": ("randers", 4), "gbeta-check": ("randers", 6),
+                "poincare": ("hyperbolic", 3), "refined-cs": ("randers", 3),
+                "constants": ("randers", 3)}
+    assert set(defaults) == set(SUITES)
+    for suite, (model, n) in defaults.items():
+        assert (SUITES[suite].model, SUITES[suite].n) == (model, n)
+        out = tmp_path / suite
+        assert run_cli([suite, "--samples", "1", "--out", str(out)]) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert (config["model"], config["n"]) == (model, n), suite
 
 
 @pytest.mark.parametrize("args", [["constants", "--n", "400"],

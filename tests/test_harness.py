@@ -263,6 +263,38 @@ def test_rellich_bv_battery_and_de1():
     assert rep.constants["coeff_weight0"] == pytest.approx(0.0625)
 
 
+def test_rellich_bv_rejects_kinked_profiles():
+    # the truncated family's f' jumps by -1e6 at eps = 1e-3, so Delta u has
+    # a singular part on that sphere which the (Delta u)^2 terms miss
+    h = HyperbolicBall(6, -1.0)
+    kinked = RadialTestFunction(1.0, 1e-3, SmoothCutoff(0.5, 0.9))
+    for beta in (0.0, 1.0):
+        with pytest.raises(H.PreconditionError, match="C\\^1.* 0.001"):
+            H.rellich_bv_report(h, "bh", kinked, beta, SPEC)
+    # smooth profiles whose one-sided derivatives at a cutoff breakpoint
+    # differ by rounding still pass
+    for prof in H.radial_battery(20, 0.9):
+        assert H.rellich_bv_report(h, "bh", prof, 0.0, SPEC).passed
+
+
+def test_domains_name_the_theorem_n_and_beta():
+    with pytest.raises(H.PreconditionError,
+                       match=r"hardy-bv needs n - 2 > beta, got n=4, "
+                             r"beta=2.5"):
+        H.hardy_bv_report(HyperbolicBall(4, -1.0), "bh",
+                          H.radial_battery(1)[0], 2.5, SPEC)
+    with pytest.raises(H.PreconditionError,
+                       match=r"rellich needs -2 < beta < n - 4, got n=5, "
+                             r"beta=1.0"):
+        H.rellich_report(RandersFlat(5, 0.5), "bh", H.radial_battery(1)[0],
+                         1.0, SPEC)
+    # gbeta itself takes a beta outside the Rellich domain (n = 3, beta = -1)
+    m = RandersFlat(3, 0.4)
+    val, scale, _ = H.gbeta(m, "bh", H.radial_battery(1, 0.9)[0], -1.0, SPEC)
+    assert H.gbeta_member(val, scale)
+    assert not H.gbeta_member(2.0 * H.GBETA_BAND, 1.0)
+
+
 def test_rellich_bv_unit_uniformity_simplification():
     h = HyperbolicBall(6, -1.0)
     rep = H.rellich_bv_report(h, "bh", cutoff_profile(0.4, 0.9), 0.0, SPEC)

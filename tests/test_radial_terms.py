@@ -374,7 +374,12 @@ def test_rellich_family_matches_reference(model):
             assert_report(rep, ref_rellich(model, "bh", prof, beta))
             assert (rep.constants["gbeta_value"],
                     rep.constants["gbeta_scale"]) == want[:2]
-            if model.curvature < 0.0:
+            if model.curvature < 0.0 and prof.label.startswith("trunc"):
+                # the kinked member's Delta u has a singular part on
+                # rho = eps, which the refined report's terms would miss
+                with pytest.raises(H.PreconditionError, match="C\\^1"):
+                    H.rellich_bv_report(model, "bh", prof, beta, SPEC)
+            elif model.curvature < 0.0:
                 # both betas are below n - 4, so both carry the de1 check
                 rep = H.rellich_bv_report(model, "bh", prof, beta, SPEC)
                 assert_report(rep, ref_rellich_bv(model, "bh", prof, beta))
