@@ -115,6 +115,11 @@ class RunConfig:
             raise ConfigError(f"samples must be >= 0, got {self.samples}")
         if self.model == "randers" and not 0.0 <= self.t < 1.0:
             raise ConfigError("randers drift t must be in [0, 1)")
+        out = Path(self.out)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"out must name a directory, but {existing} "
+                              f"is a file")
 
 
 def _fmt(x) -> str:

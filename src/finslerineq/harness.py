@@ -15,15 +15,18 @@ A report writes its integrands once, as a table of named columns of a jet
 (u, F*(du), rho, Delta u, the G^beta density), which ``_terms`` integrates
 on one of two roads.  Radial inputs reduce through the model's polar
 reduction (``cp_constant`` x radial density) to one ``radial_integrate``
-pass per report, split at the profile's breakpoints, which evaluates the
-profile jet once on the nodes of every segment; a sweep's one pass is cut
-at every eps, and each row sums its ``radial_segments`` shells above its
-eps.  Scalar fields take one backward-polar annulus pass of a field
-jet that evaluates u, F*(du), the sign-cased distance ``rho_u`` and the
-numeric Laplacian once per node set: the points of a block of radial
-nodes (m, 1) against the sphere directions (K, n), an (m, K, n) stack, so
-every column comes out (m, K).  Both roads read the G^beta density
--Delta(rho^(-beta-2)) at the jet's rho, which on the field road is rho_u.
+pass per report, split at the profile's breakpoints.  The pass calls the
+profile's jet (``RadialProfile.derivatives``) once, on the nodes of all
+its segments together, and computes each power rho^p and the comparison
+remainder D(rho) once; each breakpoint read is one more jet call.  A
+sweep's one pass is cut at every eps, and each row sums its
+``radial_segments`` shells above its eps.  Scalar fields take one
+backward-polar annulus pass of a field jet that evaluates u, F*(du), the
+sign-cased distance ``rho_u`` and the numeric Laplacian once per node set:
+the points of a block of radial nodes (m, 1) against the sphere directions
+(K, n), an (m, K, n) stack, so every column comes out (m, K).  Both roads
+read the G^beta density -Delta(rho^(-beta-2)) at the jet's rho, which on
+the field road is rho_u.
 The Hardy, Brezis-Vazquez Hardy, Poincare and uncertainty reports and
 ``gbeta`` accept a ``fields.ScalarField``; the Rellich pair stays radial,
 because its G^beta membership gate needs the distributional terms (flux
@@ -223,26 +226,27 @@ def _require_radial(u) -> RadialProfile:
 
 
 class _Jet:
-    """The profile jet at the radial nodes: rho, f, f' and the radial
-    Laplacian f'' + f' (n-1) s'/s, each evaluated at most once; the G^beta
-    density ``varrho`` has one reader, the G^beta column."""
+    """The readers both roads' jets share, each evaluated at most once per
+    node set: every power rho^p and the comparison remainder D(rho).  The
+    G^beta density ``varrho`` has one reader, the G^beta column."""
 
-    def __init__(self, model, prof: RadialProfile, rho):
-        self.model, self.prof = model, prof
-        self.rho = rho
-
-    @cached_property
-    def f(self) -> np.ndarray:
-        return self.prof.f(self.rho)
+    model: object
+    rho: np.ndarray
 
     @cached_property
-    def d1(self) -> np.ndarray:
-        return self.prof.d1(self.rho)
+    def _powers(self) -> dict[float, np.ndarray]:
+        return {}
+
+    def power(self, p: float) -> np.ndarray:
+        """rho^p."""
+        if p not in self._powers:
+            self._powers[p] = self.rho ** p
+        return self._powers[p]
 
     @cached_property
-    def lap(self) -> np.ndarray:
-        return self.prof.d2(self.rho) + self.d1 * \
-            np.asarray(self.model.radial_mean_curvature(self.rho))
+    def remainder(self) -> np.ndarray:
+        """D(rho), the model's comparison remainder."""
+        return self.model.comparison_remainder(self.rho)
 
     def varrho(self, beta: float) -> np.ndarray:
         """-Delta(rho^(-beta-2)) read at the jet's rho, the density of u^2
@@ -253,10 +257,24 @@ class _Jet:
         return -np.asarray(self.model.radial_laplacian(beta + 2.0, self.rho))
 
 
+class _RadialJet(_Jet):
+    """The profile jet at the radial nodes: rho, f, f' and f'' from one
+    call of the profile's jet, and the radial Laplacian
+    f'' + f' (n-1) s'/s."""
+
+    def __init__(self, model, prof: RadialProfile, rho: np.ndarray):
+        self.model, self.rho = model, rho
+        self.f, self.d1, self.d2 = prof.derivatives(rho)
+
+    @cached_property
+    def lap(self) -> np.ndarray:
+        return self.d2 + self.d1 * \
+            np.asarray(self.model.radial_mean_curvature(self.rho))
+
+
 class _FieldJet(_Jet):
     """The same names at backward-polar nodes x of a scalar field: f = u,
-    d1 = F*(du), rho = rho_u and the numeric Laplacian; ``varrho`` is the
-    radial one, read at rho_u."""
+    d1 = F*(du), rho = rho_u and the numeric Laplacian."""
 
     def __init__(self, model, measure: str, u: fc.ScalarField, x):
         self.model, self.measure, self.u, self.x = model, measure, u, x
@@ -288,19 +306,19 @@ class _FieldJet(_Jet):
 _Column = Callable[[_Jet], np.ndarray]
 
 
-def _u2(p: float, model=None) -> _Column:
-    """f^2 rho^p, times the comparison remainder D(rho) when a model is given."""
-    if model is None:
-        return lambda j: j.f ** 2 * j.rho ** p
-    return lambda j: j.f ** 2 * j.rho ** p * model.comparison_remainder(j.rho)
+def _u2(p: float, remainder: bool = False) -> _Column:
+    """f^2 rho^p, times the comparison remainder D(rho) with ``remainder``."""
+    if not remainder:
+        return lambda j: j.f ** 2 * j.power(p)
+    return lambda j: j.f ** 2 * j.power(p) * j.remainder
 
 
 def _du2(p: float) -> _Column:
-    return lambda j: j.d1 ** 2 * j.rho ** p
+    return lambda j: j.d1 ** 2 * j.power(p)
 
 
 def _lap2(p: float) -> _Column:
-    return lambda j: j.lap ** 2 * j.rho ** p
+    return lambda j: j.lap ** 2 * j.power(p)
 
 
 def _radial_integrand(model, prof: RadialProfile,
@@ -308,7 +326,7 @@ def _radial_integrand(model, prof: RadialProfile,
                       ) -> Callable[[np.ndarray], np.ndarray]:
     """The (M, T) table of every column(jet) times the radial density."""
     def integrand(rho: np.ndarray) -> np.ndarray:
-        jet = _Jet(model, prof, rho)
+        jet = _RadialJet(model, prof, rho)
         cols = np.stack([col(jet) for col in columns.values()], axis=-1)
         return cols * model.radial_volume_density(rho)[:, None]
 
@@ -394,7 +412,7 @@ def _hardy_constants(model, beta: float, what: str) -> dict:
 def _hardy_columns(model, beta: float) -> dict[str, _Column]:
     cols = {"lhs": _du2(-beta), "main": _u2(-2.0 - beta)}
     if model.curvature != 0.0:
-        cols["remainder"] = _u2(-2.0 - beta, model)
+        cols["remainder"] = _u2(-2.0 - beta, remainder=True)
     return cols
 
 
@@ -495,7 +513,7 @@ def _gbeta_columns(prof: RadialProfile | None,
                                 "nonincreasing profile")
     nn = beta + 2.0
     return {"gbeta_varrho": lambda j: j.f ** 2 * j.varrho(beta),
-            "gbeta_div": lambda j: 2.0 * j.rho ** (-nn)
+            "gbeta_div": lambda j: 2.0 * j.power(-nn)
             * (j.d1 ** 2 + j.f * j.lap)}
 
 
@@ -551,29 +569,29 @@ def _profile_flux_jump(model, measure: str, prof: RadialProfile, nn: float,
     spheres where the profile derivative jumps (the radial flux is f f')."""
     cp = model.cp_constant(measure)
     total = 0.0
-    for bp, below, above in _d1_sides(prof, hi):
+    for bp, fval, below, above in _breakpoint_sides(prof, hi):
         if below == above:
             continue
-        fval = float(prof.f(np.array([bp]))[0])
         w = float(model.radial_volume_density(np.array([bp]))[0])
         total += 2.0 * bp ** (-nn) * fval * (above - below) * w
     return cp * total
 
 
-def _d1_sides(prof: RadialProfile, hi: float):
-    """(b, f'(b-), f'(b+)) at every breakpoint b in (0, hi), each side read
-    at the double next to b."""
+def _breakpoint_sides(prof: RadialProfile, hi: float):
+    """(b, f(b), f'(b-), f'(b+)) at every breakpoint b in (0, hi), each side
+    read at the double next to b, all from one jet call."""
     for bp in prof.breakpoints:
         if 0.0 < bp < hi:
-            yield bp, *(float(prof.d1(np.array([np.nextafter(bp, side)]))[0])
-                        for side in (0.0, np.inf))
+            nodes = np.array([bp, np.nextafter(bp, 0.0),
+                              np.nextafter(bp, np.inf)])
+            f, d1 = prof.derivatives(nodes, 1)
+            yield bp, float(f[0]), float(d1[1]), float(d1[2])
 
 
 def _require_c1(prof: RadialProfile) -> None:
     """Reject a derivative jump at an inner breakpoint b, beyond rounding:
     Delta u then has a singular part on rho = b that (Delta u)^2 misses."""
-    for bp, below, above in _d1_sides(prof, prof.support):
-        fval = float(prof.f(np.array([bp]))[0])
+    for bp, fval, below, above in _breakpoint_sides(prof, prof.support):
         if abs(above - below) > 1e-8 * (abs(fval) / bp + abs(below)
                                         + abs(above)):
             raise PreconditionError(f"refined rellich needs a C^1 profile; "
@@ -589,7 +607,7 @@ def _rellich_pass(model, measure: str, prof: RadialProfile, beta: float,
     cols = _gbeta_columns(prof, beta)
     cols.update({"lhs": _lap2(-beta), "weight4": _u2(-4.0 - beta)})
     if model.curvature != 0.0:
-        cols["weight4_rem"] = _u2(-4.0 - beta, model)
+        cols["weight4_rem"] = _u2(-4.0 - beta, remainder=True)
     raw = _radial_terms(model, measure, prof, {**cols, **extra}, spec)
     gval, gscale, _gerr = _gbeta_value(model, measure, prof, beta, raw)
     if not gbeta_member(gval, gscale):
@@ -641,11 +659,11 @@ def rellich_bv_report(model, measure: str, u, beta: float,
     # intermediate inequality (beta < n - 4): completed-square energy
     # bounded by the Rellich excess minus the first-order remainder
     q = (n + beta) * (n - 4.0 - beta) / 4.0
-    extra = {"w2": _u2(-2.0 - beta), "w2_rem": _u2(-2.0 - beta, model),
-             "w0": _u2(-beta)}
+    extra = {"w2": _u2(-2.0 - beta),
+             "w2_rem": _u2(-2.0 - beta, remainder=True), "w0": _u2(-beta)}
     if beta < n - 4.0:
-        extra["de1"] = lambda j: (j.lap + q * j.f / j.rho**2) ** 2 * \
-            j.rho ** (-beta)
+        extra["de1"] = lambda j: (j.lap + q * j.f / j.power(2.0)) ** 2 * \
+            j.power(-beta)
     raw, gval, gscale = _rellich_pass(model, measure, prof, beta, spec,
                                       extra)
     terms = {
@@ -709,8 +727,8 @@ def _truncated_family_integrals(model, measure: str, gamma: float,
     cuts = [*floor, *eps_arr[::-1], r, R]
     prof = RadialTestFunction(gamma, eps_arr[-1], SmoothCutoff(r, R)).profile()
     columns = {"energy": _du2(-beta) if order == 1 else _lap2(-beta),
-               "mass": _u2(-weight), "j1": lambda j: j.rho ** (-n),
-               "inner": lambda j: j.rho ** (-weight)}
+               "mass": _u2(-weight), "j1": lambda j: j.power(-n),
+               "inner": lambda j: j.power(-weight)}
     values, errors = radial_segments(_radial_integrand(model, prof, columns),
                                      cuts, spec)
     values, errors = cp * values, cp * errors
@@ -900,38 +918,38 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
 
 # ---------------------------------------------------------------- batteries
 def _gauss_profile(a: float, support: float) -> RadialProfile:
-    return RadialProfile(
-        f=lambda rho: np.exp(-a * np.asarray(rho) ** 2),
-        d1=lambda rho: -2.0 * a * np.asarray(rho)
-        * np.exp(-a * np.asarray(rho) ** 2),
-        d2=lambda rho: (4.0 * a * a * np.asarray(rho) ** 2 - 2.0 * a)
-        * np.exp(-a * np.asarray(rho) ** 2),
-        support=support, nonincreasing=True, label=f"gauss[{a}]")
+    def jet(rho: np.ndarray, order: int = 2) -> tuple:
+        rho = np.asarray(rho)
+        rho2 = rho ** 2
+        e = np.exp(-a * rho2)
+        return (e, -2.0 * a * rho * e,
+                (4.0 * a * a * rho2 - 2.0 * a) * e)[:order + 1]
+
+    return RadialProfile.from_jet(jet, support, nonincreasing=True,
+                                  label=f"gauss[{a}]")
 
 
 def _expdec_profile(a: float, support: float) -> RadialProfile:
-    return RadialProfile(
-        f=lambda rho: np.exp(-a * np.asarray(rho)),
-        d1=lambda rho: -a * np.exp(-a * np.asarray(rho)),
-        d2=lambda rho: a * a * np.exp(-a * np.asarray(rho)),
-        support=support, nonincreasing=True, label=f"exp[{a}]")
+    def jet(rho: np.ndarray, order: int = 2) -> tuple:
+        e = np.exp(-a * np.asarray(rho))
+        return (e, -a * e, a * a * e)[:order + 1]
+
+    return RadialProfile.from_jet(jet, support, nonincreasing=True,
+                                  label=f"exp[{a}]")
 
 
 def _lorentz_profile(q: float, support: float) -> RadialProfile:
-    def f(rho):
-        return (1.0 + np.asarray(rho) ** 2) ** (-q)
-
-    def d1(rho):
+    def jet(rho: np.ndarray, order: int = 2) -> tuple:
         rho = np.asarray(rho)
-        return -2.0 * q * rho * (1.0 + rho**2) ** (-q - 1.0)
+        rho2 = rho ** 2
+        base = 1.0 + rho2
+        p1 = base ** (-q - 1.0)
+        return (base ** (-q), -2.0 * q * rho * p1,
+                -2.0 * q * p1 + 4.0 * q * (q + 1.0) * rho2
+                * base ** (-q - 2.0))[:order + 1]
 
-    def d2(rho):
-        rho = np.asarray(rho)
-        return (-2.0 * q * (1.0 + rho**2) ** (-q - 1.0)
-                + 4.0 * q * (q + 1.0) * rho**2 * (1.0 + rho**2) ** (-q - 2.0))
-
-    return RadialProfile(f, d1, d2, support=support, nonincreasing=True,
-                         label=f"lorentz[{q}]")
+    return RadialProfile.from_jet(jet, support, nonincreasing=True,
+                                  label=f"lorentz[{q}]")
 
 
 def radial_battery(count: int, radius: float = 1.0) -> list[RadialProfile]:

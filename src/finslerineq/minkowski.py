@@ -59,10 +59,14 @@ class MinkowskiNorm:
 
     # ---------------------------------------------------------------- basic
     @staticmethod
-    def _randers(y: np.ndarray, drift: float) -> float | np.ndarray:
-        """|y| + drift * y_n, the one Randers expression of this module."""
+    def _randers(y: np.ndarray, drift: float,
+                 length: np.ndarray | None = None) -> float | np.ndarray:
+        """|y| + drift * y_n, the one Randers expression of this module;
+        ``length`` is |y| when the caller has it already."""
         y = np.asarray(y, dtype=float)
-        out = _enorm(y) + drift * _last(y)
+        if length is None:
+            length = _enorm(y)
+        out = length + drift * _last(y)
         return out if out.ndim else float(out)
 
     def norm(self, y: np.ndarray) -> float | np.ndarray:
@@ -220,9 +224,9 @@ class MinkowskiNorm:
         xi, eta = np.broadcast_arrays(xi, eta)
         b = self.drift
         fs_sum = np.asarray(self.dual_norm(xi + eta))
-        fs_xi = np.asarray(self.dual_norm(xi))
-        fs_eta = np.asarray(self.dual_norm(eta))
         nxi = _enorm(xi)
+        fs_xi = np.asarray(self._randers(xi, b, nxi))
+        fs_eta = np.asarray(self.dual_norm(eta))
         safe = np.where(nxi == 0.0, 1.0, nxi)
         # g*_xi(xi, eta) = F*(xi) (<xi, eta>/|xi| + b eta_n)
         cross = fs_xi * (_dot(xi, eta) / safe + b * _last(eta))

@@ -23,7 +23,10 @@ the radius alone and is read at whatever distance the caller holds.
 
 Also here: the comparison functions ``s_k`` and ``D_{k,h}``, the smooth
 cutoff profile, and the truncated radial test-function family used by the
-sharpness sweeps.
+sharpness sweeps.  Every radial profile carries a jet that returns f, f'
+and f'' from one call; products compose their factors' jets, the
+truncated family is the product of the cutoff and a truncated power, and
+the cutoff evaluates its transition only on its band r < rho < R.
 
 Model descriptors are immutable after construction and every evaluator is
 pure, so concurrent use is safe.
@@ -122,44 +125,60 @@ class SmoothCutoff:
         if not (0.0 < self.r < self.R):
             raise ValueError("cutoff needs 0 < r < R")
 
-    def _pieces(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = (np.asarray(rho, dtype=float) - self.r) / (self.R - self.r)
-        mid = (s > 1e-12) & (s < 1.0 - 1e-12)
-        return s, mid
+    def jet(self, rho: np.ndarray | float, order: int = 2) -> tuple:
+        """(psi, psi', psi'')[:order + 1] at rho, floats for a 0-d rho.
+
+        The transition is evaluated once, and only on its band
+        1e-12 < s < 1 - 1e-12; elsewhere psi is exactly 1.0 for s <= 1/2
+        and 0.0 beyond, and both derivatives are 0.0.
+        """
+        rho = np.asarray(rho, dtype=float)
+        width = self.R - self.r
+        s = (rho - self.r) / width
+        band_at = np.flatnonzero((s > 1e-12) & (s < 1.0 - 1e-12))
+        sm = s.take(band_at)
+        w = np.clip(1.0 / (1.0 - sm) - 1.0 / sm, -500.0, 500.0)
+        p = 1.0 / (1.0 + np.exp(w))
+        band = [p]
+        if order >= 1:
+            w1 = 1.0 / (1.0 - sm) ** 2 + 1.0 / sm**2
+            band.append(-w1 * p * (1.0 - p) / width)
+        if order >= 2:
+            w2 = 2.0 / (1.0 - sm) ** 3 - 2.0 / sm**3
+            band.append(p * (1.0 - p) * (w1 * w1 * (1.0 - 2.0 * p) - w2)
+                        / width**2)
+        out = []
+        for k, on_band in enumerate(band):
+            full = np.where(s <= 0.5, 1.0, 0.0) if k == 0 else \
+                np.zeros_like(s)
+            np.put(full, band_at, on_band)
+            out.append(full if full.ndim else float(full))
+        return tuple(out)
 
     def value(self, rho: np.ndarray | float) -> np.ndarray | float:
-        s, mid = self._pieces(np.asarray(rho, dtype=float))
-        out = np.where(s <= 0.5, 1.0, 0.0)
-        sm = np.where(mid, s, 0.5)
-        w = np.clip(1.0 / (1.0 - sm) - 1.0 / sm, -500.0, 500.0)
-        out = np.where(mid, 1.0 / (1.0 + np.exp(w)), out)
-        return out if out.ndim else float(out)
+        return self.jet(rho, 0)[0]
 
     def d1(self, rho: np.ndarray | float) -> np.ndarray | float:
-        s, mid = self._pieces(np.asarray(rho, dtype=float))
-        sm = np.where(mid, s, 0.5)
-        w = np.clip(1.0 / (1.0 - sm) - 1.0 / sm, -500.0, 500.0)
-        w1 = 1.0 / (1.0 - sm) ** 2 + 1.0 / sm**2
-        p = 1.0 / (1.0 + np.exp(w))
-        out = np.where(mid, -w1 * p * (1.0 - p), 0.0) / (self.R - self.r)
-        return out if out.ndim else float(out)
+        return self.jet(rho, 1)[1]
 
     def d2(self, rho: np.ndarray | float) -> np.ndarray | float:
-        s, mid = self._pieces(np.asarray(rho, dtype=float))
-        sm = np.where(mid, s, 0.5)
-        w = np.clip(1.0 / (1.0 - sm) - 1.0 / sm, -500.0, 500.0)
-        w1 = 1.0 / (1.0 - sm) ** 2 + 1.0 / sm**2
-        w2 = 2.0 / (1.0 - sm) ** 3 - 2.0 / sm**3
-        p = 1.0 / (1.0 + np.exp(w))
-        core = p * (1.0 - p) * (w1 * w1 * (1.0 - 2.0 * p) - w2)
-        out = np.where(mid, core, 0.0) / (self.R - self.r) ** 2
-        return out if out.ndim else float(out)
+        return self.jet(rho, 2)[2]
 
 
 # ------------------------------------------------------------ radial profiles
+# jet(rho, order): the tuple (f, f', f'')[:order + 1] at rho
+Jet = Callable[..., tuple]
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """A smooth radial profile f(rho) with its first two derivatives.
+
+    ``jet`` evaluates f, f' and f'' together from shared intermediate
+    values.  Every profile built here carries one, and its ``f``, ``d1``
+    and ``d2`` are views of it (:meth:`from_jet`).  A profile given only
+    ``f``, ``d1`` and ``d2`` has no jet; :meth:`derivatives` then calls
+    those three, so readers of the jet take one path.
 
     ``breakpoints`` flag radii where the profile is only piecewise smooth
     (quadrature panels are split there); ``nonincreasing`` records that
@@ -174,27 +193,62 @@ class RadialProfile:
     breakpoints: tuple[float, ...] = ()
     nonincreasing: bool = True
     label: str = ""
+    jet: Jet | None = None
+
+    @classmethod
+    def from_jet(cls, jet: Jet, support: float, **kw) -> "RadialProfile":
+        """The profile of ``jet``, with f, d1 and d2 as its views."""
+        return cls(lambda rho: jet(rho, 0)[0], lambda rho: jet(rho, 1)[1],
+                   lambda rho: jet(rho, 2)[2], support, jet=jet, **kw)
+
+    def derivatives(self, rho: np.ndarray, order: int = 2) -> tuple:
+        """(f, f', f'')[:order + 1] at rho: the jet, or f, d1 and d2."""
+        if self.jet is not None:
+            return self.jet(rho, order)
+        return tuple(g(rho) for g in (self.f, self.d1, self.d2)[:order + 1])
 
 
 def profile_product(p: RadialProfile, q: RadialProfile,
                     label: str = "") -> RadialProfile:
-    """Pointwise product of two radial profiles (chain rule for d1, d2)."""
-    return RadialProfile(
-        f=lambda rho: p.f(rho) * q.f(rho),
-        d1=lambda rho: p.d1(rho) * q.f(rho) + p.f(rho) * q.d1(rho),
-        d2=lambda rho: (p.d2(rho) * q.f(rho) + 2.0 * p.d1(rho) * q.d1(rho)
-                        + p.f(rho) * q.d2(rho)),
-        support=min(p.support, q.support),
+    """Pointwise product of two radial profiles; its jet reads each factor's
+    jet once and combines them by the product rule."""
+    def jet(rho: np.ndarray, order: int = 2) -> tuple:
+        pj, qj = p.derivatives(rho, order), q.derivatives(rho, order)
+        out = [pj[0] * qj[0]]
+        if order >= 1:
+            out.append(pj[1] * qj[0] + pj[0] * qj[1])
+        if order >= 2:
+            out.append(pj[2] * qj[0] + 2.0 * pj[1] * qj[1] + pj[0] * qj[2])
+        return tuple(out)
+
+    return RadialProfile.from_jet(
+        jet, support=min(p.support, q.support),
         breakpoints=tuple(sorted(set(p.breakpoints) | set(q.breakpoints))),
         nonincreasing=p.nonincreasing and q.nonincreasing,
-        label=label or f"{p.label}*{q.label}",
-    )
+        label=label or f"{p.label}*{q.label}")
 
 
 def cutoff_profile(r: float, R: float) -> RadialProfile:
-    psi = SmoothCutoff(r, R)
-    return RadialProfile(psi.value, psi.d1, psi.d2, support=R,
-                         breakpoints=(r,), label=f"cutoff[{r},{R}]")
+    return RadialProfile.from_jet(SmoothCutoff(r, R).jet, support=R,
+                                  breakpoints=(r,), label=f"cutoff[{r},{R}]")
+
+
+def _truncated_power(g: float, eps: float, support: float) -> RadialProfile:
+    """max(eps, rho)^(-g), with f' = f'' = 0 on rho <= eps."""
+    def jet(rho: np.ndarray, order: int = 2) -> tuple:
+        rho = np.asarray(rho, dtype=float)
+        trunc = rho <= eps
+        r_eff = np.maximum(eps, rho)
+        out = [r_eff ** (-g)]
+        if order >= 1:
+            out.append(np.where(trunc, 0.0, -g * r_eff ** (-g - 1.0)))
+        if order >= 2:
+            out.append(np.where(trunc, 0.0,
+                                g * (g + 1.0) * r_eff ** (-g - 2.0)))
+        return tuple(out)
+
+    return RadialProfile.from_jet(jet, support, breakpoints=(eps,),
+                                  nonincreasing=g >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -217,34 +271,13 @@ class RadialTestFunction:
             raise ValueError("need 0 < eps < r")
 
     def profile(self) -> RadialProfile:
-        g, e = self.gamma, self.eps
+        """The product of the cutoff and the truncated power; the cutoff's
+        derivatives vanish on rho <= eps < r, so f' and f'' are 0 there."""
         psi = self.cutoff
-
-        def f(rho: np.ndarray) -> np.ndarray:
-            rho = np.asarray(rho, dtype=float)
-            return psi.value(rho) * np.maximum(e, rho) ** (-g)
-
-        def d1(rho: np.ndarray) -> np.ndarray:
-            rho = np.asarray(rho, dtype=float)
-            trunc = rho <= e
-            r_eff = np.maximum(e, rho)
-            core = -g * r_eff ** (-g - 1.0)
-            return np.where(trunc, 0.0,
-                            psi.d1(rho) * r_eff**(-g) + psi.value(rho) * core)
-
-        def d2(rho: np.ndarray) -> np.ndarray:
-            rho = np.asarray(rho, dtype=float)
-            trunc = rho <= e
-            r_eff = np.maximum(e, rho)
-            c1 = -g * r_eff ** (-g - 1.0)
-            c2 = g * (g + 1.0) * r_eff ** (-g - 2.0)
-            return np.where(trunc, 0.0,
-                            psi.d2(rho) * r_eff**(-g)
-                            + 2.0 * psi.d1(rho) * c1 + psi.value(rho) * c2)
-
-        return RadialProfile(f, d1, d2, support=psi.R,
-                             breakpoints=(e, psi.r),
-                             label=f"trunc[g={g},eps={self.eps}]")
+        return profile_product(
+            cutoff_profile(psi.r, psi.R),
+            _truncated_power(self.gamma, self.eps, psi.R),
+            label=f"trunc[g={self.gamma},eps={self.eps}]")
 
 
 # ------------------------------------------------------------------- models

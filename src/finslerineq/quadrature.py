@@ -132,14 +132,15 @@ def radial_segments(f: Callable[[np.ndarray], np.ndarray],
     nodes, weights = zip(*rules)
     pts = np.concatenate(nodes)
     vals = np.asarray(f(pts), dtype=float)
-    finite = np.isfinite(vals).reshape(pts.size, -1).all(axis=1)
-    if not np.all(finite):
+    if not np.isfinite(vals).all():
+        finite = np.isfinite(vals).reshape(pts.size, -1).all(axis=1)
         bad = pts[~finite][:3]
         raise QuadratureError(f"non-finite integrand samples near rho={bad}")
-    parts = np.split(vals, np.cumsum([w.size for w in weights])[:-1])
     # the weights take a trailing axis for each integrand axis (T columns)
-    sums = np.array([pairwise_sum(v * w[(...,) + (None,) * (v.ndim - 1)])
-                     for v, w in zip(parts, weights)])
+    wts = np.concatenate(weights)
+    parts = np.split(vals * wts[(...,) + (None,) * (vals.ndim - 1)],
+                     np.cumsum([w.size for w in weights])[:-1])
+    sums = np.array([pairwise_sum(v) for v in parts])
     return sums[1::2], np.abs(sums[1::2] - sums[::2])   # fine, |fine-coarse|
 
 

@@ -16,7 +16,9 @@ the inverse of the backward-polar chart are checked against the library's
 ``sharp``, ``dual_norm`` and ``point_from_backward_polar``.  The
 per-point Randers formulas (distances, their differentials, the scalar
 dual tensor and the segment-convexity loop of the refined Cauchy-Schwarz
-campaign) pin the shared, stacked forms of the library.
+campaign) pin the shared, stacked forms of the library.  The separate
+f, f' and f'' formulas of the cutoff, the battery factors, their products
+and the truncated family pin the bits of the profiles' one-call jets.
 """
 
 from __future__ import annotations
@@ -355,3 +357,110 @@ def div_u_grad_u(model, measure: str, field: ScalarField,
     x = np.asarray(x, dtype=float)
     fsq = gradient_norm(model, field, x) ** 2
     return fsq + field(x) * numeric_laplacian(model, measure, field, x)
+
+
+# ------------------------------------------------- separate profile formulas
+# (f, f', f'') of each profile as three independent callables, each
+# recomputing what it needs: the form the jets of finslerineq.models and
+# finslerineq.harness replace, kept here to pin their bits.
+def cutoff_formulas(r: float, R: float) -> tuple:
+    def pieces(rho):
+        s = (np.asarray(rho, dtype=float) - r) / (R - r)
+        mid = (s > 1e-12) & (s < 1.0 - 1e-12)
+        sm = np.where(mid, s, 0.5)
+        w = np.clip(1.0 / (1.0 - sm) - 1.0 / sm, -500.0, 500.0)
+        return s, mid, sm, w
+
+    def value(rho):
+        s, mid, sm, w = pieces(rho)
+        out = np.where(mid, 1.0 / (1.0 + np.exp(w)),
+                       np.where(s <= 0.5, 1.0, 0.0))
+        return out if out.ndim else float(out)
+
+    def d1(rho):
+        s, mid, sm, w = pieces(rho)
+        w1 = 1.0 / (1.0 - sm) ** 2 + 1.0 / sm**2
+        p = 1.0 / (1.0 + np.exp(w))
+        out = np.where(mid, -w1 * p * (1.0 - p), 0.0) / (R - r)
+        return out if out.ndim else float(out)
+
+    def d2(rho):
+        s, mid, sm, w = pieces(rho)
+        w1 = 1.0 / (1.0 - sm) ** 2 + 1.0 / sm**2
+        w2 = 2.0 / (1.0 - sm) ** 3 - 2.0 / sm**3
+        p = 1.0 / (1.0 + np.exp(w))
+        core = p * (1.0 - p) * (w1 * w1 * (1.0 - 2.0 * p) - w2)
+        out = np.where(mid, core, 0.0) / (R - r) ** 2
+        return out if out.ndim else float(out)
+
+    return value, d1, d2
+
+
+def product_formulas(p: tuple, q: tuple) -> tuple:
+    (pf, p1, p2), (qf, q1, q2) = p, q
+    return (lambda rho: pf(rho) * qf(rho),
+            lambda rho: p1(rho) * qf(rho) + pf(rho) * q1(rho),
+            lambda rho: (p2(rho) * qf(rho) + 2.0 * p1(rho) * q1(rho)
+                         + pf(rho) * q2(rho)))
+
+
+def truncated_formulas(g: float, e: float, r: float, R: float) -> tuple:
+    value, d1, d2 = cutoff_formulas(r, R)
+
+    def f(rho):
+        rho = np.asarray(rho, dtype=float)
+        return value(rho) * np.maximum(e, rho) ** (-g)
+
+    def f1(rho):
+        rho = np.asarray(rho, dtype=float)
+        r_eff = np.maximum(e, rho)
+        core = -g * r_eff ** (-g - 1.0)
+        return np.where(rho <= e, 0.0,
+                        d1(rho) * r_eff**(-g) + value(rho) * core)
+
+    def f2(rho):
+        rho = np.asarray(rho, dtype=float)
+        r_eff = np.maximum(e, rho)
+        c1 = -g * r_eff ** (-g - 1.0)
+        c2 = g * (g + 1.0) * r_eff ** (-g - 2.0)
+        return np.where(rho <= e, 0.0,
+                        d2(rho) * r_eff**(-g) + 2.0 * d1(rho) * c1
+                        + value(rho) * c2)
+
+    return f, f1, f2
+
+
+def battery_formulas(count: int, radius: float = 1.0) -> list[tuple]:
+    """The formulas of ``harness.radial_battery(count, radius)``."""
+    def gauss(a):
+        return (lambda rho: np.exp(-a * np.asarray(rho) ** 2),
+                lambda rho: -2.0 * a * np.asarray(rho)
+                * np.exp(-a * np.asarray(rho) ** 2),
+                lambda rho: (4.0 * a * a * np.asarray(rho) ** 2 - 2.0 * a)
+                * np.exp(-a * np.asarray(rho) ** 2))
+
+    def expdec(a):
+        return (lambda rho: np.exp(-a * np.asarray(rho)),
+                lambda rho: -a * np.exp(-a * np.asarray(rho)),
+                lambda rho: a * a * np.exp(-a * np.asarray(rho)))
+
+    def lorentz(q):
+        def d2(rho):
+            rho = np.asarray(rho)
+            return (-2.0 * q * (1.0 + rho**2) ** (-q - 1.0)
+                    + 4.0 * q * (q + 1.0) * rho**2
+                    * (1.0 + rho**2) ** (-q - 2.0))
+        return (lambda rho: (1.0 + np.asarray(rho) ** 2) ** (-q),
+                lambda rho: -2.0 * q * np.asarray(rho)
+                * (1.0 + np.asarray(rho) ** 2) ** (-q - 1.0), d2)
+
+    out = []
+    for i in range(count):
+        frac = i / max(count - 1, 1)
+        base = cutoff_formulas(radius * (0.25 + 0.35 * frac),
+                               radius * (0.65 + 0.35 * frac))
+        modifier = (None, gauss(0.5 + frac), expdec(0.4 + frac),
+                    lorentz(1.0 + frac))[i % 4]
+        out.append(base if modifier is None
+                   else product_formulas(base, modifier))
+    return out

@@ -191,6 +191,20 @@ def test_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
+    # --out naming a file, or a path below one, exits 2 with a message and
+    # runs nothing; a missing directory below a directory is made
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "sub"):
+        assert run_cli(["hardy-sweep", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "out must name a directory" in err and str(afile) in err
+    assert afile.read_text() == "kept\n"
+    assert run_cli(["constants", "--out", str(tmp_path / "new" / "dir")]) == 0
+    assert (tmp_path / "new" / "dir" / "report.json").exists()
+
+
 @pytest.mark.parametrize("section,key", [("model", "kind"), ("model", "n"),
                                          ("run", "eps"), ("run", "out")])
 def test_empty_config_value_is_an_error(tmp_path, capsys, section, key):
