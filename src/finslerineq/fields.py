@@ -5,7 +5,8 @@ the last axis only, so a whole quadrature node set is one call.
 Differentials are analytic when the field carries one, otherwise central
 finite differences.  Gradients go through the inverse Legendre transform of
 the model's norm (``model.sharp``), and the Laplacian is assembled in
-divergence form: the flux ``sigma(x) * grad u`` is differenced componentwise.
+divergence form: the flux ``sigma(x) * grad u`` is differenced componentwise;
+lengths come from the kernel of ``minkowski``.
 The nonlinear Finsler Laplacian is only defined where ``du != 0``; stencil
 points with a nearly vanishing differential are reported via
 :class:`CriticalPointError` for a single point and as NaN in a stack, so
@@ -18,6 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .minkowski import _dot, _enorm
 
 CRITICAL_DIFFERENTIAL = 1e-8
 # points per Laplacian stencil evaluation: bounds the (block, 2, n, n) stack
@@ -70,7 +73,7 @@ def differential(field: ScalarField, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if field.grad is not None:
         return np.asarray(field.grad(x), dtype=float)
-    h = 1e-6 * np.maximum(1.0, np.sqrt(_sum_squares(x)))
+    h = 1e-6 * np.maximum(1.0, _enorm(x))
     vals = field(_unit_steps(x, h))
     return (vals[..., 0, :] - vals[..., 1, :]) / \
         (2.0 * np.asarray(h)[..., None])
@@ -107,7 +110,7 @@ def numeric_laplacian(model, measure: str, field: ScalarField,
 def _laplacian_block(model, measure: str, field: ScalarField, x: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Laplacian of the points (B, n) and the smallest |du| on each stencil."""
-    h = 1e-4 * np.maximum(1.0, np.sqrt(_sum_squares(x)))
+    h = 1e-4 * np.maximum(1.0, _enorm(x))
     z = _unit_steps(x, h)                               # (B, 2, n, n)
     du = differential(field, z)
     flux = np.asarray(model.density(z, measure))[..., None] * \
@@ -117,13 +120,8 @@ def _laplacian_block(model, measure: str, field: ScalarField, x: np.ndarray
     div = 0.0
     for i in range(x.shape[-1]):
         div = div + terms[:, i]
-    du_min = np.sqrt(_sum_squares(du).min(axis=(1, 2)))
+    du_min = np.sqrt(_dot(du, du).min(axis=(1, 2)))
     return div / np.asarray(model.density(x, measure)), du_min
-
-
-def _sum_squares(x: np.ndarray) -> np.ndarray:
-    """|x|^2 over the last axis (einsum makes no temporaries, norm does)."""
-    return np.einsum("...i,...i->...", x, x)
 
 
 # ------------------------------------------------------- field constructors

@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fields as fc
-from .minkowski import MinkowskiNorm
+from .minkowski import MinkowskiNorm, _enorm
 from .models import (RadialProfile, RadialTestFunction, SmoothCutoff,
                      cutoff_profile, profile_product)
 from .quadrature import QuadratureSpec, annulus_integrate, power_integral, \
@@ -482,8 +482,6 @@ def uncertainty_report(model, measure: str, u, beta: float,
     spec = spec or QuadratureSpec()
     n = model.n
     hardy_domain(n, beta, "uncertainty")
-    if model.curvature > 0.0:
-        raise PreconditionError("uncertainty corollary needs K <= 0")
     gam = hardy_gamma(n, beta)
     terms = _terms(model, measure, u,
                    {"weighted_mass": _u2(2.0 + beta),
@@ -588,22 +586,29 @@ def _breakpoint_sides(prof: RadialProfile, hi: float):
             yield bp, float(f[0]), float(d1[1]), float(d1[2])
 
 
-def _require_c1(prof: RadialProfile) -> None:
+def _require_c1(prof: RadialProfile, what: str) -> None:
     """Reject a derivative jump at an inner breakpoint b, beyond rounding:
     Delta u then has a singular part on rho = b that (Delta u)^2 misses."""
     for bp, fval, below, above in _breakpoint_sides(prof, prof.support):
         if abs(above - below) > 1e-8 * (abs(fval) / bp + abs(below)
                                         + abs(above)):
-            raise PreconditionError(f"refined rellich needs a C^1 profile; "
+            raise PreconditionError(f"{what} needs a C^1 profile; "
                                     f"f' jumps by {above - below:.3e} "
                                     f"at rho = {bp}")
 
 
-def _rellich_pass(model, measure: str, prof: RadialProfile, beta: float,
-                  spec: QuadratureSpec, extra: dict[str, _Column]
+def _rellich_remainder_coefficient(n: int, beta: float) -> float:
+    """(n-1)(n-2)(n+beta)(n-4-beta)/4, both Rellich remainders' weight."""
+    return (n - 1.0) * (n - 2.0) * (n + beta) * (n - 4.0 - beta) / 4.0
+
+
+def _rellich_pass(what: str, model, measure: str, prof: RadialProfile,
+                  beta: float, spec: QuadratureSpec, extra: dict[str, _Column]
                   ) -> tuple[dict[str, TermValue], float, float]:
     """One radial pass for G^beta, the Rellich core terms (lhs, weight4 and
-    its remainder) and ``extra``; raises unless u is in the G^beta kernel."""
+    its remainder) and ``extra``; raises unless the profile is C^1 and u is
+    in the G^beta kernel."""
+    _require_c1(prof, what)
     cols = _gbeta_columns(prof, beta)
     cols.update({"lhs": _lap2(-beta), "weight4": _u2(-4.0 - beta)})
     if model.curvature != 0.0:
@@ -623,10 +628,10 @@ def rellich_report(model, measure: str, u, beta: float,
     spec = spec or QuadratureSpec()
     n = model.n
     rellich_domain(n, beta, "rellich")
-    raw, gval, gscale = _rellich_pass(model, measure, _require_radial(u),
-                                      beta, spec, {})
+    raw, gval, gscale = _rellich_pass("rellich", model, measure,
+                                      _require_radial(u), beta, spec, {})
     delta = rellich_sharp_constant(n, beta)
-    c_rem = (n - 1.0) * (n - 2.0) * (n + beta) * (n - 4.0 - beta) / 4.0
+    c_rem = _rellich_remainder_coefficient(n, beta)
     terms = {"lhs": raw["lhs"], "main": raw["weight4"].scaled(delta),
              "remainder": raw.get("weight4_rem", _ZERO).scaled(c_rem)}
     slack = terms["lhs"].value - terms["main"].value - terms["remainder"].value
@@ -649,10 +654,9 @@ def rellich_bv_report(model, measure: str, u, beta: float,
                                 f"got n={n}, beta={beta}")
     cbv = bv_constant(model)
     prof = _require_radial(u)
-    _require_c1(prof)
     lam = model.uniformity
     delta = rellich_sharp_constant(n, beta)
-    c_rem4 = (n - 1.0) * (n - 2.0) * (n + beta) * (n - 4.0 - beta) / 4.0
+    c_rem4 = _rellich_remainder_coefficient(n, beta)
     c_w2 = (n - 2.0 - beta) * (n - 2.0 + beta) * cbv / (2.0 * lam)
     c_w2_rem = (n - 1.0) * (n - 2.0) * cbv / lam
     c_w0 = cbv * cbv / (lam * lam)
@@ -664,8 +668,8 @@ def rellich_bv_report(model, measure: str, u, beta: float,
     if beta < n - 4.0:
         extra["de1"] = lambda j: (j.lap + q * j.f / j.power(2.0)) ** 2 * \
             j.power(-beta)
-    raw, gval, gscale = _rellich_pass(model, measure, prof, beta, spec,
-                                      extra)
+    raw, gval, gscale = _rellich_pass("refined rellich", model, measure,
+                                      prof, beta, spec, extra)
     terms = {
         "lhs": raw["lhs"],
         "main": raw["weight4"].scaled(delta),
@@ -894,7 +898,7 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
     # on the first 200 segments, skipping those that pass near the origin
     t_grid = np.linspace(0.0, 1.0, 9)
     seg = xi[:200, None, :] + t_grid[:, None] * eta[:200, None, :]
-    keep = np.min(np.linalg.norm(seg, axis=-1), axis=1) >= 1e-6
+    keep = np.min(_enorm(seg), axis=1) >= 1e-6
     seg, e = seg[keep], eta[:200][keep][:, None, :]
     bound = 2.0 * np.asarray(norm.dual_norm(e)) ** 2 / lam
     f2 = 2.0 * np.asarray(norm.dual_fundamental_form(seg, e, e))

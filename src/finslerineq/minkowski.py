@@ -18,6 +18,12 @@ adapted image.  Raw differentials never need that map here: ``conorm`` and
 ``sharp`` act on them in natural coordinates, and are what field calculus
 on the flat Randers model consumes.
 
+This module is the package's geometry layer: ``_dot`` is its one
+Euclidean inner-product kernel (``models``, ``fields`` and the harness form
+every length through it), and the Randers value ``_randers``, its
+differential ``_d_randers`` and the co-norm pair ``MinkowskiNorm._conorm_q``
+are each written once.
+
 The norms and the fundamental tensor take a point ``(n,)`` or a stack
 ``(..., n)`` and return a float or an array over the leading axes.  All
 operations are pure functions of immutable data and safe to call
@@ -32,16 +38,34 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _last(a: np.ndarray) -> np.ndarray:
-    return a[..., -1]
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=-1)
+    """<a, b> over the last axis, broadcasting the leading ones: the one
+    Euclidean kernel of the package (einsum forms no a * b temporary)."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _enorm(a: np.ndarray) -> np.ndarray:
+    """|a| over the last axis."""
     return np.sqrt(_dot(a, a))
+
+
+def _randers(y: np.ndarray, drift: float,
+             length: np.ndarray | None = None) -> float | np.ndarray:
+    """|y| + drift * y_n, the one Randers expression of the package;
+    ``length`` is |y| when the caller has it already."""
+    y = np.asarray(y, dtype=float)
+    out = (_enorm(y) if length is None else length) + drift * y[..., -1]
+    return out if out.ndim else float(out)
+
+
+def _d_randers(y: np.ndarray, drift: float,
+               length: np.ndarray | None = None) -> np.ndarray:
+    """d(|y| + drift * y_n) = y/|y| + drift e_n at y != 0; ``length`` is
+    |y| when the caller has it already."""
+    y = np.asarray(y, dtype=float)
+    out = y / (_enorm(y) if length is None else length)[..., None]
+    out[..., -1] += drift
+    return out
 
 
 @dataclass(frozen=True)
@@ -58,37 +82,30 @@ class MinkowskiNorm:
             raise ValueError("Randers drift must satisfy |b| < 1")
 
     # ---------------------------------------------------------------- basic
-    @staticmethod
-    def _randers(y: np.ndarray, drift: float,
-                 length: np.ndarray | None = None) -> float | np.ndarray:
-        """|y| + drift * y_n, the one Randers expression of this module;
-        ``length`` is |y| when the caller has it already."""
-        y = np.asarray(y, dtype=float)
-        if length is None:
-            length = _enorm(y)
-        out = length + drift * _last(y)
-        return out if out.ndim else float(out)
-
     def norm(self, y: np.ndarray) -> float | np.ndarray:
         """F(y); positive for y != 0 and positively 1-homogeneous."""
-        return self._randers(y, self.drift)
+        return _randers(y, self.drift)
 
     def reverse_norm(self, y: np.ndarray) -> float | np.ndarray:
         """The reverse norm evaluated at y, i.e. F(-y)."""
-        return self._randers(y, -self.drift)
+        return _randers(y, -self.drift)
 
     # F*(xi) = |xi| + b xi_n in the adapted dual coordinates
     dual_norm = norm
 
     # ------------------------------------------------ natural musical maps
-    def conorm(self, xi: np.ndarray) -> float | np.ndarray:
-        """Dual norm of a raw differential in natural coordinates."""
-        xi = np.asarray(xi, dtype=float)
+    def _conorm_q(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(q, F*(xi)) of a raw differential in natural coordinates, with
+        q = sqrt((1-b^2) |xi'|^2 + xi_n^2) and F* = (q - b xi_n)/(1-b^2)."""
         b = self.drift
         s = 1.0 - b * b
-        head = np.sum(xi[..., :-1] ** 2, axis=-1)
-        q = np.sqrt(s * head + xi[..., -1] ** 2)
-        out = (q - b * xi[..., -1]) / s
+        head, last = xi[..., :-1], xi[..., -1]
+        q = np.sqrt(s * _dot(head, head) + last * last)
+        return q, (q - b * last) / s
+
+    def conorm(self, xi: np.ndarray) -> float | np.ndarray:
+        """Dual norm of a raw differential in natural coordinates."""
+        out = self._conorm_q(np.asarray(xi, dtype=float))[1]
         return out if out.ndim else float(out)
 
     def sharp(self, xi: np.ndarray) -> np.ndarray:
@@ -96,14 +113,11 @@ class MinkowskiNorm:
         g_y(y, .) = xi, half the conorm-squared gradient; sharp(0)=0."""
         xi = np.asarray(xi, dtype=float)
         b = self.drift
-        s = 1.0 - b * b
-        head, last = xi[..., :-1], xi[..., -1]
-        q = np.sqrt(s * np.einsum("...i,...i->...", head, head) + last * last)
-        fstar = (q - b * last) / s
+        q, fstar = self._conorm_q(xi)
         # zero covectors (also rows of a batch) have fstar = 0, and any
         # finite q then maps them to the zero vector
         out = xi * (fstar / np.where(q > 0.0, q, 1.0))[..., None]
-        out[..., -1] = (out[..., -1] - b * fstar) / s
+        out[..., -1] = (out[..., -1] - b * fstar) / (1.0 - b * b)
         return out
 
     # -------------------------------------------------------------- tensors
@@ -121,9 +135,8 @@ class MinkowskiNorm:
         if np.any(ny == 0.0):
             raise ValueError("fundamental form undefined at y = 0")
         yh = y / ny[..., None]
-        ell = yh.copy()
-        ell[..., -1] += self.drift
-        f = self.norm(y)
+        ell = _d_randers(y, self.drift, ny)
+        f = _randers(y, self.drift, ny)
         out = _dot(ell, u) * _dot(ell, v) \
             + (f / ny) * (_dot(u, v) - _dot(yh, u) * _dot(yh, v))
         return out if out.ndim else float(out)
@@ -225,11 +238,11 @@ class MinkowskiNorm:
         b = self.drift
         fs_sum = np.asarray(self.dual_norm(xi + eta))
         nxi = _enorm(xi)
-        fs_xi = np.asarray(self._randers(xi, b, nxi))
+        fs_xi = np.asarray(_randers(xi, b, nxi))
         fs_eta = np.asarray(self.dual_norm(eta))
         safe = np.where(nxi == 0.0, 1.0, nxi)
         # g*_xi(xi, eta) = F*(xi) (<xi, eta>/|xi| + b eta_n)
-        cross = fs_xi * (_dot(xi, eta) / safe + b * _last(eta))
+        cross = fs_xi * (_dot(xi, eta) / safe + b * eta[..., -1])
         cross = np.where(nxi == 0.0, 0.0, cross)
         out = fs_sum**2 - fs_xi**2 - 2.0 * cross - fs_eta**2 / self.uniformity()
         return out if out.ndim else float(out)

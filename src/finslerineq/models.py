@@ -21,12 +21,15 @@ supports full Cartesian finite-difference checks.  The sign-cased distance
 from the sign of u to a distance; ``radial_laplacian`` is a function of
 the radius alone and is read at whatever distance the caller holds.
 
-Also here: the comparison functions ``s_k`` and ``D_{k,h}``, the smooth
-cutoff profile, and the truncated radial test-function family used by the
-sharpness sweeps.  Every radial profile carries a jet that returns f, f'
-and f'' from one call; products compose their factors' jets, the
-truncated family is the product of the cutoff and a truncated power, and
-the cutoff evaluates its transition only on its band r < rho < R.
+Every Euclidean length, Randers distance and differential here comes from
+the kernel of ``minkowski``.  Also here: the comparison functions ``s_k``
+and ``D_{k,h}`` for k <= 0 (no model has k > 0, and they raise
+``DomainError`` there), the smooth cutoff profile, and the truncated
+radial test-function family used by the sharpness sweeps.  Every radial
+profile carries a jet that returns f, f' and f'' from one call; products
+compose their factors' jets, the truncated family is the product of the
+cutoff and a truncated power, and the cutoff evaluates its transition only
+on its band r < rho < R.
 
 Model descriptors are immutable after construction and every evaluator is
 pure, so concurrent use is safe.
@@ -40,13 +43,8 @@ from typing import Callable
 
 import numpy as np
 
-from .minkowski import MinkowskiNorm
+from .minkowski import MinkowskiNorm, _d_randers, _dot, _enorm
 from .quadrature import unit_sphere_area
-
-
-def _enorm(x: np.ndarray) -> np.ndarray:
-    """|x| over the last axis, kept as a length-1 axis for broadcasting."""
-    return np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
 
 
 class DomainError(ValueError):
@@ -54,56 +52,46 @@ class DomainError(ValueError):
 
 
 # --------------------------------------------------------------- comparisons
+def _root(k: float) -> float:
+    """sqrt(-k) for the curvatures the models have, k <= 0."""
+    if k > 0.0:
+        raise DomainError(f"comparison functions need k <= 0, got k={k}")
+    return math.sqrt(-k)
+
+
 def comparison_s(k: float, t: np.ndarray | float) -> np.ndarray | float:
     """s_k(t): solution of f'' + k f = 0 with f(0) = 0, f'(0) = 1."""
+    r = _root(k)
     t = np.asarray(t, dtype=float)
-    if k == 0.0:
-        out = t.copy()
-    elif k < 0.0:
-        r = math.sqrt(-k)
-        out = np.sinh(r * t) / r
-    else:
-        r = math.sqrt(k)
-        out = np.sin(r * t) / r
+    out = t.copy() if k == 0.0 else np.sinh(r * t) / r
     return out if out.ndim else float(out)
 
 
 def comparison_s_prime(k: float, t: np.ndarray | float) -> np.ndarray | float:
+    r = _root(k)
     t = np.asarray(t, dtype=float)
-    if k == 0.0:
-        out = np.ones_like(t)
-    elif k < 0.0:
-        out = np.cosh(math.sqrt(-k) * t)
-    else:
-        out = np.cos(math.sqrt(k) * t)
+    out = np.ones_like(t) if k == 0.0 else np.cosh(r * t)
     return out if out.ndim else float(out)
 
 
 def comparison_D(k: float, h: float, t: np.ndarray | float
                  ) -> np.ndarray | float:
-    """D_{k,h}(t) = t (s_k'(t)/s_k(t) - h) - 1, for t in the domain of s_k.
+    """D_{k,h}(t) = t (s_k'(t)/s_k(t) - h) - 1 for t > 0 and k <= 0.
 
-    Nonnegative for all t exactly when k <= 0 and h <= 0.  For k > 0 the
-    admissible range is 0 < t < pi/(2 sqrt(k)).
+    Nonnegative for all t exactly when h <= 0.
     """
+    r = _root(k)
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise DomainError("comparison function needs t > 0")
-    if k > 0.0 and np.any(t >= 0.5 * math.pi / math.sqrt(k)):
-        raise DomainError("t beyond pi/(2 sqrt(k)) for positive curvature")
     if k == 0.0:
         out = -h * t
     else:
-        r = math.sqrt(abs(k))
+        # x coth x - 1, with a series near 0 to dodge cancellation
         x = r * t
-        if k < 0.0:
-            # x coth x - 1, with a series near 0 to dodge cancellation
-            small = x < 1e-4
-            out = np.where(small, x * x / 3.0 - x**4 / 45.0,
-                           x / np.tanh(np.where(small, 1.0, x)) - 1.0)
-        else:
-            out = x / np.tan(x) - 1.0
-        out = out - h * t
+        small = x < 1e-4
+        out = np.where(small, x * x / 3.0 - x**4 / 45.0,
+                       x / np.tanh(np.where(small, 1.0, x)) - 1.0) - h * t
     return out if out.ndim else float(out)
 
 
@@ -368,30 +356,26 @@ class RandersFlat(_ModelBase):
     def rho_minus(self, x: np.ndarray) -> float | np.ndarray:
         return self.norm.reverse_norm(x)
 
-    @staticmethod
-    def _d_randers(x: np.ndarray, drift: float) -> np.ndarray:
-        """Differential of |x| + drift x_n: x/|x| + drift e_n (x != 0)."""
-        x = np.asarray(x, dtype=float)
-        out = x / _enorm(x)
-        out[..., -1] += drift
-        return out
-
     def d_rho_plus(self, x: np.ndarray) -> np.ndarray:
         """Differential of rho_plus: x/|x| + t e_n (x != 0)."""
-        return self._d_randers(x, self.drift)
+        return _d_randers(x, self.drift)
 
     def d_rho_minus(self, x: np.ndarray) -> np.ndarray:
         """Differential of rho_minus: x/|x| - t e_n (x != 0)."""
-        return self._d_randers(x, -self.drift)
+        return _d_randers(x, -self.drift)
 
     # ---- measures
+    def _bh_factor(self, sign: float) -> float:
+        """(1-t^2)^(sign (n+1)/2): the BH density against dx (sign 1) and
+        the HT polar prefactor (sign -1), each a power, not a reciprocal."""
+        return (1.0 - self.drift**2) ** (sign * (self.n + 1) / 2.0)
+
     def density(self, x: np.ndarray, measure: str) -> float | np.ndarray:
         """Cartesian density of the measure: BH is (1-t^2)^((n+1)/2) dx,
         HT is dx."""
         self._check_measure(measure)
         x = np.asarray(x, dtype=float)
-        c = (1.0 - self.drift**2) ** ((self.n + 1) / 2.0) \
-            if measure == "bh" else 1.0
+        c = self._bh_factor(1.0) if measure == "bh" else 1.0
         if x.ndim <= 1:
             return c
         return np.full(x.shape[:-1], c)
@@ -403,7 +387,7 @@ class RandersFlat(_ModelBase):
         area = unit_sphere_area(self.n)
         if measure == "bh":
             return area
-        return area * (1.0 - self.drift**2) ** (-(self.n + 1) / 2.0)
+        return area * self._bh_factor(-1.0)
 
     def radial_volume_density(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
@@ -417,8 +401,7 @@ class RandersFlat(_ModelBase):
         self._check_measure(measure)
         rho = np.asarray(rho, dtype=float)
         omega = np.asarray(omega, dtype=float)
-        pref = 1.0 if measure == "bh" \
-            else (1.0 - self.drift**2) ** (-(self.n + 1) / 2.0)
+        pref = 1.0 if measure == "bh" else self._bh_factor(-1.0)
         return pref * rho ** (self.n - 1) * (1.0 + self.drift * omega[..., -1])
 
     # ---- polar chart (the straightening coordinates)
@@ -470,14 +453,14 @@ class HyperbolicBall(_ModelBase):
         return f"HyperbolicBall(n={self.n}, k={self.curvature})"
 
     def _conformal(self, x: np.ndarray) -> np.ndarray:
-        r2 = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
+        x = np.asarray(x, dtype=float)
+        r2 = _dot(x, x)
         if np.any(r2 >= self.ball_radius**2):
             raise DomainError("point outside the hyperbolic ball")
         return 2.0 / (1.0 + self.curvature * r2)
 
     def rho(self, x: np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r = np.sqrt(np.sum(x * x, axis=-1))
+        r = _enorm(np.asarray(x, dtype=float))
         if np.any(r >= self.ball_radius):
             raise DomainError("point outside the hyperbolic ball")
         rk = math.sqrt(-self.curvature)
@@ -491,15 +474,15 @@ class HyperbolicBall(_ModelBase):
         """Differential of rho: lambda(x) x/|x| (x != 0)."""
         x = np.asarray(x, dtype=float)
         lam = self._conformal(x)
-        return lam[..., None] * x / _enorm(x)
+        return lam[..., None] * x / _enorm(x)[..., None]
 
     d_rho_plus = d_rho
     d_rho_minus = d_rho
 
     def density(self, x: np.ndarray, measure: str) -> float | np.ndarray:
         self._check_measure(measure)
-        lam = self._conformal(x)
-        out = np.asarray(lam**self.n)
+        # the power of a 0-d array takes the bits of the stacked loop
+        out = np.asarray(self._conformal(x)) ** self.n
         return out if out.ndim else float(out)
 
     def cp_constant(self, measure: str) -> float:
@@ -528,5 +511,5 @@ class HyperbolicBall(_ModelBase):
 
     def conorm(self, x: np.ndarray, xi: np.ndarray) -> float | np.ndarray:
         lam = self._conformal(x)
-        out = np.sqrt(np.sum(np.asarray(xi, dtype=float) ** 2, axis=-1)) / lam
+        out = _enorm(np.asarray(xi, dtype=float)) / lam
         return out if out.ndim else float(out)

@@ -170,10 +170,11 @@ def randers_rho(x: np.ndarray, drift: float,
                 sign: float) -> float | np.ndarray:
     """Inline rho_plus (sign +1) or rho_minus (sign -1): |x| +- t x_n."""
     x = np.asarray(x, dtype=float)
+    length = np.sqrt(np.einsum("...i,...i->...", x, x))
     if sign > 0:
-        out = np.sqrt(np.sum(x * x, axis=-1)) + drift * x[..., -1]
+        out = length + drift * x[..., -1]
     else:
-        out = np.sqrt(np.sum(x * x, axis=-1)) - drift * x[..., -1]
+        out = length - drift * x[..., -1]
     return out if out.ndim else float(out)
 
 
@@ -464,3 +465,29 @@ def battery_formulas(count: int, radius: float = 1.0) -> list[tuple]:
         out.append(base if modifier is None
                    else product_formulas(base, modifier))
     return out
+
+
+def refined_cs_slack_fsum(norm: MinkowskiNorm, xi: np.ndarray,
+                          eta: np.ndarray) -> np.ndarray:
+    """The refined Cauchy-Schwarz slack of
+    :meth:`finslerineq.minkowski.MinkowskiNorm.refined_cs_slack`, pair by
+    pair: F* = |.| + b (.)_n, g*_xi(xi, eta) = F*(xi) (<xi, eta>/|xi| +
+    b eta_n) (0 at xi = 0) and the four-term slack, every sum a
+    ``math.fsum`` of Python floats."""
+    b, lam = norm.drift, norm.uniformity()
+
+    def length(v) -> float:
+        return math.sqrt(math.fsum(c * c for c in v))
+
+    out = []
+    for x, e in zip(np.asarray(xi, dtype=float).tolist(),
+                    np.asarray(eta, dtype=float).tolist()):
+        s = [p + q for p, q in zip(x, e)]
+        nx = length(x)
+        fs_x = nx + b * x[-1]
+        fs_s, fs_e = length(s) + b * s[-1], length(e) + b * e[-1]
+        cross = 0.0 if nx == 0.0 else fs_x * (
+            math.fsum(p * q for p, q in zip(x, e)) / nx + b * e[-1])
+        out.append(math.fsum((fs_s * fs_s, -fs_x * fs_x, -2.0 * cross,
+                              -fs_e * fs_e / lam)))
+    return np.array(out)

@@ -195,10 +195,15 @@ def test_gbeta_nonradial_is_nonzero():
 # ------------------------------------------------------------------- rellich
 def test_rellich_flat_report():
     m = RandersFlat(6, 0.5)
-    rep = H.rellich_report(m, "bh", family(1.0, 1e-3), 0.0, SPEC)
+    rep = H.rellich_report(m, "bh", H.radial_battery(4)[0], 0.0, SPEC)
     assert rep.constants["delta"] == 9.0
     assert rep.passed
     assert rep.terms["remainder"].value == 0.0
+    # the truncated family's f' jumps at eps, so its (Delta u)^2 is not
+    # integrable and the report rejects it
+    with pytest.raises(H.PreconditionError,
+                       match="rellich needs a C\\^1 profile.* 0.001"):
+        H.rellich_report(m, "bh", family(1.0, 1e-3), 0.0, SPEC)
 
 
 def test_rellich_radial_laplacian_shortcut():
@@ -269,7 +274,8 @@ def test_rellich_bv_rejects_kinked_profiles():
     h = HyperbolicBall(6, -1.0)
     kinked = RadialTestFunction(1.0, 1e-3, SmoothCutoff(0.5, 0.9))
     for beta in (0.0, 1.0):
-        with pytest.raises(H.PreconditionError, match="C\\^1.* 0.001"):
+        with pytest.raises(H.PreconditionError,
+                           match="refined rellich needs a C\\^1.* 0.001"):
             H.rellich_bv_report(h, "bh", kinked, beta, SPEC)
     # smooth profiles whose one-sided derivatives at a cutoff breakpoint
     # differ by rounding still pass

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from finslerineq import fields as fc
 from finslerineq.minkowski import MinkowskiNorm
+from finslerineq.models import HyperbolicBall, RandersFlat
 from oracles import (adapt_covector, cauchy_slack, conorm_variational,
                      dual_fundamental_form_fd, dual_fundamental_form_point,
                      flat, fundamental_form_fd, legendre, legendre_inv,
-                     sampled_uniformity_random, unadapt_covector)
+                     refined_cs_slack_fsum, sampled_uniformity_random,
+                     unadapt_covector)
 
 DRIFTS = [0.0, 0.3, 0.5, 0.7]
 
@@ -153,6 +156,79 @@ def test_fundamental_form_stack_matches_rows():
             y[2, 3] = 0.0
             with pytest.raises(ValueError):
                 mn.fundamental_form(y, u, v)
+
+
+# every user of the Euclidean kernel, as op(space, x, xi) on one point or on
+# a stack; xi is a covector, and the points x, |x| < 0.2 sqrt(6), lie inside
+# the k = -2.5 ball
+_FIELD = fc.ScalarField(lambda x: np.sin(x[..., 0]) * np.cos(x[..., -1])
+                        + x[..., 1] ** 3)
+KERNEL_USERS = {
+    "norm": (MinkowskiNorm, lambda s, x, xi: s.norm(xi)),
+    "reverse_norm": (MinkowskiNorm, lambda s, x, xi: s.reverse_norm(xi)),
+    "conorm": (MinkowskiNorm, lambda s, x, xi: s.conorm(xi)),
+    "sharp": (MinkowskiNorm, lambda s, x, xi: s.sharp(xi)),
+    "fundamental_form": (MinkowskiNorm,
+                         lambda s, x, xi: s.fundamental_form(xi, x, xi)),
+    "refined_cs_slack": (MinkowskiNorm,
+                         lambda s, x, xi: s.refined_cs_slack(xi, x)),
+    **{f"{kind}.{name}": (model, op)
+       for kind, model in (("randers", RandersFlat),
+                           ("hyperbolic", HyperbolicBall))
+       for name, op in (
+           ("rho_plus", lambda m, x, xi: m.rho_plus(x)),
+           ("rho_minus", lambda m, x, xi: m.rho_minus(x)),
+           ("d_rho_plus", lambda m, x, xi: m.d_rho_plus(x)),
+           ("d_rho_minus", lambda m, x, xi: m.d_rho_minus(x)),
+           ("conorm", lambda m, x, xi: m.conorm(x, xi)),
+           ("sharp", lambda m, x, xi: m.sharp(x, xi)),
+           ("density", lambda m, x, xi: m.density(x, "bh")))},
+    "fields.differential": (RandersFlat,
+                            lambda m, x, xi: fc.differential(_FIELD, x)),
+}
+
+
+@pytest.mark.parametrize("user", KERNEL_USERS)
+def test_kernel_stack_matches_rows(user):
+    # a stack gives each row the bits that row gives on its own
+    cls, op = KERNEL_USERS[user]
+    rng = np.random.default_rng(19)
+    for n in range(2, 7):
+        for arg in ((0.6, -0.6) if cls is MinkowskiNorm else
+                    (0.4, -0.6) if cls is RandersFlat else (-1.0, -2.5)):
+            space = cls(n, arg)
+            x = rng.uniform(-0.2, 0.2, (4, 5, n))
+            xi = rng.standard_normal((4, 5, n))
+            stacked = np.asarray(op(space, x, xi))
+            rows = [[op(space, x[i, j], xi[i, j]) for j in range(5)]
+                    for i in range(4)]
+            assert np.array_equal(stacked, np.array(rows)), (n, arg)
+
+
+def test_refined_cs_slack_matches_fsum_reference():
+    # against the slack formed pair by pair with math.fsum, colinear pairs
+    # included.  The slack is a difference of squares, so its rounding
+    # follows the largest square: where xi + eta nearly cancels, F*^2(xi)
+    # and F*^2(eta) exceed the campaign's scale max(1, F*^2(xi + eta))
+    # up to 16-fold, and the ulps are counted against the largest of them
+    rng = np.random.default_rng(23)
+    ulp = np.finfo(float).eps
+    for n in (2, 3, 5):
+        for b in (0.0, 0.5, -0.7, 0.9):
+            mn = MinkowskiNorm(n, b)
+            xi, eta = rng.standard_normal((2, 800, n))
+            s = rng.uniform(0.05, 4.0, (200, 1))
+            kappa = rng.uniform(1.0, 4.0, (200, 1))
+            xi_c, xi_k = rng.standard_normal((2, 200, n))
+            xs = np.concatenate([xi, xi_c, xi_k, np.zeros((1, n))])
+            es = np.concatenate([eta, s * xi_c, -kappa * xi_k, eta[:1]])
+            got = np.asarray(mn.refined_cs_slack(xs, es))
+            want = refined_cs_slack_fsum(mn, xs, es)
+            scale = np.maximum.reduce([
+                np.ones(len(xs)), np.asarray(mn.dual_norm(xs + es)) ** 2,
+                np.asarray(mn.dual_norm(xs)) ** 2,
+                np.asarray(mn.dual_norm(es)) ** 2])
+            assert np.all(np.abs(got - want) <= 32 * ulp * scale), (n, b)
 
 
 def test_dual_fundamental_form():

@@ -100,7 +100,9 @@ def test_default_jet_gives_the_same_reports(index):
 
 def test_one_transition_per_pass(monkeypatch):
     # the cutoff of a product profile is evaluated once on the node array
-    # of a Rellich pass; the other calls read single breakpoints
+    # of a Rellich pass; the other calls read single breakpoints: the C^1
+    # check and the flux jump each read the breakpoint's two sides, and
+    # the Green-mass check reads f near the origin
     sizes = []
     jet = SmoothCutoff.jet
 
@@ -114,4 +116,4 @@ def test_one_transition_per_pass(monkeypatch):
     H.rellich_report(RandersFlat(6, 0.4), "bh", prof, 0.5)
     passes = [n for n in sizes if n > 3]
     assert len(passes) == 1 and passes[0] > 1000
-    assert len(sizes) <= 3
+    assert len(sizes) <= 4

@@ -16,12 +16,13 @@ import math
 import numpy as np
 import pytest
 
+from finslerineq import cli
 from finslerineq import harness as H
 from finslerineq.models import (HyperbolicBall, RadialTestFunction,
                                 RandersFlat, SmoothCutoff)
 from finslerineq.quadrature import (QuadratureSpec, annulus_integrate,
                                     power_integral, radial_integrate,
-                                    radial_segments)
+                                    radial_segments, unit_sphere_area)
 
 SPEC = QuadratureSpec()
 FLOOR = 1e-12
@@ -370,16 +371,22 @@ def test_rellich_family_matches_reference(model):
         for beta in (0.0, 1.0):
             want = ref_gbeta(model, "bh", prof, beta)
             assert H.gbeta(model, "bh", prof, beta, SPEC) == want
+            if prof.label.startswith("trunc"):
+                # the kinked member's Delta u has a singular part on
+                # rho = eps, which both reports' (Delta u)^2 terms would
+                # miss; the refined one needs k < 0 before anything else
+                reports = [H.rellich_report]
+                if model.curvature < 0.0:
+                    reports.append(H.rellich_bv_report)
+                for report in reports:
+                    with pytest.raises(H.PreconditionError, match="C\\^1"):
+                        report(model, "bh", prof, beta, SPEC)
+                continue
             rep = H.rellich_report(model, "bh", prof, beta, SPEC)
             assert_report(rep, ref_rellich(model, "bh", prof, beta))
             assert (rep.constants["gbeta_value"],
                     rep.constants["gbeta_scale"]) == want[:2]
-            if model.curvature < 0.0 and prof.label.startswith("trunc"):
-                # the kinked member's Delta u has a singular part on
-                # rho = eps, which the refined report's terms would miss
-                with pytest.raises(H.PreconditionError, match="C\\^1"):
-                    H.rellich_bv_report(model, "bh", prof, beta, SPEC)
-            elif model.curvature < 0.0:
+            if model.curvature < 0.0:
                 # both betas are below n - 4, so both carry the de1 check
                 rep = H.rellich_bv_report(model, "bh", prof, beta, SPEC)
                 assert_report(rep, ref_rellich_bv(model, "bh", prof, beta))
@@ -462,3 +469,41 @@ def test_one_pass_per_report_and_no_nested_reports(monkeypatch):
             sweep(model, "bh", beta, 0.4, 0.9, eps_list, SPEC)
             floor = (FLOOR * 1e-3,) if model.curvature else ()
             assert calls == [("segments", *floor, 1e-3, 1e-2, 0.4, 0.9)]
+
+
+# ------------------------------------------------- near-origin tail defect
+# Every radial pass starts at 1e-12 * support.  Near the edge of
+# integrability the mass below that floor is not negligible, so these three
+# cases read wrong today; they must pass once the inner piece is
+# integrated exactly.
+NEAR_ORIGIN = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                reason="the radial pass drops the mass "
+                                "below its 1e-12 * support floor")
+
+
+@NEAR_ORIGIN
+def test_hardy_main_term_at_the_edge():
+    # battery profile 0 is 1 on [0, r]: there the main term's integrand
+    # is rho^(n-3-beta), integrated in closed form; the transition (r, R)
+    # is smooth, so a 200-node Gauss rule resolves it
+    n, beta = 3, 0.999
+    prof = H.radial_battery(10, 1.0)[0]
+    (r,), big_r = prof.breakpoints, prof.support
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    rho = r + (big_r - r) * (nodes + 1.0) / 2.0
+    p = n - 2.0 - beta
+    outer = (big_r - r) / 2.0 * np.sum(
+        weights * SmoothCutoff(r, big_r).value(rho) ** 2 * rho ** (p - 1.0))
+    want = unit_sphere_area(n) * (p / 2.0) ** 2 * (r**p / p + outer)
+    assert want == pytest.approx(3.139e-3, rel=1e-3)
+    main = H.hardy_report(RandersFlat(n, 0.5), "bh", prof, beta).terms["main"]
+    assert abs(main.value - want) <= main.error + 1e-9 * want
+
+
+@NEAR_ORIGIN
+@pytest.mark.parametrize("suite", ("gbeta-check", "rellich"))
+def test_edge_suites_pass(suite, tmp_path):
+    # -2 < beta < n - 4 holds; the floor leaves G^beta of the battery
+    # outside the membership band
+    assert cli.main([suite, "--n", "6", "--beta", "1.9",
+                     "--out", str(tmp_path / suite)]) == 0
