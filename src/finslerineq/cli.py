@@ -186,9 +186,9 @@ def _sweep(name: str):
         table = getattr(harness, name)(cfg.build_model(), cfg.measure,
                                        cfg.beta, cfg.r, cfg.R, cfg.eps, spec)
         sharp = table.sharp_constant
-        checks = [_check(f"extrapolated quotient within 1% of {sharp}",
-                         abs(table.extrapolated_moebius - sharp)
-                         <= 0.01 * sharp),
+        checks = [_check(f"extrapolated quotient within "
+                         f"{harness.SWEEP_TOLERANCE:.0%} of {sharp}",
+                         table.limit_reached),
                   _check("quotients strictly decreasing", table.monotone)]
         return table.as_dict(), checks, (
             "sweep.csv", [f.name for f in fields(harness.SweepRow)],
@@ -255,7 +255,8 @@ SUITES = {
                      "-2 < beta < n - 4",
                      "randers", 6, _reports("rellich_report")),
     "rellich-bv": Suite("refined Rellich; requires k < 0 and "
-                        "0 <= beta < n - 2",
+                        "0 <= beta < n - 2, but the battery is nonzero at "
+                        "the origin, so G^beta needs beta <= n - 4",
                         "hyperbolic", 6, _reports("rellich_bv_report")),
     "rellich-sweep": Suite("sharpness sweep for (n+beta)^2(n-4-beta)^2/16; "
                            "requires -2 < beta < n - 4",

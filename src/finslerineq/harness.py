@@ -5,21 +5,23 @@ term with its own error, records the constants in play, and exposes
 ``slack = LHS - sum(RHS terms)`` together with the quadrature error budget;
 an inequality "passes" when the slack is above minus that budget.  The
 sharpness sweeps drive the truncated radial family
-``psi * max(eps, rho)^(-gamma)`` toward the origin and extrapolate the
-Rayleigh quotients; on the flat models the quotient is an exactly Moebius
-function of ``log(r/eps)``, which the structured extrapolator exploits, and
-the three-point Moebius fit, which also holds on curved models, decides
-whether a sweep passes.
+``psi * max(eps, rho)^(-gamma)`` (``models.truncated_profile``) toward the
+origin and extrapolate the Rayleigh quotients; on the flat models the
+quotient is an exactly Moebius function of ``log(r/eps)``, which the
+structured extrapolator exploits, and the three-point Moebius fit, which
+also holds on curved models, decides whether a sweep passes: its limit
+within ``SWEEP_TOLERANCE`` of the sharp constant, approached from above.
 
 A report writes its integrands once, as a table of named columns of a jet
 (u, F*(du), rho, Delta u, the G^beta density), which ``_terms`` integrates
-on one of two roads.  Radial inputs reduce through the model's polar
-reduction (``cp_constant`` x radial density) to one ``radial_integrate``
-pass per report, split at the profile's breakpoints.  The pass calls the
-profile's jet (``RadialProfile.derivatives``) once, on the nodes of all
-its segments together, and computes each power rho^p and the comparison
-remainder D(rho) once; each breakpoint read is one more jet call.  A
-sweep's one pass is cut at every eps, and each row sums its
+on one of two roads.  A radial input is a ``models.RadialProfile`` (the
+cutoff and the truncated family are built as ones); it reduces through the
+model's polar reduction (``cp_constant`` x radial density) to one
+``radial_integrate`` pass per report, split at the profile's breakpoints.
+The pass calls the profile's jet (``RadialProfile.derivatives``) once, on
+the nodes of all its segments together, and computes each power rho^p and
+the comparison remainder D(rho) once; each breakpoint read is one more jet
+call.  A sweep's one pass is cut at every eps, and each row sums its
 ``radial_segments`` shells above its eps.  Scalar fields take one
 backward-polar annulus pass of a field jet that evaluates u, F*(du), the
 sign-cased distance ``rho_u`` and the numeric Laplacian once per node set:
@@ -47,8 +49,8 @@ import numpy as np
 
 from . import fields as fc
 from .minkowski import MinkowskiNorm, _enorm
-from .models import (RadialProfile, RadialTestFunction, SmoothCutoff,
-                     cutoff_profile, profile_product)
+from .models import (RadialProfile, cutoff_profile, profile_product,
+                     truncated_profile)
 from .quadrature import QuadratureSpec, annulus_integrate, power_integral, \
     radial_integrate, radial_segments
 
@@ -57,6 +59,7 @@ RADIAL_FLOOR = 1e-12     # relative inner cutoff for integrals reaching rho=0
 # takes an absolute flux step
 GBETA_FIELD_FLOOR = 1e-6
 GBETA_BAND = 1e-6        # kernel membership: |G^beta(u)| <= band * scale
+SWEEP_TOLERANCE = 0.01   # a sweep's limit: within this share of the sharp one
 
 
 class PreconditionError(ValueError):
@@ -133,7 +136,20 @@ class SweepTable:
     extrapolated_moebius: float
     gap_coefficient: float
     monotone: bool
-    passed: bool
+    passed: bool = dc_field(init=False)
+
+    def __post_init__(self) -> None:
+        self.passed = self.monotone and self.limit_reached
+
+    @property
+    def limit_reached(self) -> bool:
+        """The Moebius limit lies within SWEEP_TOLERANCE of the sharp
+        constant, approached from above (a positive gap coefficient).  The
+        structured fit is exact only on the flat models; the Moebius fit
+        also holds on curved ones (and falls back to it for two eps)."""
+        return bool(abs(self.extrapolated_moebius - self.sharp_constant)
+                    <= SWEEP_TOLERANCE * self.sharp_constant
+                    and self.gap_coefficient > 0.0)
 
     def as_dict(self) -> dict:
         return _record_dict(self, constants=dict(self.constants),
@@ -209,20 +225,10 @@ def poincare_constant(model) -> float:
 
 
 # ----------------------------------------------------------- radial plumbing
-def _as_radial(u) -> RadialProfile | None:
-    """The profile of a radial input (a test function or a profile)."""
-    if isinstance(u, RadialTestFunction):
-        return u.profile()
-    if isinstance(u, RadialProfile):
-        return u
-    return None
-
-
 def _require_radial(u) -> RadialProfile:
-    prof = _as_radial(u)
-    if prof is None:
+    if not isinstance(u, RadialProfile):
         raise PreconditionError("this report needs a radial test function")
-    return prof
+    return u
 
 
 class _Jet:
@@ -379,10 +385,9 @@ def _terms(model, measure: str, u, columns: dict[str, _Column],
            ) -> dict[str, TermValue]:
     """The columns' integrals on the radial road, or on the field road from
     ``field_floor * hi`` when u is a scalar field."""
-    prof = _as_radial(u)
-    if prof is None:
-        return _field_terms(model, measure, u, columns, spec, field_floor)
-    return _radial_terms(model, measure, prof, columns, spec)
+    if isinstance(u, RadialProfile):
+        return _radial_terms(model, measure, u, columns, spec)
+    return _field_terms(model, measure, u, columns, spec, field_floor)
 
 
 def _report(theorem: str, model, measure: str, beta: float, constants: dict,
@@ -555,7 +560,7 @@ def gbeta(model, measure: str, u, beta: float,
     Any beta is accepted: only the Rellich reports need -2 < beta < n - 4.
     """
     spec = spec or QuadratureSpec()
-    prof = _as_radial(u)
+    prof = u if isinstance(u, RadialProfile) else None
     raw = _terms(model, measure, u, _gbeta_columns(prof, beta), spec,
                  GBETA_FIELD_FLOOR)
     return _gbeta_value(model, measure, prof, beta, raw)
@@ -729,7 +734,7 @@ def _truncated_family_integrals(model, measure: str, gamma: float,
     curved = model.curvature != 0.0
     floor = [RADIAL_FLOOR * eps_arr[-1]] if curved else []
     cuts = [*floor, *eps_arr[::-1], r, R]
-    prof = RadialTestFunction(gamma, eps_arr[-1], SmoothCutoff(r, R)).profile()
+    prof = truncated_profile(gamma, eps_arr[-1], r, R)
     columns = {"energy": _du2(-beta) if order == 1 else _lap2(-beta),
                "mass": _u2(-weight), "j1": lambda j: j.power(-n),
                "inner": lambda j: j.power(-weight)}
@@ -819,14 +824,10 @@ def _sharpness_sweep(model, measure: str, beta: float, r: float, R: float,
     a_moeb = float(_extrapolate_moebius(ls, quotients)) \
         if eps_arr.size >= 3 else a_struct
     monotone = bool(np.all(np.diff(quotients) < 0.0))
-    # the structured fit is exact only on the flat models; the Moebius fit
-    # also holds on curved ones (and falls back to it for two eps values)
-    passed = bool(monotone and abs(a_moeb - sharp) <= 0.01 * sharp
-                  and d_gap > 0.0)
     constants = {"n": n, "beta": beta, "gamma": gamma, "r": r, "R": R,
                  "cp": cp, "k": model.curvature}
     return SweepTable(theorem, repr(model), measure, beta, constants,
-                      rows, sharp, a_struct, a_moeb, d_gap, monotone, passed)
+                      rows, sharp, a_struct, a_moeb, d_gap, monotone)
 
 
 def hardy_sharpness_sweep(model, measure: str, beta: float, r: float,

@@ -22,14 +22,17 @@ from the sign of u to a distance; ``radial_laplacian`` is a function of
 the radius alone and is read at whatever distance the caller holds.
 
 Every Euclidean length, Randers distance and differential here comes from
-the kernel of ``minkowski``.  Also here: the comparison functions ``s_k``
-and ``D_{k,h}`` for k <= 0 (no model has k > 0, and they raise
-``DomainError`` there), the smooth cutoff profile, and the truncated
-radial test-function family used by the sharpness sweeps.  Every radial
-profile carries a jet that returns f, f' and f'' from one call; products
-compose their factors' jets, the truncated family is the product of the
-cutoff and a truncated power, and the cutoff evaluates its transition only
-on its band r < rho < R.
+the kernel of ``minkowski``, and every radial density is
+``s_k(rho)^{n-1}``.  Also here: the comparison functions ``s_k`` and
+``D_{k,h}`` for k <= 0 (no model has k > 0, and they raise ``DomainError``
+there) and ``RadialProfile``, the one type of radial input.  Its
+constructors build the smooth cutoff (``cutoff_profile``) and the
+truncated radial test-function family of the sharpness sweeps
+(``truncated_profile``).  Every radial profile built here carries a jet
+that returns f, f' and f'' from one call; products compose their factors'
+jets, the truncated family is the product of the cutoff and a truncated
+power, and the cutoff evaluates its transition only on its band
+r < rho < R.
 
 Model descriptors are immutable after construction and every evaluator is
 pure, so concurrent use is safe.
@@ -93,64 +96,6 @@ def comparison_D(k: float, h: float, t: np.ndarray | float
         out = np.where(small, x * x / 3.0 - x**4 / 45.0,
                        x / np.tanh(np.where(small, 1.0, x)) - 1.0) - h * t
     return out if out.ndim else float(out)
-
-
-# -------------------------------------------------------------------- cutoff
-@dataclass(frozen=True)
-class SmoothCutoff:
-    """C-infinity profile psi: 1 on [0, r], 0 on [R, inf), nonincreasing.
-
-    Transition is the symmetric two-sided exponential bump
-    ``psi(rho) = 1 / (1 + exp(w(s)))`` with ``w(s) = 1/(1-s) - 1/s`` and
-    ``s = (rho - r)/(R - r)``; all derivatives vanish at both ends and the
-    profile is exactly 1/2 at the midpoint.
-    """
-
-    r: float
-    R: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r < self.R):
-            raise ValueError("cutoff needs 0 < r < R")
-
-    def jet(self, rho: np.ndarray | float, order: int = 2) -> tuple:
-        """(psi, psi', psi'')[:order + 1] at rho, floats for a 0-d rho.
-
-        The transition is evaluated once, and only on its band
-        1e-12 < s < 1 - 1e-12; elsewhere psi is exactly 1.0 for s <= 1/2
-        and 0.0 beyond, and both derivatives are 0.0.
-        """
-        rho = np.asarray(rho, dtype=float)
-        width = self.R - self.r
-        s = (rho - self.r) / width
-        band_at = np.flatnonzero((s > 1e-12) & (s < 1.0 - 1e-12))
-        sm = s.take(band_at)
-        w = np.clip(1.0 / (1.0 - sm) - 1.0 / sm, -500.0, 500.0)
-        p = 1.0 / (1.0 + np.exp(w))
-        band = [p]
-        if order >= 1:
-            w1 = 1.0 / (1.0 - sm) ** 2 + 1.0 / sm**2
-            band.append(-w1 * p * (1.0 - p) / width)
-        if order >= 2:
-            w2 = 2.0 / (1.0 - sm) ** 3 - 2.0 / sm**3
-            band.append(p * (1.0 - p) * (w1 * w1 * (1.0 - 2.0 * p) - w2)
-                        / width**2)
-        out = []
-        for k, on_band in enumerate(band):
-            full = np.where(s <= 0.5, 1.0, 0.0) if k == 0 else \
-                np.zeros_like(s)
-            np.put(full, band_at, on_band)
-            out.append(full if full.ndim else float(full))
-        return tuple(out)
-
-    def value(self, rho: np.ndarray | float) -> np.ndarray | float:
-        return self.jet(rho, 0)[0]
-
-    def d1(self, rho: np.ndarray | float) -> np.ndarray | float:
-        return self.jet(rho, 1)[1]
-
-    def d2(self, rho: np.ndarray | float) -> np.ndarray | float:
-        return self.jet(rho, 2)[2]
 
 
 # ------------------------------------------------------------ radial profiles
@@ -217,8 +162,48 @@ def profile_product(p: RadialProfile, q: RadialProfile,
 
 
 def cutoff_profile(r: float, R: float) -> RadialProfile:
-    return RadialProfile.from_jet(SmoothCutoff(r, R).jet, support=R,
-                                  breakpoints=(r,), label=f"cutoff[{r},{R}]")
+    """C-infinity profile psi: 1 on [0, r], 0 on [R, inf), nonincreasing.
+
+    Transition is the symmetric two-sided exponential bump
+    ``psi(rho) = 1 / (1 + exp(w(s)))`` with ``w(s) = 1/(1-s) - 1/s`` and
+    ``s = (rho - r)/(R - r)``; all derivatives vanish at both ends and the
+    profile is exactly 1/2 at the midpoint.
+    """
+    if not (0.0 < r < R):
+        raise ValueError("cutoff needs 0 < r < R")
+    width = R - r
+
+    def jet(rho: np.ndarray | float, order: int = 2) -> tuple:
+        """(psi, psi', psi'')[:order + 1] at rho, floats for a 0-d rho.
+
+        The transition is evaluated once, and only on its band
+        1e-12 < s < 1 - 1e-12; elsewhere psi is exactly 1.0 for s <= 1/2
+        and 0.0 beyond, and both derivatives are 0.0.
+        """
+        rho = np.asarray(rho, dtype=float)
+        s = (rho - r) / width
+        band_at = np.flatnonzero((s > 1e-12) & (s < 1.0 - 1e-12))
+        sm = s.take(band_at)
+        w = np.clip(1.0 / (1.0 - sm) - 1.0 / sm, -500.0, 500.0)
+        p = 1.0 / (1.0 + np.exp(w))
+        band = [p]
+        if order >= 1:
+            w1 = 1.0 / (1.0 - sm) ** 2 + 1.0 / sm**2
+            band.append(-w1 * p * (1.0 - p) / width)
+        if order >= 2:
+            w2 = 2.0 / (1.0 - sm) ** 3 - 2.0 / sm**3
+            band.append(p * (1.0 - p) * (w1 * w1 * (1.0 - 2.0 * p) - w2)
+                        / width**2)
+        out = []
+        for k, on_band in enumerate(band):
+            full = np.where(s <= 0.5, 1.0, 0.0) if k == 0 else \
+                np.zeros_like(s)
+            np.put(full, band_at, on_band)
+            out.append(full if full.ndim else float(full))
+        return tuple(out)
+
+    return RadialProfile.from_jet(jet, support=R, breakpoints=(r,),
+                                  label=f"cutoff[{r},{R}]")
 
 
 def _truncated_power(g: float, eps: float, support: float) -> RadialProfile:
@@ -239,33 +224,24 @@ def _truncated_power(g: float, eps: float, support: float) -> RadialProfile:
                                   nonincreasing=g >= 0.0)
 
 
-@dataclass(frozen=True)
-class RadialTestFunction:
-    """The truncated sharpness family u = psi(rho) * max(eps, rho)^(-gamma).
+def truncated_profile(gamma: float, eps: float, r: float, R: float
+                      ) -> RadialProfile:
+    """The truncated sharpness family u = psi(rho) * max(eps, rho)^(-gamma),
+    psi the cutoff on [r, R].
 
-    Its profile is the nonnegative radial factor.  A report integrates it
+    The profile is the nonnegative radial factor.  A report integrates it
     at rho = rho_minus, the distance ``rho_u`` reads where u > 0; the
     nonpositive member ``-psi(rho_plus) max(eps, rho_plus)^(-gamma)`` has
     the same terms, and as a field it is ``fields.radial_field(model,
-    profile, "plus")``.
+    profile, "plus")``.  It is the product of the cutoff and the truncated
+    power; the cutoff's derivatives vanish on rho <= eps < r, so f' and f''
+    are 0 there.
     """
-
-    gamma: float
-    eps: float
-    cutoff: SmoothCutoff
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps < self.cutoff.r):
-            raise ValueError("need 0 < eps < r")
-
-    def profile(self) -> RadialProfile:
-        """The product of the cutoff and the truncated power; the cutoff's
-        derivatives vanish on rho <= eps < r, so f' and f'' are 0 there."""
-        psi = self.cutoff
-        return profile_product(
-            cutoff_profile(psi.r, psi.R),
-            _truncated_power(self.gamma, self.eps, psi.R),
-            label=f"trunc[g={self.gamma},eps={self.eps}]")
+    cutoff = cutoff_profile(r, R)
+    if not (0.0 < eps < r):
+        raise ValueError("need 0 < eps < r")
+    return profile_product(cutoff, _truncated_power(gamma, eps, R),
+                           label=f"trunc[g={gamma},eps={eps}]")
 
 
 # ------------------------------------------------------------------- models
@@ -293,7 +269,8 @@ class _ModelBase:
         raise NotImplementedError
 
     def radial_volume_density(self, rho: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """s_k(rho)^(n-1), the radial density of the polar reduction."""
+        return np.asarray(comparison_s(self.curvature, rho)) ** (self.n - 1)
 
     # ---- radial Laplacians
     def radial_laplacian(self, exponent: float, rho: np.ndarray | float
@@ -388,10 +365,6 @@ class RandersFlat(_ModelBase):
         if measure == "bh":
             return area
         return area * self._bh_factor(-1.0)
-
-    def radial_volume_density(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        return rho ** (self.n - 1)
 
     def polar_density(self, measure: str, rho: np.ndarray,
                       omega: np.ndarray) -> np.ndarray:
@@ -488,9 +461,6 @@ class HyperbolicBall(_ModelBase):
     def cp_constant(self, measure: str) -> float:
         self._check_measure(measure)
         return unit_sphere_area(self.n)
-
-    def radial_volume_density(self, rho: np.ndarray) -> np.ndarray:
-        return np.asarray(comparison_s(self.curvature, rho)) ** (self.n - 1)
 
     def polar_density(self, measure: str, rho: np.ndarray,
                       omega: np.ndarray) -> np.ndarray:

@@ -191,6 +191,42 @@ def test_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rellich_bv_battery_needs_beta_at_most_n_minus_4(tmp_path, capsys):
+    # the domain is 0 <= beta < n - 2, but every battery profile is nonzero
+    # at the origin, where G^beta is undefined once beta > n - 4
+    out = tmp_path / "run"
+    assert run_cli(["rellich-bv", "--n", "6", "--beta", "2.5",
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: G^beta undefined: the profile is nonzero at "
+        "the base point while beta + 2 exceeds n - 2\n")
+    assert not out.exists()
+    assert run_cli(["rellich-bv", "--n", "6", "--beta", "2",
+                    "--out", str(out)]) == 0
+    assert "n - 4" in SUITES["rellich-bv"].help
+
+
+@pytest.mark.parametrize("args", [
+    ["hardy-sweep"], ["hardy-sweep", "--beta", "0.9"],
+    ["hardy-sweep", "--model", "hyperbolic"],
+    ["hardy-sweep", "--model", "hyperbolic", "--beta", "0.9"],
+    ["rellich-sweep"], ["rellich-sweep", "--beta", "1.9"],
+    ["rellich-sweep", "--model", "hyperbolic"],
+    ["rellich-sweep", "--model", "hyperbolic", "--beta", "1.9"]],
+    ids=" ".join)
+def test_sweep_assertions_agree_with_the_table(args, tmp_path):
+    # the run passes exactly when the sweep table does, also where the
+    # near-origin floor makes a curved sweep fail
+    out = tmp_path / "run"
+    code = run_cli([*args, "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] == report["results"]["passed"]
+    assert code == (0 if report["passed"] else 1)
+    assert report["assertions"][0]["name"] == (
+        f"extrapolated quotient within 1% of "
+        f"{report['results']['sharp_constant']}")
+
+
 def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
     # --out naming a file, or a path below one, exits 2 with a message and
     # runs nothing; a missing directory below a directory is made

@@ -327,10 +327,9 @@ def test_integration_by_parts():
 
 
 def test_truncated_family_differential_analytic_vs_fd():
-    from finslerineq.models import RadialTestFunction, SmoothCutoff
+    from finslerineq.models import truncated_profile
     m = RandersFlat(3, 0.5)
-    tf = RadialTestFunction(0.5, 0.05, SmoothCutoff(0.5, 1.0))
-    field = fc.radial_field(m, tf.profile())
+    field = fc.radial_field(m, truncated_profile(0.5, 0.05, 0.5, 1.0))
     fd_only = fc.ScalarField(field.fn, None, field.support_radius)
     rng = np.random.default_rng(31)
     for _ in range(30):

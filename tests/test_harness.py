@@ -8,9 +8,8 @@ import pytest
 from finslerineq import fields as fc
 from finslerineq import harness as H
 from finslerineq.minkowski import MinkowskiNorm
-from finslerineq.models import (HyperbolicBall, RadialTestFunction,
-                                RandersFlat, SmoothCutoff, cutoff_profile,
-                                euclidean_flat)
+from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
+                                euclidean_flat, truncated_profile)
 from finslerineq.quadrature import QuadratureSpec
 from oracles import segment_convexity_margin
 
@@ -19,7 +18,7 @@ FAST = QuadratureSpec(radial_nodes=12, radial_panels=6, sphere_order=6)
 
 
 def family(gamma, eps, r=0.5, R=1.0):
-    return RadialTestFunction(gamma, eps, SmoothCutoff(r, R))
+    return truncated_profile(gamma, eps, r, R)
 
 
 # ----------------------------------------------------------------- constants
@@ -91,8 +90,8 @@ def modulated_field(m, profile_f, profile_d1, support, amp=0.5):
 def test_hardy_generic_field_path():
     # a radially modulated (non-radial) nonnegative field on the flat model
     m = RandersFlat(3, 0.4)
-    psi = SmoothCutoff(0.5, 1.0)
-    u = modulated_field(m, psi.value, psi.d1, psi.R, amp=0.5)
+    psi = cutoff_profile(0.5, 1.0)
+    u = modulated_field(m, psi.f, psi.d1, psi.support, amp=0.5)
     spec = QuadratureSpec(radial_nodes=8, radial_panels=4, sphere_order=4)
     rep = H.hardy_report(m, "bh", u, 0.0, spec)
     assert rep.passed
@@ -172,22 +171,22 @@ def test_gbeta_truncated_family():
 def test_gbeta_nonradial_is_nonzero():
     # a deliberately non-radial field: the kernel class is a proper subset
     m = RandersFlat(6, 0.5)
-    outer = SmoothCutoff(0.55, 1.0)
-    inner = SmoothCutoff(0.25, 0.45)
+    outer = cutoff_profile(0.55, 1.0)
+    inner = cutoff_profile(0.25, 0.45)
 
     def w(rho):
-        return outer.value(rho) * (1.0 - inner.value(rho))
+        return outer.f(rho) * (1.0 - inner.f(rho))
 
     def w1(rho):
-        return outer.d1(rho) * (1.0 - inner.value(rho)) \
-            - outer.value(rho) * inner.d1(rho)
+        return outer.d1(rho) * (1.0 - inner.f(rho)) \
+            - outer.f(rho) * inner.d1(rho)
 
     spec = QuadratureSpec(radial_nodes=24, radial_panels=3, sphere_order=2)
     # control: a radial field in the kernel reads zero at this resolution
     kernel = fc.radial_field(m, cutoff_profile(0.55, 1.0))
     val, scale, err = H.gbeta(m, "bh", kernel, 0.0, spec)
     assert abs(val) <= 1e-5 * scale
-    u = modulated_field(m, w, w1, outer.R, amp=0.8)
+    u = modulated_field(m, w, w1, outer.support, amp=0.8)
     val, scale, err = H.gbeta(m, "bh", u, 0.0, spec)
     assert abs(val) > 1e-3 * scale
 
@@ -210,8 +209,7 @@ def test_rellich_radial_laplacian_shortcut():
     # (Delta u)^2 / rho^beta = gamma^2 ((n+beta)/2)^2 rho^{-n} on the annulus
     m = RandersFlat(6, 0.5)
     gamma, beta = 1.0, 0.0
-    tf = family(gamma, 1e-2)
-    prof = tf.profile()
+    prof = family(gamma, 1e-2)
     rho = np.linspace(0.05, 0.45, 20)
     lap = prof.d2(rho) + prof.d1(rho) * np.asarray(
         m.radial_mean_curvature(rho))
@@ -272,7 +270,7 @@ def test_rellich_bv_rejects_kinked_profiles():
     # the truncated family's f' jumps by -1e6 at eps = 1e-3, so Delta u has
     # a singular part on that sphere which the (Delta u)^2 terms miss
     h = HyperbolicBall(6, -1.0)
-    kinked = RadialTestFunction(1.0, 1e-3, SmoothCutoff(0.5, 0.9))
+    kinked = truncated_profile(1.0, 1e-3, 0.5, 0.9)
     for beta in (0.0, 1.0):
         with pytest.raises(H.PreconditionError,
                            match="refined rellich needs a C\\^1.* 0.001"):
@@ -353,9 +351,8 @@ def test_hardy_sweep_quotient_scale_invariance():
     # I1 and I2 are quadratic in u, so the quotient ignores u -> c u;
     # verified through the report path on a scaled profile
     m = RandersFlat(3, 0.5)
-    tf = family(0.5, 1e-3)
-    rep = H.hardy_report(m, "bh", tf, 0.0, SPEC)
-    prof = tf.profile()
+    prof = family(0.5, 1e-3)
+    rep = H.hardy_report(m, "bh", prof, 0.0, SPEC)
     import finslerineq.models as models
     scaled = models.RadialProfile(
         f=lambda rho: 10.0 * prof.f(rho),

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from finslerineq.models import (DomainError, HyperbolicBall, RadialTestFunction,
-                                RandersFlat, SmoothCutoff, comparison_D,
-                                comparison_s, comparison_s_prime,
-                                cutoff_profile, euclidean_flat)
+from finslerineq.models import (DomainError, HyperbolicBall, RandersFlat,
+                                comparison_D, comparison_s,
+                                comparison_s_prime, cutoff_profile,
+                                euclidean_flat, truncated_profile)
 from finslerineq.quadrature import unit_sphere_area
 from oracles import backward_polar_from_point, randers_d_rho, randers_rho
 
@@ -172,18 +172,18 @@ def test_radial_laplacian_closed_forms():
 
 
 def test_cutoff_properties():
-    psi = SmoothCutoff(0.5, 1.0)
-    assert psi.value(0.25) == 1.0 and psi.d1(0.25) == 0.0
-    assert psi.value(1.0) == 0.0 and psi.d1(1.0) == 0.0
-    assert psi.value(0.75) == pytest.approx(0.5)
+    psi = cutoff_profile(0.5, 1.0)
+    assert psi.f(0.25) == 1.0 and psi.d1(0.25) == 0.0
+    assert psi.f(1.0) == 0.0 and psi.d1(1.0) == 0.0
+    assert psi.f(0.75) == pytest.approx(0.5)
     rho = np.linspace(0.0, 1.2, 500)
-    vals = np.asarray(psi.value(rho))
+    vals = np.asarray(psi.f(rho))
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(np.asarray(psi.d1(rho)) <= 1e-12)
     # derivatives agree with finite differences through the transition
     mid = np.linspace(0.52, 0.98, 40)
     h = 1e-6
-    fd1 = (np.asarray(psi.value(mid + h)) - np.asarray(psi.value(mid - h))) \
+    fd1 = (np.asarray(psi.f(mid + h)) - np.asarray(psi.f(mid - h))) \
         / (2 * h)
     assert np.allclose(fd1, psi.d1(mid), atol=1e-6)
     fd2 = (np.asarray(psi.d1(mid + h)) - np.asarray(psi.d1(mid - h))) \
@@ -191,9 +191,9 @@ def test_cutoff_properties():
     assert np.allclose(fd2, psi.d2(mid), atol=1e-4)
 
 
-def test_radial_test_function_profile():
-    tf = RadialTestFunction(0.5, 0.01, SmoothCutoff(0.5, 1.0))
-    prof = tf.profile()
+def test_truncated_profile():
+    prof = truncated_profile(0.5, 0.01, 0.5, 1.0)
+    assert prof.label == "trunc[g=0.5,eps=0.01]"
     rho = np.array([0.005, 0.01, 0.2, 0.6, 1.1])
     vals = prof.f(rho)
     assert vals[0] == vals[1] == pytest.approx(0.01 ** -0.5)
@@ -205,14 +205,21 @@ def test_radial_test_function_profile():
     h = 1e-7
     fd = (prof.f(mid + h) - prof.f(mid - h)) / (2 * h)
     assert np.allclose(fd, prof.d1(mid), rtol=1e-5, atol=1e-5)
-    with pytest.raises(ValueError):
-        RadialTestFunction(0.5, 0.6, SmoothCutoff(0.5, 1.0))
+    for eps in (0.6, 0.5, 0.0, -0.01):
+        with pytest.raises(ValueError, match="need 0 < eps < r"):
+            truncated_profile(0.5, eps, 0.5, 1.0)
+    with pytest.raises(ValueError, match="cutoff needs 0 < r < R"):
+        truncated_profile(0.5, 0.01, 0.5, 0.5)
 
 
-def test_cutoff_profile_wrapper():
+def test_cutoff_profile_fields():
     prof = cutoff_profile(0.4, 0.9)
     assert prof.nonincreasing and prof.support == 0.9
+    assert prof.breakpoints == (0.4,) and prof.label == "cutoff[0.4,0.9]"
     assert prof.f(np.array([0.1]))[0] == 1.0
+    for r, big_r in ((0.9, 0.4), (0.4, 0.4), (0.0, 0.9), (-0.1, 0.9)):
+        with pytest.raises(ValueError, match="cutoff needs 0 < r < R"):
+            cutoff_profile(r, big_r)
 
 
 def test_hyperbolic_domain():

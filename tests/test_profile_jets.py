@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from finslerineq import harness as H
-from finslerineq.models import (HyperbolicBall, RadialTestFunction,
-                                RandersFlat, SmoothCutoff, cutoff_profile,
-                                profile_product)
+from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
+                                profile_product, truncated_profile)
 from oracles import battery_formulas, cutoff_formulas, truncated_formulas
 
 
@@ -53,18 +52,19 @@ def test_cutoff_jet_matches_separate_formulas():
     r, R = 0.4, 0.9
     formulas = cutoff_formulas(r, R)
     rho = _grid(r, R, 0.5 * (r + R))
-    _assert_jet_matches(cutoff_profile(r, R), formulas, rho)
-    psi = SmoothCutoff(r, R)
-    for method, formula in zip((psi.value, psi.d1, psi.d2), formulas):
-        assert _bits(method(rho)) == _bits(formula(rho))
-        assert isinstance(method(0.6), float)
-        assert isinstance(method(np.float64(0.2)), float)
+    psi = cutoff_profile(r, R)
+    _assert_jet_matches(psi, formulas, rho)
+    # a 0-d rho gives floats, on the band and off it
+    for view in (psi.f, psi.d1, psi.d2):
+        assert isinstance(view(0.6), float)
+        assert isinstance(view(np.float64(0.2)), float)
+    assert all(isinstance(v, float) for v in psi.jet(np.array(0.6)))
 
 
 @pytest.mark.parametrize("gamma,eps", [(0.5, 1e-3), (1.0, 0.05), (2.5, 0.2)])
 def test_truncated_family_jet_matches_separate_formulas(gamma, eps):
     r, R = 0.5, 0.9
-    prof = RadialTestFunction(gamma, eps, SmoothCutoff(r, R)).profile()
+    prof = truncated_profile(gamma, eps, r, R)
     assert prof.breakpoints == (eps, r) and prof.support == R
     assert prof.nonincreasing
     _assert_jet_matches(prof, truncated_formulas(gamma, eps, r, R),
@@ -72,7 +72,7 @@ def test_truncated_family_jet_matches_separate_formulas(gamma, eps):
 
 
 def test_growing_truncated_power_is_not_nonincreasing():
-    prof = RadialTestFunction(-0.5, 0.1, SmoothCutoff(0.5, 0.9)).profile()
+    prof = truncated_profile(-0.5, 0.1, 0.5, 0.9)
     assert not prof.nonincreasing
 
 
@@ -98,20 +98,19 @@ def test_default_jet_gives_the_same_reports(index):
     assert H.gbeta(flat, "bh", plain, 0.5) == H.gbeta(flat, "bh", prof, 0.5)
 
 
-def test_one_transition_per_pass(monkeypatch):
+def test_one_transition_per_pass():
     # the cutoff of a product profile is evaluated once on the node array
     # of a Rellich pass; the other calls read single breakpoints: the C^1
     # check and the flux jump each read the breakpoint's two sides, and
     # the Green-mass check reads f near the origin
     sizes = []
-    jet = SmoothCutoff.jet
+    cutoff = cutoff_profile(0.3, 0.7)
 
-    def counted(self, rho, order=2):
+    def counted(rho, order=2):
         sizes.append(np.size(rho))
-        return jet(self, rho, order)
+        return cutoff.jet(rho, order)
 
-    monkeypatch.setattr(SmoothCutoff, "jet", counted)
-    prof = profile_product(cutoff_profile(0.3, 0.7),
+    prof = profile_product(dataclasses.replace(cutoff, jet=counted),
                            H._gauss_profile(0.8, 0.7))
     H.rellich_report(RandersFlat(6, 0.4), "bh", prof, 0.5)
     passes = [n for n in sizes if n > 3]
