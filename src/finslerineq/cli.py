@@ -388,7 +388,10 @@ def main(argv: list[str] | None = None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, harness.PreconditionError, ValueError) as exc:
+    # MemoryError: a size, such as a sample or node count, whose arrays
+    # cannot be allocated
+    except (ConfigError, harness.PreconditionError, ValueError,
+            MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if code == 0:

@@ -60,6 +60,9 @@ RADIAL_FLOOR = 1e-12     # relative inner cutoff for integrals reaching rho=0
 GBETA_FIELD_FLOOR = 1e-6
 GBETA_BAND = 1e-6        # kernel membership: |G^beta(u)| <= band * scale
 SWEEP_TOLERANCE = 0.01   # a sweep's limit: within this share of the sharp one
+# covector pairs per refined Cauchy-Schwarz campaign block: bounds the
+# campaign's temporaries whatever the sample count
+_CAMPAIGN_BLOCK = 1 << 13
 
 
 class PreconditionError(ValueError):
@@ -859,17 +862,51 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
     compares the colinear tightness identity and the colinear-negative
     closed form, and bounds the second derivative along segments from below
     by 2 F*^2(eta)/Lambda_F.
+
+    The pairs stream in blocks of ``_CAMPAIGN_BLOCK`` rows, so memory is
+    O(block) plus 8 bytes per sample for the slack vector the histogram
+    reads.  The draws are those of one generator seeded with ``seed`` that
+    draws every xi, then every eta: xi streams from one copy of it, eta
+    from a second copy that first skips the xi draws, and the colinear
+    checks continue on the second.
     """
-    rng = np.random.default_rng(seed)
+    if samples < 1:
+        raise PreconditionError(f"the campaign needs samples >= 1, got "
+                                f"{samples}")
     n = norm.dim
-    xi = rng.standard_normal((samples, n))
-    eta = rng.standard_normal((samples, n))
-    slack = np.asarray(norm.refined_cs_slack(xi, eta))
-    scale = np.maximum(1.0, np.asarray(norm.dual_norm(xi + eta)) ** 2)
-    rel = slack / scale
-    i_min = int(np.argmin(rel))
-    counts, edges = np.histogram(np.log10(np.maximum(slack, 1e-300)),
-                                 bins=24)
+    # before any draw, so a count beyond memory fails at once
+    slack = np.empty(samples)
+    xi_rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    starts = range(0, samples, _CAMPAIGN_BLOCK)
+    for a in starts:
+        rng.standard_normal((min(_CAMPAIGN_BLOCK, samples - a), n))
+    nonnegative = True
+    head = []               # the blocks of the first 200 pairs
+    for a in starts:
+        rows = min(_CAMPAIGN_BLOCK, samples - a)
+        xi = xi_rng.standard_normal((rows, n))
+        eta = rng.standard_normal((rows, n))
+        s = slack[a:a + rows]
+        s[:] = norm.refined_cs_slack(xi, eta)
+        scale = np.maximum(1.0, np.asarray(norm.dual_norm(xi + eta)) ** 2)
+        rel = s / scale
+        i = int(np.argmin(rel))
+        # strict, so the first minimum over all blocks is kept
+        if a == 0 or rel[i] < rel_min:
+            rel_min, min_slack, min_scale = rel[i], s[i], scale[i]
+            argmin_xi, argmin_eta = xi[i], eta[i]
+        nonnegative = nonnegative and bool(np.all(s >= -1e-10 * scale))
+        if a < 200:
+            head.append((xi, eta))
+    head_xi, head_eta = (np.concatenate(part)[:200] for part in zip(*head))
+    np.log10(np.maximum(slack, 1e-300, out=slack), out=slack)
+    # binned a block at a time on the edges of the whole range: numpy bins
+    # each value on its own, so the counts are those of one call
+    span = (slack.min(), slack.max())
+    edges = np.histogram_bin_edges(slack, 24, span)
+    counts = sum(np.histogram(slack[a:a + _CAMPAIGN_BLOCK], 24, span)[0]
+                 for a in starts)
     lam = norm.uniformity()
 
     # colinear-positive tightness: slack(xi, s xi) = s^2 F*^2(xi) (1 - 1/Lam)
@@ -898,23 +935,22 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
     # segment convexity: f''(t) = 2 g*_{xi+t eta}(eta, eta) >= 2 F*^2(eta)/Lam
     # on the first 200 segments, skipping those that pass near the origin
     t_grid = np.linspace(0.0, 1.0, 9)
-    seg = xi[:200, None, :] + t_grid[:, None] * eta[:200, None, :]
+    seg = head_xi[:, None, :] + t_grid[:, None] * head_eta[:, None, :]
     keep = np.min(_enorm(seg), axis=1) >= 1e-6
-    seg, e = seg[keep], eta[:200][keep][:, None, :]
+    seg, e = seg[keep], head_eta[keep][:, None, :]
     bound = 2.0 * np.asarray(norm.dual_norm(e)) ** 2 / lam
     f2 = 2.0 * np.asarray(norm.dual_fundamental_form(seg, e, e))
     margin = float(np.min(f2 - bound, initial=math.inf))
 
-    min_slack = float(slack[i_min])
-    passed = bool(np.all(slack >= -1e-10 * scale)
+    passed = bool(nonnegative
                   and colinear_dev <= 1e-10
                   and case2_dev <= 1e-9
                   and margin >= -1e-9)
     return CampaignSummary(
         drift=norm.drift, dim=n, samples=samples,
-        min_slack=min_slack, min_scale=float(scale[i_min]),
-        argmin_xi=[float(v) for v in xi[i_min]],
-        argmin_eta=[float(v) for v in eta[i_min]],
+        min_slack=float(min_slack), min_scale=float(min_scale),
+        argmin_xi=[float(v) for v in argmin_xi],
+        argmin_eta=[float(v) for v in argmin_eta],
         histogram_counts=[int(c) for c in counts],
         histogram_edges=[float(e) for e in edges],
         colinear_max_dev=colinear_dev, case2_max_dev=case2_dev,

@@ -37,6 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# direction pairs per block of the sampled Lambda_F grid: bounds the grid's
+# temporaries whatever the resolution
+_GRID_BLOCK = 1 << 13
+
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a, b> over the last axis, broadcasting the leading ones: the one
@@ -196,26 +200,34 @@ class MinkowskiNorm:
         drift axis and is never improved by moving Y out of the plane spanned
         by X, Z and the axis, so the search reduces to two polar angles; the
         best Y per pair is the top generalized eigenvalue of the 2x2 pencil.
-        Three zoom rounds refine the coarse grid.
+        Three zoom rounds refine the coarse grid.  Each round builds the
+        t2 side once and scans t1 in blocks of about ``_GRID_BLOCK`` grid
+        points, keeping the first maximum in row-major order, so memory is
+        O(block) whatever the resolution.
         """
         lo1 = lo2 = 0.0
         hi1 = hi2 = math.pi
-        best = 1.0
+        rows = max(1, _GRID_BLOCK // resolution)
         for _ in range(3):
             t1 = np.linspace(lo1, hi1, resolution)
             t2 = np.linspace(lo2, hi2, resolution)
             a = self._plane_tensor(t1)[:, None, :, :]
-            bmat = self._plane_tensor(t2)[None, :, :, :]
-            # top root of det(A - lam B) = 0 for 2x2 symmetric pencils
-            a11, a12, a22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
-            b11, b12, b22 = bmat[..., 0, 0], bmat[..., 0, 1], bmat[..., 1, 1]
+            bmat = self._plane_tensor(t2)
+            b11, b12, b22 = bmat[:, 0, 0], bmat[:, 0, 1], bmat[:, 1, 1]
             p2 = b11 * b22 - b12 * b12
-            p1 = -(a11 * b22 + a22 * b11 - 2.0 * a12 * b12)
-            p0 = a11 * a22 - a12 * a12
-            lam = (-p1 + np.sqrt(np.maximum(p1 * p1 - 4.0 * p2 * p0, 0.0))) \
-                / (2.0 * p2)
-            i, j = np.unravel_index(int(np.argmax(lam)), lam.shape)
-            best = float(lam[i, j])
+            for r0 in range(0, resolution, rows):
+                blk = a[r0:r0 + rows]
+                # top root of det(A - lam B) = 0 for 2x2 symmetric pencils
+                a11, a12, a22 = blk[..., 0, 0], blk[..., 0, 1], blk[..., 1, 1]
+                p1 = -(a11 * b22 + a22 * b11 - 2.0 * a12 * b12)
+                p0 = a11 * a22 - a12 * a12
+                lam = (-p1 + np.sqrt(np.maximum(p1 * p1 - 4.0 * p2 * p0,
+                                                0.0))) / (2.0 * p2)
+                k = int(np.argmax(lam))
+                # strict, so the first maximum over all blocks is kept
+                if r0 == 0 or lam.flat[k] > best:
+                    best = float(lam.flat[k])
+                    i, j = r0 + k // resolution, k % resolution
             w1 = (hi1 - lo1) / resolution
             w2 = (hi2 - lo2) / resolution
             lo1, hi1 = max(0.0, t1[i] - 2 * w1), min(math.pi, t1[i] + 2 * w1)

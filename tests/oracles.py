@@ -16,9 +16,11 @@ the inverse of the backward-polar chart are checked against the library's
 ``sharp``, ``dual_norm`` and ``point_from_backward_polar``.  The
 per-point Randers formulas (distances, their differentials, the scalar
 dual tensor and the segment-convexity loop of the refined Cauchy-Schwarz
-campaign) pin the shared, stacked forms of the library.  The separate
-f, f' and f'' formulas of the cutoff, the battery factors, their products
-and the truncated family pin the bits of the profiles' one-call jets.
+campaign) pin the shared, stacked forms of the library, and the one-shot
+campaign and full Lambda_F grid pin the bits of the streamed ones.  The
+separate f, f' and f'' formulas of the cutoff, the battery factors, their
+products and the truncated family pin the bits of the profiles' one-call
+jets.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from typing import Callable
 
 import numpy as np
 
+from finslerineq import minkowski
 from finslerineq.fields import ScalarField, differential, numeric_laplacian
+from finslerineq.harness import CampaignSummary
 from finslerineq.minkowski import MinkowskiNorm
 from finslerineq.models import HyperbolicBall, RandersFlat
 from finslerineq.quadrature import QuadratureError, QuadratureSpec, \
@@ -224,6 +228,95 @@ def segment_convexity_margin(norm: MinkowskiNorm, samples: int,
             f2 = 2.0 * dual_fundamental_form_point(norm, row, e, e)
             margin = min(margin, f2 - bound)
     return margin
+
+
+def refined_cs_campaign_oneshot(norm: MinkowskiNorm, samples: int,
+                                seed: int) -> CampaignSummary:
+    """:func:`finslerineq.harness.refined_cs_campaign` with every pair held
+    at once: one generator draws all xi, then all eta, and every check reads
+    the whole (samples, n) stacks.  Pins the bits of the streamed one."""
+    rng = np.random.default_rng(seed)
+    n = norm.dim
+    xi = rng.standard_normal((samples, n))
+    eta = rng.standard_normal((samples, n))
+    slack = np.asarray(norm.refined_cs_slack(xi, eta))
+    scale = np.maximum(1.0, np.asarray(norm.dual_norm(xi + eta)) ** 2)
+    rel = slack / scale
+    i_min = int(np.argmin(rel))
+    counts, edges = np.histogram(np.log10(np.maximum(slack, 1e-300)),
+                                 bins=24)
+    lam = norm.uniformity()
+
+    s_vals = rng.uniform(0.1, 3.0, size=min(samples, 1000))
+    xi_c = rng.standard_normal((s_vals.size, n))
+    tight = np.asarray(norm.refined_cs_slack(xi_c, s_vals[:, None] * xi_c))
+    fs2 = np.asarray(norm.dual_norm(xi_c)) ** 2
+    colinear_dev = float(np.max(np.abs(
+        tight - s_vals**2 * fs2 * (1.0 - 1.0 / lam))))
+
+    kap = rng.uniform(1.0, 4.0, size=min(samples, 1000))
+    xi_k = rng.standard_normal((kap.size, n))
+    swap = np.asarray(norm.dual_norm(-xi_k)) > np.asarray(norm.dual_norm(xi_k))
+    xi_k[swap] = -xi_k[swap]
+    got = np.asarray(norm.refined_cs_slack(xi_k, -kap[:, None] * xi_k))
+    f_p = np.asarray(norm.dual_norm(xi_k)) ** 2
+    f_m = np.asarray(norm.dual_norm(-xi_k)) ** 2
+    want = f_p * ((2.0 * kap - 1.0)
+                  + ((kap - 1.0) ** 2 - kap**2 / lam) * f_m / f_p)
+    case2_dev = float(np.max(np.abs(got - want)
+                             / np.maximum(1.0, np.abs(want))))
+
+    t_grid = np.linspace(0.0, 1.0, 9)
+    seg = xi[:200, None, :] + t_grid[:, None] * eta[:200, None, :]
+    # the library's length kernel, so the near-origin cut is the same
+    keep = np.min(minkowski._enorm(seg), axis=1) >= 1e-6
+    seg, e = seg[keep], eta[:200][keep][:, None, :]
+    bound = 2.0 * np.asarray(norm.dual_norm(e)) ** 2 / lam
+    f2 = 2.0 * np.asarray(norm.dual_fundamental_form(seg, e, e))
+    margin = float(np.min(f2 - bound, initial=math.inf))
+
+    passed = bool(np.all(slack >= -1e-10 * scale)
+                  and colinear_dev <= 1e-10
+                  and case2_dev <= 1e-9
+                  and margin >= -1e-9)
+    return CampaignSummary(
+        drift=norm.drift, dim=n, samples=samples,
+        min_slack=float(slack[i_min]), min_scale=float(scale[i_min]),
+        argmin_xi=[float(v) for v in xi[i_min]],
+        argmin_eta=[float(v) for v in eta[i_min]],
+        histogram_counts=[int(c) for c in counts],
+        histogram_edges=[float(e) for e in edges],
+        colinear_max_dev=colinear_dev, case2_max_dev=case2_dev,
+        case3_margin=margin, passed=passed)
+
+
+def sampled_uniformity_full_grid(norm: MinkowskiNorm,
+                                 resolution: int = 400) -> float:
+    """:meth:`finslerineq.minkowski.MinkowskiNorm.sampled_uniformity` on
+    the whole (resolution, resolution) grid of each zoom round at once.
+    Pins the bits of the row-blocked scan."""
+    lo1 = lo2 = 0.0
+    hi1 = hi2 = math.pi
+    best = 1.0
+    for _ in range(3):
+        t1 = np.linspace(lo1, hi1, resolution)
+        t2 = np.linspace(lo2, hi2, resolution)
+        a = norm._plane_tensor(t1)[:, None, :, :]
+        bmat = norm._plane_tensor(t2)[None, :, :, :]
+        a11, a12, a22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+        b11, b12, b22 = bmat[..., 0, 0], bmat[..., 0, 1], bmat[..., 1, 1]
+        p2 = b11 * b22 - b12 * b12
+        p1 = -(a11 * b22 + a22 * b11 - 2.0 * a12 * b12)
+        p0 = a11 * a22 - a12 * a12
+        lam = (-p1 + np.sqrt(np.maximum(p1 * p1 - 4.0 * p2 * p0, 0.0))) \
+            / (2.0 * p2)
+        i, j = np.unravel_index(int(np.argmax(lam)), lam.shape)
+        best = float(lam[i, j])
+        w1 = (hi1 - lo1) / resolution
+        w2 = (hi2 - lo2) / resolution
+        lo1, hi1 = max(0.0, t1[i] - 2 * w1), min(math.pi, t1[i] + 2 * w1)
+        lo2, hi2 = max(0.0, t2[j] - 2 * w2), min(math.pi, t2[j] + 2 * w2)
+    return best
 
 
 def sampled_uniformity_random(norm: MinkowskiNorm, samples: int,

@@ -410,6 +410,23 @@ def test_overflow_exits_numerical(tmp_path, capsys, args):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, quad", [
+    (["refined-cs", "--samples", "1000000000000"], None),
+    (["hardy"], "radial_nodes = 3000000")], ids=["samples", "radial_nodes"])
+def test_oversized_input_exits_config(tmp_path, capsys, args, quad):
+    # a size whose arrays exceed memory (the campaign's 8 TB slack vector,
+    # the 65 TiB Jacobi matrix of a 3e6-node Gauss rule) is refused at its
+    # first allocation: a configuration error, not a traceback
+    if quad is not None:
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(f"[quadrature]\n{quad}\n")
+        args = [*args, "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run_cli([*args, "--out", str(out)]) == 2
+    assert "configuration error: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path):
     assert run_cli(["hardy", "--config", str(tmp_path / "nope.ini"),
                     "--out", str(tmp_path)]) == 2

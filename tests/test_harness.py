@@ -1,17 +1,24 @@
 """Inequality reports, admissibility functional, sharpness sweeps, campaign."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finslerineq
 from finslerineq import fields as fc
 from finslerineq import harness as H
+from finslerineq import minkowski
 from finslerineq.minkowski import MinkowskiNorm
 from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
                                 euclidean_flat, truncated_profile)
 from finslerineq.quadrature import QuadratureSpec
-from oracles import segment_convexity_margin
+from oracles import refined_cs_campaign_oneshot, segment_convexity_margin, \
+    sampled_uniformity_full_grid
 
 SPEC = QuadratureSpec()
 FAST = QuadratureSpec(radial_nodes=12, radial_panels=6, sphere_order=6)
@@ -422,6 +429,43 @@ def test_refined_cs_segment_margin_matches_point_loop(n, t, seed):
     want = segment_convexity_margin(norm, 100_000, seed)
     assert math.isfinite(want)
     assert abs(s.case3_margin - want) <= 1e-13
+
+
+@pytest.mark.parametrize("n, t, seed, samples, block", [
+    (3, 0.5, 1234, 100_000, None), (2, 0.0, 1, 8193, 7),
+    (5, 0.3, 99, 250, 1), (3, 0.7, 7, 1, 1), (4, -0.6, 5, 1000, 7)])
+def test_streamed_sampling_matches_one_shot(monkeypatch, n, t, seed,
+                                            samples, block):
+    # the streamed campaign and the row-blocked Lambda_F grid against their
+    # all-at-once forms, bit for bit; a small block takes the campaign's 200
+    # segment pairs from many blocks, and the grid then scans ``block`` rows
+    # of its 400 at a time (with 7, the last block is partial); a negative
+    # drift puts the grid's maximum on its last row
+    if block is not None:
+        monkeypatch.setattr(H, "_CAMPAIGN_BLOCK", block)
+        monkeypatch.setattr(minkowski, "_GRID_BLOCK", block * 400)
+    norm = MinkowskiNorm(n, t)
+    assert H.refined_cs_campaign(norm, samples, seed).as_dict() == \
+        refined_cs_campaign_oneshot(norm, samples, seed).as_dict()
+    assert norm.sampled_uniformity() == sampled_uniformity_full_grid(norm)
+
+
+def test_refined_cs_campaign_memory():
+    # a fresh interpreter, so the peak is this campaign's alone: holding
+    # every pair's temporaries peaks near 145 MB at a million samples, the
+    # streamed campaign near 45 MB (8 bytes per sample plus its blocks).
+    # VmHWM starts over at exec, where ru_maxrss would keep the high-water
+    # mark of the test process that started the child.
+    src = str(Path(finslerineq.__file__).parents[1])
+    code = ("from finslerineq import harness, minkowski\n"
+            "harness.refined_cs_campaign(minkowski.MinkowskiNorm(3, 0.5),"
+            " 1_000_000, 1234)\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert int(proc.stdout) <= 80 * 1024      # VmHWM is in kB
 
 
 def test_battery_profiles_admissible():
