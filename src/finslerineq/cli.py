@@ -16,6 +16,7 @@ import argparse
 import configparser
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from . import harness
-from .fields import CriticalPointError
 from .minkowski import MinkowskiNorm
 from .models import HyperbolicBall, RandersFlat, euclidean_flat
 from .quadrature import QuadratureError, QuadratureSpec
@@ -321,11 +321,23 @@ def _parse(name: str, value):
     return type(default)(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``-1e-2`` as a negative number, as it
+    reads ``-0.01``: argparse's own pattern has no exponent form, so
+    ``--k -1e-2`` would take ``-1e-2`` for an option.  Subparsers are built
+    from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, each call fills a new namespace."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="finslerineq",
         description="verify sharp Hardy/Rellich inequalities on Finsler "
                     "model spaces")
@@ -382,10 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         code = run(cfg)
-    # first: CriticalPointError is also a ValueError; ArithmeticError
-    # covers the OverflowError of sizes beyond double range
-    except (QuadratureError, CriticalPointError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    # ArithmeticError covers the OverflowError of sizes beyond double range
+    except (QuadratureError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     # MemoryError: a size, such as a sample or node count, whose arrays

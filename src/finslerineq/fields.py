@@ -1,16 +1,16 @@
-"""Differential calculus on model spaces, on single points and point stacks.
+"""Differential calculus on model spaces, on point stacks.
 
-Every function takes a point (n,) or a stack of points (..., n) and acts on
-the last axis only, so a whole quadrature node set is one call.
+Every function takes a stack of points (..., n) and acts on the last axis
+only, so a whole quadrature node set is one call; a point (n,) is a stack
+with no leading axes.
 Differentials are analytic when the field carries one, otherwise central
 finite differences.  Gradients go through the inverse Legendre transform of
 the model's norm (``model.sharp``), and the Laplacian is assembled in
 divergence form: the flux ``sigma(x) * grad u`` is differenced componentwise;
 lengths come from the kernel of ``minkowski``.
-The nonlinear Finsler Laplacian is only defined where ``du != 0``; stencil
-points with a nearly vanishing differential are reported via
-:class:`CriticalPointError` for a single point and as NaN in a stack, so
-callers can exclude them.
+The nonlinear Finsler Laplacian is only defined where ``du != 0``; a point
+whose stencil has a nearly vanishing differential reads NaN, so callers can
+exclude it.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ CRITICAL_DIFFERENTIAL = 1e-8
 _LAPLACIAN_BLOCK = 1024
 
 
-class CriticalPointError(ValueError):
-    """The differential is too small for the Laplacian branch to be reliable."""
-
-
 @dataclass
 class ScalarField:
     """A scalar field with optional analytic differential.
@@ -38,8 +34,8 @@ class ScalarField:
     ``fn`` maps points (..., n) to values (...); ``grad``, when given, maps
     them to the differential components (..., n).  Both must act on the last
     axis only, so that a single point (n,) and a stack of points are the
-    same call.  Calling the field broadcasts a constant ``fn`` to
-    ``x.shape[:-1]`` and returns a float for a single point.
+    same call.  Calling the field returns an array shaped ``x.shape[:-1]``,
+    broadcasting a constant ``fn`` to it.
     ``support_radius`` bounds the support in the relevant radial variable
     when known.
     """
@@ -48,12 +44,12 @@ class ScalarField:
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     support_radius: float | None = None
 
-    def __call__(self, x: np.ndarray) -> float | np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.asarray(self.fn(x), dtype=float)
         if out.shape != x.shape[:-1]:
             out = np.broadcast_to(out, x.shape[:-1]).copy()
-        return float(out) if out.ndim == 0 else out
+        return out
 
 
 def _unit_steps(x: np.ndarray, h) -> np.ndarray:
@@ -80,23 +76,15 @@ def differential(field: ScalarField, x: np.ndarray) -> np.ndarray:
 
 
 def numeric_laplacian(model, measure: str, field: ScalarField,
-                      x: np.ndarray) -> float | np.ndarray:
+                      x: np.ndarray) -> np.ndarray:
     """Divergence-form Laplacian: (1/sigma) d_i (sigma (grad u)^i) by central
     differences of the flux, step 1e-4 max(1, |x|).
 
-    For a single point (n,) returns a float and raises CriticalPointError
-    when any stencil point has |du| below the reliability threshold.  For a
-    stack (..., n) returns (...), NaN at such critical points; the stencils
+    Returns (...) for points (..., n), NaN at critical points, where some
+    stencil point has |du| below the reliability threshold; the stencils
     are evaluated in blocks of a fixed number of points.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        lap, du_min = _laplacian_block(model, measure, field, x[None])
-        if du_min[0] < CRITICAL_DIFFERENTIAL:
-            raise CriticalPointError(
-                f"|du| ~ {du_min[0]:.2e} near {x}: Laplacian branch "
-                "undefined near critical points")
-        return float(lap[0])
     flat = x.reshape(-1, x.shape[-1])
     out = np.empty(flat.shape[0])
     for start in range(0, flat.shape[0], _LAPLACIAN_BLOCK):
@@ -113,15 +101,14 @@ def _laplacian_block(model, measure: str, field: ScalarField, x: np.ndarray
     h = 1e-4 * np.maximum(1.0, _enorm(x))
     z = _unit_steps(x, h)                               # (B, 2, n, n)
     du = differential(field, z)
-    flux = np.asarray(model.density(z, measure))[..., None] * \
-        model.sharp(z, du)
+    flux = model.density(z, measure)[..., None] * model.sharp(z, du)
     diag = np.diagonal(flux, axis1=2, axis2=3)          # (B, 2, n)
     terms = (diag[:, 0] - diag[:, 1]) / (2.0 * h)[:, None]
     div = 0.0
     for i in range(x.shape[-1]):
         div = div + terms[:, i]
     du_min = np.sqrt(_dot(du, du).min(axis=(1, 2)))
-    return div / np.asarray(model.density(x, measure)), du_min
+    return div / model.density(x, measure), du_min
 
 
 # ------------------------------------------------------- field constructors
@@ -137,11 +124,10 @@ def radial_field(model, profile, orientation: str = "minus") -> ScalarField:
                          "(use 'minus' or 'plus')")
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return sgn * np.asarray(profile.f(np.asarray(rho(x))))
+        return sgn * profile.f(rho(x))
 
     def grad(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return (sgn * np.asarray(profile.d1(np.asarray(rho(x)))))[..., None] \
-            * drho(x)
+        return (sgn * np.asarray(profile.d1(rho(x))))[..., None] * drho(x)
 
     return ScalarField(fn, grad, support_radius=profile.support)

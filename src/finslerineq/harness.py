@@ -263,7 +263,7 @@ class _Jet:
         density: -Delta(rho_minus^(-beta-2)) where u > 0 and
         Delta(-rho_plus^(-beta-2)) where u < 0; where u = 0 the column's
         u^2 factor vanishes."""
-        return -np.asarray(self.model.radial_laplacian(beta + 2.0, self.rho))
+        return -self.model.radial_laplacian(beta + 2.0, self.rho)
 
 
 class _RadialJet(_Jet):
@@ -277,8 +277,7 @@ class _RadialJet(_Jet):
 
     @cached_property
     def lap(self) -> np.ndarray:
-        return self.d2 + self.d1 * \
-            np.asarray(self.model.radial_mean_curvature(self.rho))
+        return self.d2 + self.d1 * self.model.radial_mean_curvature(self.rho)
 
 
 class _FieldJet(_Jet):
@@ -294,8 +293,7 @@ class _FieldJet(_Jet):
 
     @cached_property
     def d1(self) -> np.ndarray:
-        return np.asarray(self.model.conorm(self.x,
-                                            fc.differential(self.u, self.x)))
+        return self.model.conorm(self.x, fc.differential(self.u, self.x))
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -889,7 +887,7 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
         eta = rng.standard_normal((rows, n))
         s = slack[a:a + rows]
         s[:] = norm.refined_cs_slack(xi, eta)
-        scale = np.maximum(1.0, np.asarray(norm.dual_norm(xi + eta)) ** 2)
+        scale = np.maximum(1.0, norm.dual_norm(xi + eta) ** 2)
         rel = s / scale
         i = int(np.argmin(rel))
         # strict, so the first minimum over all blocks is kept
@@ -912,8 +910,8 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
     # colinear-positive tightness: slack(xi, s xi) = s^2 F*^2(xi) (1 - 1/Lam)
     s_vals = rng.uniform(0.1, 3.0, size=min(samples, 1000))
     xi_c = rng.standard_normal((s_vals.size, n))
-    tight = np.asarray(norm.refined_cs_slack(xi_c, s_vals[:, None] * xi_c))
-    fs2 = np.asarray(norm.dual_norm(xi_c)) ** 2
+    tight = norm.refined_cs_slack(xi_c, s_vals[:, None] * xi_c)
+    fs2 = norm.dual_norm(xi_c) ** 2
     colinear_dev = float(np.max(np.abs(
         tight - s_vals**2 * fs2 * (1.0 - 1.0 / lam))))
 
@@ -922,11 +920,11 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
     #   + ((kappa-1)^2 - kappa^2/Lam) F*^2(-xi)/F*^2(xi)
     kap = rng.uniform(1.0, 4.0, size=min(samples, 1000))
     xi_k = rng.standard_normal((kap.size, n))
-    swap = np.asarray(norm.dual_norm(-xi_k)) > np.asarray(norm.dual_norm(xi_k))
+    swap = norm.dual_norm(-xi_k) > norm.dual_norm(xi_k)
     xi_k[swap] = -xi_k[swap]
-    got = np.asarray(norm.refined_cs_slack(xi_k, -kap[:, None] * xi_k))
-    f_p = np.asarray(norm.dual_norm(xi_k)) ** 2
-    f_m = np.asarray(norm.dual_norm(-xi_k)) ** 2
+    got = norm.refined_cs_slack(xi_k, -kap[:, None] * xi_k)
+    f_p = norm.dual_norm(xi_k) ** 2
+    f_m = norm.dual_norm(-xi_k) ** 2
     want = f_p * ((2.0 * kap - 1.0)
                   + ((kap - 1.0) ** 2 - kap**2 / lam) * f_m / f_p)
     case2_dev = float(np.max(np.abs(got - want)
@@ -938,8 +936,8 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
     seg = head_xi[:, None, :] + t_grid[:, None] * head_eta[:, None, :]
     keep = np.min(_enorm(seg), axis=1) >= 1e-6
     seg, e = seg[keep], head_eta[keep][:, None, :]
-    bound = 2.0 * np.asarray(norm.dual_norm(e)) ** 2 / lam
-    f2 = 2.0 * np.asarray(norm.dual_fundamental_form(seg, e, e))
+    bound = 2.0 * norm.dual_norm(e) ** 2 / lam
+    f2 = 2.0 * norm.dual_fundamental_form(seg, e, e)
     margin = float(np.min(f2 - bound, initial=math.inf))
 
     passed = bool(nonnegative

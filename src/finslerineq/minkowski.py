@@ -24,10 +24,10 @@ every length through it), and the Randers value ``_randers``, its
 differential ``_d_randers`` and the co-norm pair ``MinkowskiNorm._conorm_q``
 are each written once.
 
-The norms and the fundamental tensor take a point ``(n,)`` or a stack
-``(..., n)`` and return a float or an array over the leading axes.  All
-operations are pure functions of immutable data and safe to call
-concurrently.
+The norms and the fundamental tensor take a stack ``(..., n)`` and return
+an array over its leading axes; a point ``(n,)`` is a stack with no leading
+axes and gets what that expression gives, a 0-d value.  All operations are
+pure functions of immutable data and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ import numpy as np
 # direction pairs per block of the sampled Lambda_F grid: bounds the grid's
 # temporaries whatever the resolution
 _GRID_BLOCK = 1 << 13
+# grid points per zoom round of the sampled lambda_F and Lambda_F
+_REVERSIBILITY_RESOLUTION = 2000
+_UNIFORMITY_RESOLUTION = 400
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,12 +57,11 @@ def _enorm(a: np.ndarray) -> np.ndarray:
 
 
 def _randers(y: np.ndarray, drift: float,
-             length: np.ndarray | None = None) -> float | np.ndarray:
+             length: np.ndarray | None = None) -> np.ndarray:
     """|y| + drift * y_n, the one Randers expression of the package;
     ``length`` is |y| when the caller has it already."""
     y = np.asarray(y, dtype=float)
-    out = (_enorm(y) if length is None else length) + drift * y[..., -1]
-    return out if out.ndim else float(out)
+    return (_enorm(y) if length is None else length) + drift * y[..., -1]
 
 
 def _d_randers(y: np.ndarray, drift: float,
@@ -86,11 +88,11 @@ class MinkowskiNorm:
             raise ValueError("Randers drift must satisfy |b| < 1")
 
     # ---------------------------------------------------------------- basic
-    def norm(self, y: np.ndarray) -> float | np.ndarray:
+    def norm(self, y: np.ndarray) -> np.ndarray:
         """F(y); positive for y != 0 and positively 1-homogeneous."""
         return _randers(y, self.drift)
 
-    def reverse_norm(self, y: np.ndarray) -> float | np.ndarray:
+    def reverse_norm(self, y: np.ndarray) -> np.ndarray:
         """The reverse norm evaluated at y, i.e. F(-y)."""
         return _randers(y, -self.drift)
 
@@ -107,10 +109,9 @@ class MinkowskiNorm:
         q = np.sqrt(s * _dot(head, head) + last * last)
         return q, (q - b * last) / s
 
-    def conorm(self, xi: np.ndarray) -> float | np.ndarray:
+    def conorm(self, xi: np.ndarray) -> np.ndarray:
         """Dual norm of a raw differential in natural coordinates."""
-        out = self._conorm_q(np.asarray(xi, dtype=float))[1]
-        return out if out.ndim else float(out)
+        return self._conorm_q(np.asarray(xi, dtype=float))[1]
 
     def sharp(self, xi: np.ndarray) -> np.ndarray:
         """Inverse Legendre map on raw differentials: the vector y with
@@ -126,7 +127,7 @@ class MinkowskiNorm:
 
     # -------------------------------------------------------------- tensors
     def fundamental_form(self, y: np.ndarray, u: np.ndarray,
-                         v: np.ndarray) -> float | np.ndarray:
+                         v: np.ndarray) -> np.ndarray:
         """g_y(u, v), the Hessian of F^2/2 at y != 0 (natural coordinates).
 
         Broadcasts over leading axes ``(..., n)``; raises ``ValueError`` if
@@ -141,9 +142,8 @@ class MinkowskiNorm:
         yh = y / ny[..., None]
         ell = _d_randers(y, self.drift, ny)
         f = _randers(y, self.drift, ny)
-        out = _dot(ell, u) * _dot(ell, v) \
+        return _dot(ell, u) * _dot(ell, v) \
             + (f / ny) * (_dot(u, v) - _dot(yh, u) * _dot(yh, v))
-        return out if out.ndim else float(out)
 
     # g*_xi(eta, zeta) for xi != 0, in adapted dual coordinates
     dual_fundamental_form = fundamental_form
@@ -158,11 +158,12 @@ class MinkowskiNorm:
         """Lambda_F = sup g_X(Y,Y)/g_Z(Y,Y) = ((1+|b|)/(1-|b|))^2, closed form."""
         return self.reversibility() ** 2
 
-    def sampled_reversibility(self, resolution: int = 2000) -> float:
+    def sampled_reversibility(self) -> float:
         """Grid estimate of lambda_F; the ratio only depends on the angle to
         the drift axis, so a 1-d grid over that angle with two zoom rounds
         recovers the supremum."""
         b = self.drift
+        resolution = _REVERSIBILITY_RESOLUTION
         lo, hi = 0.0, math.pi
         best_theta = 0.0
         for _ in range(3):
@@ -193,7 +194,7 @@ class MinkowskiNorm:
         out[..., 1, 1] = g22
         return out
 
-    def sampled_uniformity(self, resolution: int = 400) -> float:
+    def sampled_uniformity(self) -> float:
         """Grid estimate of Lambda_F over direction pairs.
 
         The ratio g_X(Y,Y)/g_Z(Y,Y) is invariant under rotations about the
@@ -205,6 +206,7 @@ class MinkowskiNorm:
         points, keeping the first maximum in row-major order, so memory is
         O(block) whatever the resolution.
         """
+        resolution = _UNIFORMITY_RESOLUTION
         lo1 = lo2 = 0.0
         hi1 = hi2 = math.pi
         rows = max(1, _GRID_BLOCK // resolution)
@@ -235,8 +237,7 @@ class MinkowskiNorm:
         return best
 
     # ------------------------------------------------- inequality residuals
-    def refined_cs_slack(self, xi: np.ndarray, eta: np.ndarray
-                         ) -> float | np.ndarray:
+    def refined_cs_slack(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """Residual of the sharpened Cauchy-Schwarz inequality
 
             F*^2(xi+eta) - F*^2(xi) - 2 g*_xi(xi, eta) - F*^2(eta)/Lambda_F,
@@ -256,5 +257,5 @@ class MinkowskiNorm:
         # g*_xi(xi, eta) = F*(xi) (<xi, eta>/|xi| + b eta_n)
         cross = fs_xi * (_dot(xi, eta) / safe + b * eta[..., -1])
         cross = np.where(nxi == 0.0, 0.0, cross)
-        out = fs_sum**2 - fs_xi**2 - 2.0 * cross - fs_eta**2 / self.uniformity()
-        return out if out.ndim else float(out)
+        return fs_sum**2 - fs_xi**2 - 2.0 * cross \
+            - fs_eta**2 / self.uniformity()

@@ -62,23 +62,20 @@ def _root(k: float) -> float:
     return math.sqrt(-k)
 
 
-def comparison_s(k: float, t: np.ndarray | float) -> np.ndarray | float:
+def comparison_s(k: float, t: np.ndarray | float) -> np.ndarray:
     """s_k(t): solution of f'' + k f = 0 with f(0) = 0, f'(0) = 1."""
     r = _root(k)
     t = np.asarray(t, dtype=float)
-    out = t.copy() if k == 0.0 else np.sinh(r * t) / r
-    return out if out.ndim else float(out)
+    return t.copy() if k == 0.0 else np.sinh(r * t) / r
 
 
-def comparison_s_prime(k: float, t: np.ndarray | float) -> np.ndarray | float:
+def comparison_s_prime(k: float, t: np.ndarray | float) -> np.ndarray:
     r = _root(k)
     t = np.asarray(t, dtype=float)
-    out = np.ones_like(t) if k == 0.0 else np.cosh(r * t)
-    return out if out.ndim else float(out)
+    return np.ones_like(t) if k == 0.0 else np.cosh(r * t)
 
 
-def comparison_D(k: float, h: float, t: np.ndarray | float
-                 ) -> np.ndarray | float:
+def comparison_D(k: float, h: float, t: np.ndarray | float) -> np.ndarray:
     """D_{k,h}(t) = t (s_k'(t)/s_k(t) - h) - 1 for t > 0 and k <= 0.
 
     Nonnegative for all t exactly when h <= 0.
@@ -88,14 +85,12 @@ def comparison_D(k: float, h: float, t: np.ndarray | float
     if np.any(t <= 0.0):
         raise DomainError("comparison function needs t > 0")
     if k == 0.0:
-        out = -h * t
-    else:
-        # x coth x - 1, with a series near 0 to dodge cancellation
-        x = r * t
-        small = x < 1e-4
-        out = np.where(small, x * x / 3.0 - x**4 / 45.0,
-                       x / np.tanh(np.where(small, 1.0, x)) - 1.0) - h * t
-    return out if out.ndim else float(out)
+        return -h * t
+    # x coth x - 1, with a series near 0 to dodge cancellation
+    x = r * t
+    small = x < 1e-4
+    return np.where(small, x * x / 3.0 - x**4 / 45.0,
+                    x / np.tanh(np.where(small, 1.0, x)) - 1.0) - h * t
 
 
 # ------------------------------------------------------------ radial profiles
@@ -174,7 +169,7 @@ def cutoff_profile(r: float, R: float) -> RadialProfile:
     width = R - r
 
     def jet(rho: np.ndarray | float, order: int = 2) -> tuple:
-        """(psi, psi', psi'')[:order + 1] at rho, floats for a 0-d rho.
+        """(psi, psi', psi'')[:order + 1] at rho, each shaped like rho.
 
         The transition is evaluated once, and only on its band
         1e-12 < s < 1 - 1e-12; elsewhere psi is exactly 1.0 for s <= 1/2
@@ -199,7 +194,7 @@ def cutoff_profile(r: float, R: float) -> RadialProfile:
             full = np.where(s <= 0.5, 1.0, 0.0) if k == 0 else \
                 np.zeros_like(s)
             np.put(full, band_at, on_band)
-            out.append(full if full.ndim else float(full))
+            out.append(full)
         return tuple(out)
 
     return RadialProfile.from_jet(jet, support=R, breakpoints=(r,),
@@ -252,16 +247,14 @@ class _ModelBase:
     curvature: float
 
     # ---- comparison data
-    def radial_mean_curvature(self, rho: np.ndarray | float
-                              ) -> np.ndarray | float:
+    def radial_mean_curvature(self, rho: np.ndarray | float) -> np.ndarray:
         """(n-1) s_k'/s_k at radius rho: the exact radial Laplacian of the
         distance function on the model (forward or reverse alike)."""
         s = comparison_s(self.curvature, rho)
         sp = comparison_s_prime(self.curvature, rho)
         return (self.n - 1) * sp / s
 
-    def comparison_remainder(self, rho: np.ndarray | float
-                             ) -> np.ndarray | float:
+    def comparison_remainder(self, rho: np.ndarray | float) -> np.ndarray:
         return comparison_D(self.curvature, 0.0, rho)
 
     # ---- radial reduction
@@ -270,11 +263,11 @@ class _ModelBase:
 
     def radial_volume_density(self, rho: np.ndarray) -> np.ndarray:
         """s_k(rho)^(n-1), the radial density of the polar reduction."""
-        return np.asarray(comparison_s(self.curvature, rho)) ** (self.n - 1)
+        return comparison_s(self.curvature, rho) ** (self.n - 1)
 
     # ---- radial Laplacians
     def radial_laplacian(self, exponent: float, rho: np.ndarray | float
-                         ) -> np.ndarray | float:
+                         ) -> np.ndarray:
         """Closed-form Laplacian of the power profile rho^(-N) at radius rho:
         Delta(rho_minus^(-N)) at rho = rho_minus, and -Delta(-rho_plus^(-N))
         at rho = rho_plus.  Both canonical measures give this value on these
@@ -284,19 +277,15 @@ class _ModelBase:
             raise DomainError("radial Laplacian undefined at the base point")
         nn = exponent
         mc = self.radial_mean_curvature(rho)
-        out = np.asarray(nn * rho ** (-nn - 2.0) * ((nn + 1.0) - rho * mc))
-        return out if out.ndim else float(out)
+        return nn * rho ** (-nn - 2.0) * ((nn + 1.0) - rho * mc)
 
     # ---- distances
-    def rho_u(self, sign, x: np.ndarray) -> float | np.ndarray:
+    def rho_u(self, sign, x: np.ndarray) -> np.ndarray:
         """The sign-cased distance: rho_minus where u > 0, rho_plus where
         u < 0, and their average on the zero set.  ``sign`` is an int or an
         array broadcasting against ``x.shape[:-1]``."""
-        sign = np.asarray(sign)
-        rp = np.asarray(self.rho_plus(x))
-        rm = np.asarray(self.rho_minus(x))
-        out = np.where(sign > 0, rm, np.where(sign < 0, rp, 0.5 * (rp + rm)))
-        return out if out.ndim else float(out)
+        rp, rm = self.rho_plus(x), self.rho_minus(x)
+        return np.where(sign > 0, rm, np.where(sign < 0, rp, 0.5 * (rp + rm)))
 
     def _check_measure(self, measure: str) -> None:
         if measure not in ("bh", "ht"):
@@ -327,10 +316,10 @@ class RandersFlat(_ModelBase):
         return f"RandersFlat(n={self.n}, t={self.drift})"
 
     # ---- distances and balls
-    def rho_plus(self, x: np.ndarray) -> float | np.ndarray:
+    def rho_plus(self, x: np.ndarray) -> np.ndarray:
         return self.norm.norm(x)
 
-    def rho_minus(self, x: np.ndarray) -> float | np.ndarray:
+    def rho_minus(self, x: np.ndarray) -> np.ndarray:
         return self.norm.reverse_norm(x)
 
     def d_rho_plus(self, x: np.ndarray) -> np.ndarray:
@@ -347,14 +336,12 @@ class RandersFlat(_ModelBase):
         the HT polar prefactor (sign -1), each a power, not a reciprocal."""
         return (1.0 - self.drift**2) ** (sign * (self.n + 1) / 2.0)
 
-    def density(self, x: np.ndarray, measure: str) -> float | np.ndarray:
+    def density(self, x: np.ndarray, measure: str) -> np.ndarray:
         """Cartesian density of the measure: BH is (1-t^2)^((n+1)/2) dx,
         HT is dx."""
         self._check_measure(measure)
         x = np.asarray(x, dtype=float)
         c = self._bh_factor(1.0) if measure == "bh" else 1.0
-        if x.ndim <= 1:
-            return c
         return np.full(x.shape[:-1], c)
 
     def cp_constant(self, measure: str) -> float:
@@ -398,7 +385,7 @@ class RandersFlat(_ModelBase):
     def sharp(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.norm.sharp(xi)
 
-    def conorm(self, x: np.ndarray, xi: np.ndarray) -> float | np.ndarray:
+    def conorm(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return self.norm.conorm(xi)
 
 
@@ -432,13 +419,12 @@ class HyperbolicBall(_ModelBase):
             raise DomainError("point outside the hyperbolic ball")
         return 2.0 / (1.0 + self.curvature * r2)
 
-    def rho(self, x: np.ndarray) -> float | np.ndarray:
+    def rho(self, x: np.ndarray) -> np.ndarray:
         r = _enorm(np.asarray(x, dtype=float))
         if np.any(r >= self.ball_radius):
             raise DomainError("point outside the hyperbolic ball")
         rk = math.sqrt(-self.curvature)
-        out = (2.0 / rk) * np.arctanh(rk * r)
-        return out if out.ndim else float(out)
+        return (2.0 / rk) * np.arctanh(rk * r)
 
     rho_plus = rho
     rho_minus = rho
@@ -452,11 +438,10 @@ class HyperbolicBall(_ModelBase):
     d_rho_plus = d_rho
     d_rho_minus = d_rho
 
-    def density(self, x: np.ndarray, measure: str) -> float | np.ndarray:
+    def density(self, x: np.ndarray, measure: str) -> np.ndarray:
         self._check_measure(measure)
         # the power of a 0-d array takes the bits of the stacked loop
-        out = np.asarray(self._conformal(x)) ** self.n
-        return out if out.ndim else float(out)
+        return np.asarray(self._conformal(x)) ** self.n
 
     def cp_constant(self, measure: str) -> float:
         self._check_measure(measure)
@@ -479,7 +464,6 @@ class HyperbolicBall(_ModelBase):
         lam = self._conformal(x)
         return np.asarray(xi, dtype=float) / lam[..., None] ** 2
 
-    def conorm(self, x: np.ndarray, xi: np.ndarray) -> float | np.ndarray:
+    def conorm(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         lam = self._conformal(x)
-        out = _enorm(np.asarray(xi, dtype=float)) / lam
-        return out if out.ndim else float(out)
+        return _enorm(np.asarray(xi, dtype=float)) / lam

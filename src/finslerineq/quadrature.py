@@ -62,15 +62,15 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive and finite")
 
 
-def pairwise_sum(values: np.ndarray, axis: int = 0) -> float | np.ndarray:
+def pairwise_sum(values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Sum along ``axis`` with a fixed-shape pairwise tree.
 
     Each level adds the neighbours (0, 1), (2, 3), ...; an odd last element
     moves up with 0.0 added, so the tree is that of the values zero-padded
     to a power of two.  Every slice along ``axis`` is reduced exactly as the
     1-d array of its values would be, so the bits depend only on the values
-    and their count.  A 1-d input gives a float, any other the array of the
-    remaining axes.
+    and their count.  The result spans the remaining axes: a 1-d input gives
+    a 0-d value.
     """
     a = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
     if a.shape[0] == 0:
@@ -79,7 +79,7 @@ def pairwise_sum(values: np.ndarray, axis: int = 0) -> float | np.ndarray:
         n = a.shape[0]
         pairs = a[:n - 1:2] + a[1::2]
         a = np.concatenate([pairs, a[n - 1:] + 0.0]) if n % 2 else pairs
-    return a[0] if a.ndim > 1 else float(a[0])
+    return a[0]
 
 
 @lru_cache(maxsize=64)
@@ -146,13 +146,11 @@ def radial_segments(f: Callable[[np.ndarray], np.ndarray],
 
 def radial_integrate(f: Callable[[np.ndarray], np.ndarray],
                      cuts: Sequence[float],
-                     spec: QuadratureSpec) -> tuple[float, float]:
+                     spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``f`` on [a, b] split at ``cuts`` = (a, ..., b): the
     :func:`radial_segments` values and error estimates added in segment
-    order; for (M, T) integrands value and error are (T,) arrays."""
+    order; 0-d for (M,) integrands, (T,) arrays for (M, T) ones."""
     values, errors = radial_segments(f, cuts, spec)
-    if values.ndim == 1:            # a scalar integrand sums to floats
-        values, errors = values.tolist(), errors.tolist()
     value = error = 0.0
     for fine, err in zip(values, errors):
         value = value + fine
@@ -219,7 +217,7 @@ def sphere_nodes(n: int, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
 def annulus_integrate(model, measure: str,
                       integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       eps: float, radius: float,
-                      spec: QuadratureSpec) -> tuple[float, float]:
+                      spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Backward-polar product integral of ``integrand`` against the model density.
 
     Computes  int_eps^radius int_{S^{n-1}} integrand(rho, omega)

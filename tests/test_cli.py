@@ -11,7 +11,7 @@ import pytest
 import finslerineq
 from finslerineq import harness
 from finslerineq.cli import SUITES, RunConfig, main
-from finslerineq.fields import CriticalPointError
+from finslerineq.quadrature import QuadratureError
 
 
 def run_cli(args):
@@ -358,29 +358,36 @@ def test_hyperbolic_batteries_via_cli(tmp_path):
     assert rep["config"]["n"] == 4
 
 
-def test_critical_point_error_exits_numerical(tmp_path, monkeypatch, capsys):
-    # CriticalPointError is also a ValueError; it must not read as a
-    # configuration error
-    def critical(*args, **kwargs):
-        raise CriticalPointError("du vanishes at the stencil centre")
-
-    monkeypatch.setattr(harness, "hardy_report", critical)
-    assert run_cli(["hardy", "--samples", "1", "--out", str(tmp_path)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("suite,attr", [("hardy-sweep", "hardy_sharpness_sweep"),
                                         ("gbeta-check", "gbeta")])
 def test_runners_look_up_harness_functions(tmp_path, monkeypatch, capsys,
                                            suite, attr):
     # a runner finds its harness function when it runs, so a function
     # replaced on the module after import is the one called
-    def critical(*args, **kwargs):
-        raise CriticalPointError("du vanishes at the stencil centre")
+    def failing(*args, **kwargs):
+        raise QuadratureError("non-finite integrand samples")
 
-    monkeypatch.setattr(harness, attr, critical)
+    monkeypatch.setattr(harness, attr, failing)
     assert run_cli([suite, "--samples", "1", "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,key,value", [
+    (["hardy-bv", "--k", "-1e-2"], "k", -1e-2),
+    (["hardy", "--beta", "-5e-1"], "beta", -0.5),
+    (["hardy", "--beta=-5e-1"], "beta", -0.5)])
+def test_negative_values_in_exponent_form_parse(tmp_path, args, key, value):
+    # argparse's own negative-number pattern has no exponent form
+    assert run_cli(args + ["--samples", "1", "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert config[key] == value
+
+
+def test_unknown_option_still_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["hardy", "--beta", "-5e-1", "--bogus", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
 
 
 def test_suite_defaults_reach_the_report(tmp_path):

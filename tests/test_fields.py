@@ -135,11 +135,10 @@ def test_reverse_metric_laplacian_identity():
     for trial in range(30):
         f = random_bumps(rng, 3)
         x = rng.uniform(-1, 1, size=3)
-        try:
-            lhs = fc.numeric_laplacian(m, "bh", negated(f), x)
-            rhs = -fc.numeric_laplacian(rev, "bh", f, x)
-        except fc.CriticalPointError:
-            continue
+        lhs = fc.numeric_laplacian(m, "bh", negated(f), x)
+        rhs = -fc.numeric_laplacian(rev, "bh", f, x)
+        if np.isnan(lhs) or np.isnan(rhs):
+            continue        # a critical point, excluded
         assert lhs == pytest.approx(rhs, rel=1e-4, abs=1e-6)
 
 
@@ -208,8 +207,7 @@ def test_numeric_laplacian_hyperbolic_radial():
 def test_laplacian_critical_point_flagged():
     m = RandersFlat(3, 0.5)
     const = fc.ScalarField(lambda x: 1.0, lambda x: np.zeros_like(x), 1.0)
-    with pytest.raises(fc.CriticalPointError):
-        fc.numeric_laplacian(m, "bh", const, np.ones(3))
+    assert np.isnan(fc.numeric_laplacian(m, "bh", const, np.ones(3)))
 
 
 def test_div_u_grad_u():

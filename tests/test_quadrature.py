@@ -93,9 +93,7 @@ def test_radial_integrate_cuts_match_segment_sums(cuts, columns):
         want_e = want_e + e
     value, error = radial_integrate(f, cuts, SPEC)
     assert _hexes(value, error) == _hexes(want_v, want_e)
-    assert np.shape(value) == ((3,) if columns else ())
-    if not columns:
-        assert type(value) is float and type(error) is float
+    assert np.shape(value) == np.shape(error) == ((3,) if columns else ())
 
 
 def test_radial_convergence_order():
