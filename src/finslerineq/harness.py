@@ -1,41 +1,34 @@
 """Term-by-term evaluation of the Hardy/Rellich-type inequality functionals.
 
-Each report reports every integral of one inequality instance as its own
+Each report gives every integral of one inequality instance as its own
 term with its own error, records the constants in play, and exposes
-``slack = LHS - sum(RHS terms)`` together with the quadrature error budget;
-an inequality "passes" when the slack is above minus that budget.  The
-sharpness sweeps drive the truncated radial family
-``psi * max(eps, rho)^(-gamma)`` (``models.truncated_profile``) toward the
-origin and extrapolate the Rayleigh quotients; on the flat models the
-quotient is an exactly Moebius function of ``log(r/eps)``, which the
-structured extrapolator exploits, and the three-point Moebius fit, which
-also holds on curved models, decides whether a sweep passes: its limit
-within ``SWEEP_TOLERANCE`` of the sharp constant, approached from above.
+``slack = LHS - sum(RHS terms)``; it passes when the slack is above minus
+the error budget.  The sharpness sweeps drive the truncated family
+``psi * max(eps, rho)^(-gamma)`` toward the origin and extrapolate the
+Rayleigh quotients: exactly Moebius in ``log(r/eps)`` on flat models, which
+the structured extrapolator exploits, while the three-point Moebius fit,
+which also holds on curved models, decides whether a sweep passes (its
+limit within ``SWEEP_TOLERANCE`` of the sharp constant, from above).
 
-A report writes its integrands once, as a table of named columns of a jet
-(u, F*(du), rho, Delta u, the G^beta density), which ``_terms`` integrates
-on one of two roads.  A radial input is a ``models.RadialProfile`` (the
-cutoff and the truncated family are built as ones); it reduces through the
-model's polar reduction (``cp_constant`` x radial density) to one
-``radial_integrate`` pass per report, split at the profile's breakpoints.
-The pass calls the profile's jet (``RadialProfile.derivatives``) once, on
-the nodes of all its segments together, and computes each power rho^p and
-the comparison remainder D(rho) once; each breakpoint read is one more jet
-call.  A sweep's one pass is cut at every eps, and each row sums its
-``radial_segments`` shells above its eps.  Scalar fields take one
-backward-polar annulus pass of a field jet that evaluates u, F*(du), the
-sign-cased distance ``rho_u`` and the numeric Laplacian once per node set:
-the points of a block of radial nodes (m, 1) against the sphere directions
-(K, n), an (m, K, n) stack, so every column comes out (m, K).  Both roads
-read the G^beta density -Delta(rho^(-beta-2)) at the jet's rho, which on
-the field road is rho_u.
-The Hardy, Brezis-Vazquez Hardy, Poincare and uncertainty reports and
-``gbeta`` accept a ``fields.ScalarField``; the Rellich pair stays radial,
-because its G^beta membership gate needs the distributional terms (flux
-jumps, the Green point mass) that only the radial road reads so far.
+A report writes its integrands once, as named columns of a jet (u, F*(du),
+rho, Delta u, the G^beta density), which ``_terms`` integrates on one of
+two roads.  A ``models.RadialProfile`` reduces through the model's polar
+reduction (``cp_constant`` x radial density) to one ``radial_integrate``
+pass per report from rho = 0, split at the profile's breakpoints; the pass
+calls the jet once on all its nodes and computes each power rho^p and
+D(rho) once.  Near the origin every pass keeps the one rule of
+``quadrature``: the power-law tail below 1e-12 times the first cut joins
+the value and the error, and a term that diverges raises.  A sweep's one
+pass is cut at 0 and every eps; each row sums the shells above its eps and
+the inner column's shells below it.  Scalar fields take one backward-polar
+annulus pass of a field jet (u, F*(du), the sign-cased ``rho_u`` and the
+numeric Laplacian) on (m, K, n) stacks of points; both roads read the
+G^beta density -Delta(rho^(-beta-2)) at the jet's rho.  The Rellich pair
+stays radial: its G^beta gate needs the distributional terms (flux jumps,
+f(0), the Green point mass) that only the radial road reads so far.
 
-Reports are independent of one another and deterministic, so batteries and
-campaigns may be evaluated concurrently.
+Reports are independent and deterministic, so batteries and campaigns may
+be evaluated concurrently.
 """
 
 from __future__ import annotations
@@ -51,10 +44,9 @@ from . import fields as fc
 from .minkowski import MinkowskiNorm, _enorm
 from .models import (RadialProfile, cutoff_profile, profile_product,
                      truncated_profile)
-from .quadrature import QuadratureSpec, annulus_integrate, power_integral, \
-    radial_integrate, radial_segments
+from .quadrature import QuadratureSpec, annulus_integrate, radial_integrate, \
+    radial_segments
 
-RADIAL_FLOOR = 1e-12     # relative inner cutoff for integrals reaching rho=0
 # relative inner cutoff of the G^beta field road, whose numeric Laplacian
 # takes an absolute flux step
 GBETA_FIELD_FLOOR = 1e-6
@@ -342,53 +334,54 @@ def _radial_integrand(model, prof: RadialProfile,
 
 def _radial_terms(model, measure: str, prof: RadialProfile,
                   columns: dict[str, _Column], spec: QuadratureSpec
-                  ) -> dict[str, TermValue]:
-    """cp * integral of every column(jet) * radial density over the support.
-
-    All columns share one radial pass, split at the profile's breakpoints,
-    each summed exactly as a lone integrand would be.  The pass starts at a
-    floor tiny enough that the omitted mass of every integrable report
-    integrand is below the error budget.
-    """
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """cp * integral of every column(jet) * radial density over the support,
+    and its error: one radial pass from rho = 0, split at the profile's
+    breakpoints, each column summed exactly as a lone integrand would be."""
     hi = prof.support
-    lo = RADIAL_FLOOR * hi
-    cuts = sorted({lo, hi, *[b for b in prof.breakpoints if lo < b < hi]})
+    cuts = sorted({0.0, hi, *[b for b in prof.breakpoints if 0.0 < b < hi]})
     value, error = radial_integrate(_radial_integrand(model, prof, columns),
                                     cuts, spec)
     cp = model.cp_constant(measure)
-    return {k: TermValue(float(cp * value[i]), float(cp * error[i]))
-            for i, k in enumerate(columns)}
+    return cp * value, cp * error
 
 
 def _field_terms(model, measure: str, u: fc.ScalarField,
                  columns: dict[str, _Column], spec: QuadratureSpec,
-                 floor: float) -> dict[str, TermValue]:
+                 floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Integral of every column(field jet) over the backward-polar annulus
-    (floor * hi, hi), all columns in one ``annulus_integrate`` pass."""
+    (floor * hi, hi), and its error, in one ``annulus_integrate`` pass."""
     if u.support_radius is None:
         raise PreconditionError("scalar fields need a support_radius bound")
     hi = u.support_radius * model.reversibility
-    names = list(columns)
 
     def integrand(rr: np.ndarray, ww: np.ndarray) -> np.ndarray:
         jet = _FieldJet(model, measure, u,
                         model.point_from_backward_polar(rr, ww))
-        return np.stack([columns[k](jet) for k in names], axis=-1)
+        return np.stack([col(jet) for col in columns.values()], axis=-1)
 
-    values, errors = annulus_integrate(model, measure, integrand, floor * hi,
-                                       hi, spec)
-    return {k: TermValue(float(values[i]), float(errors[i]))
-            for i, k in enumerate(names)}
+    return annulus_integrate(model, measure, integrand, floor * hi, hi, spec)
 
 
 def _terms(model, measure: str, u, columns: dict[str, _Column],
-           spec: QuadratureSpec, field_floor: float = RADIAL_FLOOR
+           spec: QuadratureSpec, field_floor: float = 0.0
            ) -> dict[str, TermValue]:
     """The columns' integrals on the radial road, or on the field road from
-    ``field_floor * hi`` when u is a scalar field."""
+    ``field_floor * hi`` when u is a scalar field.  A non-finite one is an
+    integral that diverges at the base point: an error, never a number."""
     if isinstance(u, RadialProfile):
-        return _radial_terms(model, measure, u, columns, spec)
-    return _field_terms(model, measure, u, columns, spec, field_floor)
+        values, errors = _radial_terms(model, measure, u, columns, spec)
+    else:
+        values, errors = _field_terms(model, measure, u, columns, spec,
+                                      field_floor)
+    terms = {k: TermValue(float(v), float(e))
+             for k, v, e in zip(columns, values, errors)}
+    bad = [k for k, t in terms.items()
+           if not math.isfinite(t.value + t.error)]
+    if bad:
+        raise PreconditionError(f"the integrals of {bad} diverge at the "
+                                f"base point")
+    return terms
 
 
 def _report(theorem: str, model, measure: str, beta: float, constants: dict,
@@ -508,47 +501,42 @@ def uncertainty_report(model, measure: str, u, beta: float,
 
 
 # ----------------------------------------------------------- rellich family
-def _gbeta_columns(prof: RadialProfile | None,
-                   beta: float) -> dict[str, _Column]:
-    """The two integrands of G^beta: u^2 varrho and 2 rho^{-beta-2}
-    div(u grad u) = 2 rho^{-beta-2} (F*^2(du) + u Delta u)."""
-    if prof is not None and not prof.nonincreasing:
-        raise PreconditionError("radial G^beta path expects a "
-                                "nonincreasing profile")
+def _gbeta_columns(model, measure: str, prof: RadialProfile | None,
+                   beta: float) -> tuple[dict[str, _Column], float]:
+    """The two integrands of G^beta, u^2 varrho and 2 rho^{-beta-2}
+    div(u grad u) = 2 rho^{-beta-2} (F*^2(du) + u Delta u), and the
+    distributional terms of a radial profile (the field road reads none
+    yet), read before any pass."""
     nn = beta + 2.0
-    return {"gbeta_varrho": lambda j: j.f ** 2 * j.varrho(beta),
-            "gbeta_div": lambda j: 2.0 * j.power(-nn)
-            * (j.d1 ** 2 + j.f * j.lap)}
-
-
-def _gbeta_value(model, measure: str, prof: RadialProfile | None,
-                 beta: float, raw: dict[str, TermValue]
-                 ) -> tuple[float, float, float]:
-    """(value, scale, error) of G^beta from the integrals of its columns,
-    plus the distributional terms of a radial profile (the field road reads
-    none yet)."""
-    t1, t2 = raw["gbeta_varrho"], raw["gbeta_div"]
-    value = t1.value + t2.value
+    point = 0.0
     if prof is not None:
-        nn = beta + 2.0
-        hi = prof.support
+        if not prof.nonincreasing:
+            raise PreconditionError("radial G^beta path expects a "
+                                    "nonincreasing profile")
+        f0 = float(prof.f(np.zeros(1))[0])
+        if f0 != 0.0 and nn > model.n - 2.0 + 1e-12:
+            raise PreconditionError(
+                "G^beta undefined: the profile is nonzero at the base "
+                "point while beta + 2 exceeds n - 2")
         # Lipschitz kinks of the profile put a sphere-supported flux jump
         # into div(u grad u); the divergence is read distributionally there
-        value += _profile_flux_jump(model, measure, prof, nn, hi)
+        point = _profile_flux_jump(model, measure, prof, nn)
         # at the marginal exponent beta + 2 = n - 2 the power rho^{-(n-2)}
         # is the Green kernel: its distributional Laplacian carries the
-        # point mass -(n-2) cp delta_p, which the classical formula misses
-        f0 = float(prof.f(np.array([RADIAL_FLOOR * hi]))[0])
-        if f0 != 0.0:
-            if nn > model.n - 2.0 + 1e-12:
-                raise PreconditionError(
-                    "G^beta undefined: the profile is nonzero at the base "
-                    "point while beta + 2 exceeds n - 2")
-            if abs(nn - (model.n - 2.0)) <= 1e-12:
-                value += (model.n - 2.0) * model.cp_constant(measure) * \
-                    f0 * f0
-    scale = abs(t1.value) + abs(t2.value)
-    return value, scale, t1.error + t2.error
+        # point mass -(n-2) cp f(0)^2 delta_p, which the classical one misses
+        if abs(nn - (model.n - 2.0)) <= 1e-12:
+            point += (model.n - 2.0) * model.cp_constant(measure) * f0 * f0
+    return {"gbeta_varrho": lambda j: j.f ** 2 * j.varrho(beta),
+            "gbeta_div": lambda j: 2.0 * j.power(-nn)
+            * (j.d1 ** 2 + j.f * j.lap)}, point
+
+
+def _gbeta_value(raw: dict[str, TermValue], point: float
+                 ) -> tuple[float, float, float]:
+    """(value, scale, error) of G^beta: its columns plus ``point``."""
+    t1, t2 = raw["gbeta_varrho"], raw["gbeta_div"]
+    return (t1.value + t2.value + point, abs(t1.value) + abs(t2.value),
+            t1.error + t2.error)
 
 
 def gbeta(model, measure: str, u, beta: float,
@@ -562,18 +550,18 @@ def gbeta(model, measure: str, u, beta: float,
     """
     spec = spec or QuadratureSpec()
     prof = u if isinstance(u, RadialProfile) else None
-    raw = _terms(model, measure, u, _gbeta_columns(prof, beta), spec,
-                 GBETA_FIELD_FLOOR)
-    return _gbeta_value(model, measure, prof, beta, raw)
+    cols, point = _gbeta_columns(model, measure, prof, beta)
+    raw = _terms(model, measure, u, cols, spec, GBETA_FIELD_FLOOR)
+    return _gbeta_value(raw, point)
 
 
-def _profile_flux_jump(model, measure: str, prof: RadialProfile, nn: float,
-                       hi: float) -> float:
+def _profile_flux_jump(model, measure: str, prof: RadialProfile,
+                       nn: float) -> float:
     """Interface contribution of 2 rho^{-nn} div(u grad u) across the radial
     spheres where the profile derivative jumps (the radial flux is f f')."""
     cp = model.cp_constant(measure)
     total = 0.0
-    for bp, fval, below, above in _breakpoint_sides(prof, hi):
+    for bp, fval, below, above in _breakpoint_sides(prof):
         if below == above:
             continue
         w = float(model.radial_volume_density(np.array([bp]))[0])
@@ -581,11 +569,11 @@ def _profile_flux_jump(model, measure: str, prof: RadialProfile, nn: float,
     return cp * total
 
 
-def _breakpoint_sides(prof: RadialProfile, hi: float):
-    """(b, f(b), f'(b-), f'(b+)) at every breakpoint b in (0, hi), each side
-    read at the double next to b, all from one jet call."""
+def _breakpoint_sides(prof: RadialProfile):
+    """(b, f(b), f'(b-), f'(b+)) at every breakpoint b inside the support,
+    each side read at the double next to b, all from one jet call."""
     for bp in prof.breakpoints:
-        if 0.0 < bp < hi:
+        if 0.0 < bp < prof.support:
             nodes = np.array([bp, np.nextafter(bp, 0.0),
                               np.nextafter(bp, np.inf)])
             f, d1 = prof.derivatives(nodes, 1)
@@ -595,7 +583,7 @@ def _breakpoint_sides(prof: RadialProfile, hi: float):
 def _require_c1(prof: RadialProfile, what: str) -> None:
     """Reject a derivative jump at an inner breakpoint b, beyond rounding:
     Delta u then has a singular part on rho = b that (Delta u)^2 misses."""
-    for bp, fval, below, above in _breakpoint_sides(prof, prof.support):
+    for bp, fval, below, above in _breakpoint_sides(prof):
         if abs(above - below) > 1e-8 * (abs(fval) / bp + abs(below)
                                         + abs(above)):
             raise PreconditionError(f"{what} needs a C^1 profile; "
@@ -612,15 +600,19 @@ def _rellich_pass(what: str, model, measure: str, prof: RadialProfile,
                   beta: float, spec: QuadratureSpec, extra: dict[str, _Column]
                   ) -> tuple[dict[str, TermValue], float, float]:
     """One radial pass for G^beta, the Rellich core terms (lhs, weight4 and
-    its remainder) and ``extra``; raises unless the profile is C^1 and u is
-    in the G^beta kernel."""
+    its remainder where their coefficients are nonzero) and ``extra``;
+    raises unless the profile is C^1 and u is in the G^beta kernel."""
     _require_c1(prof, what)
-    cols = _gbeta_columns(prof, beta)
-    cols.update({"lhs": _lap2(-beta), "weight4": _u2(-4.0 - beta)})
-    if model.curvature != 0.0:
-        cols["weight4_rem"] = _u2(-4.0 - beta, remainder=True)
-    raw = _radial_terms(model, measure, prof, {**cols, **extra}, spec)
-    gval, gscale, _gerr = _gbeta_value(model, measure, prof, beta, raw)
+    cols, point = _gbeta_columns(model, measure, prof, beta)
+    cols["lhs"] = _lap2(-beta)
+    # both weight-4 coefficients vanish at beta = n - 4, where their
+    # integrals diverge for f(0) != 0: those columns are left out
+    if rellich_sharp_constant(model.n, beta) != 0.0:
+        cols["weight4"] = _u2(-4.0 - beta)
+        if model.curvature != 0.0:
+            cols["weight4_rem"] = _u2(-4.0 - beta, remainder=True)
+    raw = _terms(model, measure, prof, {**cols, **extra}, spec)
+    gval, gscale, _gerr = _gbeta_value(raw, point)
     if not gbeta_member(gval, gscale):
         raise PreconditionError(
             f"G^beta(u) = {gval:.3e} exceeds the membership band "
@@ -678,8 +670,8 @@ def rellich_bv_report(model, measure: str, u, beta: float,
                                       prof, beta, spec, extra)
     terms = {
         "lhs": raw["lhs"],
-        "main": raw["weight4"].scaled(delta),
-        "remainder4": raw["weight4_rem"].scaled(c_rem4),
+        "main": raw.get("weight4", _ZERO).scaled(delta),
+        "remainder4": raw.get("weight4_rem", _ZERO).scaled(c_rem4),
         "weight2": raw["w2"].scaled(c_w2),
         "weight2_remainder": raw["w2_rem"].scaled(c_w2_rem),
         "weight0": raw["w0"].scaled(c_w0),
@@ -722,22 +714,20 @@ def _truncated_family_integrals(model, measure: str, gamma: float,
     functional (Rellich); beta is implied by gamma through the sharp-exponent
     relations.  Above its eps every member is psi * rho^(-gamma), so a row
     sums the shells above its eps of one pass of the smallest-eps profile,
-    cut at every eps, r and R: the energy (I1), u^2 rho^(-weight) (I2) and
-    rho^(-n) short of r (J1), with the shells' error estimates.  Inside eps
-    u = eps^(-gamma), whose mass is exact on flat models (a floor would drop
-    nearly all of it as the exponent nears -1); curved models add the shell
-    from RADIAL_FLOOR * min(eps) to the pass.
+    cut at 0, every eps, r and R: the energy (I1), u^2 rho^(-weight) (I2)
+    and rho^(-n) on (min eps, r), as it diverges at 0 (J1), with the
+    shells' error estimates.  Inside eps u = eps^(-gamma): a row's inner
+    ball is eps^(-2 gamma) times one more column, rho^(-weight), below eps.
     """
     n = model.n
     beta = (n - 2.0 - 2.0 * gamma) if order == 1 else (n - 4.0 - 2.0 * gamma)
     weight = 2.0 + beta if order == 1 else 4.0 + beta
     cp = model.cp_constant(measure)
-    curved = model.curvature != 0.0
-    floor = [RADIAL_FLOOR * eps_arr[-1]] if curved else []
-    cuts = [*floor, *eps_arr[::-1], r, R]
+    cuts = [0.0, *eps_arr[::-1], r, R]
     prof = truncated_profile(gamma, eps_arr[-1], r, R)
     columns = {"energy": _du2(-beta) if order == 1 else _lap2(-beta),
-               "mass": _u2(-weight), "j1": lambda j: j.power(-n),
+               "mass": _u2(-weight),
+               "j1": lambda j: j.power(-n) * (j.rho >= eps_arr[-1]),
                "inner": lambda j: j.power(-weight)}
     values, errors = radial_segments(_radial_integrand(model, prof, columns),
                                      cuts, spec)
@@ -745,13 +735,8 @@ def _truncated_family_integrals(model, measure: str, gamma: float,
     first = len(cuts) - 3 - np.arange(eps_arr.size)   # the shell above eps
     above, err_above = _suffix_sums(values)[first], _suffix_sums(errors)[first]
     j1 = _suffix_sums(values[:-1, 2])[first]           # (eps, r) only
-    if curved:
-        inner, inner_err = (np.cumsum(a[:, 3])[first - 1]
-                            for a in (values, errors))
-    else:
-        inner = np.array([cp * power_integral(n - 1.0 - weight, 0.0, e)
-                          for e in eps_arr])
-        inner_err = 0.0
+    inner, inner_err = (np.cumsum(a[:, 3])[first - 1]
+                        for a in (values, errors))
     scale = eps_arr ** (-2.0 * gamma)
     i2 = scale * inner + above[:, 1]
     error = err_above[:, 0] + err_above[:, 1] + scale * inner_err

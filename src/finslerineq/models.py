@@ -275,9 +275,10 @@ class _ModelBase:
         rho = np.asarray(rho, dtype=float)
         if np.any(rho <= 0.0):
             raise DomainError("radial Laplacian undefined at the base point")
-        nn = exponent
-        mc = self.radial_mean_curvature(rho)
-        return nn * rho ** (-nn - 2.0) * ((nn + 1.0) - rho * mc)
+        # rho times the mean curvature is (n-1)(1 + D), with no cancellation
+        nn, d = exponent, self.comparison_remainder(rho)
+        return nn * rho ** (-nn - 2.0) * ((nn + 2.0 - self.n)
+                                          - (self.n - 1.0) * d)
 
     # ---- distances
     def rho_u(self, sign, x: np.ndarray) -> np.ndarray:

@@ -4,13 +4,17 @@ The inequality functionals reduce, in (backward) polar coordinates, to
 products of a 1-d radial integral against a sphere integral.  The radial
 rule is composite Gauss-Legendre on panels graded geometrically from the
 inner radius of each segment between the caller's cuts, because every
-sharpness integrand behaves like ``1/rho`` near the truncation radius.
-Error estimates come from a doubled-resolution comparison.  A radial pass
-calls its integrand once, on the coarse and fine nodes of every segment
-together, so a table of columns is built once per pass; it gives every
-segment's integral (:func:`radial_segments`) or their sum in order
-(:func:`radial_integrate`).  Every sum, over radial nodes and over sphere
-directions alike, goes through the one fixed-shape tree of
+sharpness integrand behaves like ``1/rho`` near the truncation radius;
+error estimates come from a doubled-resolution comparison.  A first cut of
+0 is the one near-origin rule: the segment (0, b) keeps its panels from
+lo = 1e-12 b and adds the mass below lo of the power law c rho^alpha fitted
+through the integrand g at lo, 2 lo and 4 lo (0 where g(lo) = 0, +-inf
+where alpha <= -1; exact for pure powers, O(lo) off for a smooth profile).
+A radial pass calls its integrand once, on the coarse and fine nodes of
+every segment together, so a table of columns is built once per pass; it
+gives every segment's integral (:func:`radial_segments`) or their sum in
+order (:func:`radial_integrate`).  Every sum, over radial nodes and over
+sphere directions alike, goes through the one fixed-shape tree of
 :func:`pairwise_sum`; no BLAS product is involved.  So a given
 :class:`QuadratureSpec` and integrand reproduce the same bits whatever the
 BLAS thread count or block size.
@@ -28,6 +32,11 @@ import numpy as np
 # radial nodes x sphere directions per annulus shell block: bounds the
 # integrand's (block, K, ...) arrays whatever the node count
 _SHELL_BLOCK = 1 << 16
+# a segment from 0 keeps its panels from _ORIGIN_GAP times its end, fits its
+# tail at these multiples of that start, and allows g(2 lo) / g(lo) 16 ulps
+_ORIGIN_GAP = 1e-12
+_ORIGIN_PROBES = np.array([1.0, 2.0, 4.0])
+_FIT_ROUNDING = 16.0 * np.finfo(float).eps / math.log(2.0)
 
 
 class QuadratureError(RuntimeError):
@@ -106,42 +115,64 @@ def _composite_gauss(edges: np.ndarray,
     return pts.ravel(), (w[None, :] * half).ravel()
 
 
+def _origin_tail(g: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray]:
+    """g(lo) lo / (alpha + 1), alpha fitted on (lo, 2 lo) of ``g`` at lo *
+    _ORIGIN_PROBES, and its error: the change with alpha fitted on
+    (2 lo, 4 lo), plus alpha's rounding amplified by 1 / (alpha + 1)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(g[0] != 0.0, np.log2(g[1:] / g[:-1]), 0.0)
+        tails = np.where(alpha <= -1.0, np.copysign(np.inf, g[0]),
+                         g[0] * lo / (alpha + 1.0))
+        error = np.abs(tails[0] - tails[1]) \
+            + _FIT_ROUNDING * np.abs(tails[0] / (alpha[0] + 1.0))
+    return tails[0], np.where(np.isinf(tails).any(axis=0), np.inf, error)
+
+
 def radial_segments(f: Callable[[np.ndarray], np.ndarray],
                     cuts: Sequence[float],
                     spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate ``f`` on every segment of ``cuts`` = (a, ..., b), 0 < a.
+    """Integrate ``f`` on every segment of ``cuts`` = (a, ..., b), 0 <= a.
 
     Each segment between consecutive cuts gets its own log-graded panels.
     Returns the (values, error estimates) of the S segments in order; a
     segment's estimate is the difference against a half-resolution pass.
-    ``f`` is called once, on the coarse and fine nodes of every segment
-    together: it must accept a 1-d numpy array of M nodes and return (M,),
-    or (M, T) for T integrands at once; values and errors are then (S,) or
-    (S, T), each column summed as a scalar integrand would be.
+    A segment (0, b) adds the power-law tail below its panels, and its error.
+    ``f`` is called once, on the coarse and fine nodes of every segment and
+    the tail's probes: it must accept a 1-d numpy array of M nodes and
+    return (M,), or (M, T) for T integrands at once; values and errors are
+    then (S,) or (S, T), each column summed as a scalar integrand would be.
     """
     cuts = [float(c) for c in cuts]
-    if (len(cuts) < 2 or not all(map(math.isfinite, cuts)) or cuts[0] <= 0.0
+    if (len(cuts) < 2 or not all(map(math.isfinite, cuts)) or cuts[0] < 0.0
             or any(a >= b for a, b in zip(cuts, cuts[1:]))):
-        raise QuadratureError(f"need finite cuts 0 < a < ... < b, got {cuts}")
+        raise QuadratureError(f"need finite cuts 0 <= a < ... < b, got {cuts}")
+    lo = _ORIGIN_GAP * cuts[1] if cuts[0] == 0.0 else cuts[0]
+    probes = lo * _ORIGIN_PROBES if cuts[0] == 0.0 else np.empty(0)
     rules = []                      # coarse, fine for every segment
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b in zip([lo, *cuts[1:-1]], cuts[1:]):
         coarse_edges = _graded_edges(a, b, spec.radial_panels)
         fine_edges = _graded_edges(a, b, 2 * (coarse_edges.size - 1))
         rules += [_composite_gauss(edges, spec.radial_nodes)
                   for edges in (coarse_edges, fine_edges)]
     nodes, weights = zip(*rules)
-    pts = np.concatenate(nodes)
+    pts = np.concatenate([*nodes, probes])
     vals = np.asarray(f(pts), dtype=float)
     if not np.isfinite(vals).all():
         finite = np.isfinite(vals).reshape(pts.size, -1).all(axis=1)
         bad = pts[~finite][:3]
         raise QuadratureError(f"non-finite integrand samples near rho={bad}")
+    vals, at_probes = np.split(vals, [pts.size - probes.size])
     # the weights take a trailing axis for each integrand axis (T columns)
     wts = np.concatenate(weights)
     parts = np.split(vals * wts[(...,) + (None,) * (vals.ndim - 1)],
                      np.cumsum([w.size for w in weights])[:-1])
     sums = np.array([pairwise_sum(v) for v in parts])
-    return sums[1::2], np.abs(sums[1::2] - sums[::2])   # fine, |fine-coarse|
+    values, errors = sums[1::2], np.abs(sums[1::2] - sums[::2])
+    if probes.size:
+        tail, tail_error = _origin_tail(at_probes, lo)
+        values[0] += tail
+        errors[0] += tail_error
+    return values, errors
 
 
 def radial_integrate(f: Callable[[np.ndarray], np.ndarray],
@@ -151,24 +182,7 @@ def radial_integrate(f: Callable[[np.ndarray], np.ndarray],
     :func:`radial_segments` values and error estimates added in segment
     order; 0-d for (M,) integrands, (T,) arrays for (M, T) ones."""
     values, errors = radial_segments(f, cuts, spec)
-    value = error = 0.0
-    for fine, err in zip(values, errors):
-        value = value + fine
-        error = error + err
-    return value, error
-
-
-def power_integral(exponent: float, a: float, b: float) -> float:
-    """Exact value of the monomial integral of rho**exponent on [a, b], a >= 0."""
-    if exponent == -1.0:
-        if a <= 0.0:
-            raise QuadratureError("log endpoint at zero")
-        return math.log(b / a)
-    p = exponent + 1.0
-    if a == 0.0 and p <= 0.0:
-        raise QuadratureError("divergent power integral from zero")
-    lo = 0.0 if a == 0.0 else a**p
-    return (b**p - lo) / p
+    return sum(values, 0.0), sum(errors, 0.0)
 
 
 def unit_sphere_area(n: int) -> float:
@@ -221,19 +235,19 @@ def annulus_integrate(model, measure: str,
     """Backward-polar product integral of ``integrand`` against the model density.
 
     Computes  int_eps^radius int_{S^{n-1}} integrand(rho, omega)
-    sigma_hat(rho, omega) dnu drho,  where sigma_hat is the model's polar
-    density for ``measure``.  ``integrand`` and the density receive rho as
-    an (m, 1) column of radial nodes and omega as the (K, n) sphere nodes;
-    the integrand returns an array broadcasting to (m, K), or (m, K, T) for
-    T integrands in one pass (value and error are then (T,) arrays), so a
-    radial integrand may return (m, 1).  Each node's sphere sum is the
-    :func:`pairwise_sum` of its K weighted values, so it does not depend on
-    how the radial nodes are walked: the radial pass hands over its coarse
-    and fine nodes at once, and they are taken in blocks of about
+    sigma_hat(rho, omega) dnu drho, eps >= 0, where sigma_hat is the
+    model's polar density for ``measure``.  ``integrand`` and the density
+    receive rho as an (m, 1) column of radial nodes and omega as the (K, n)
+    sphere nodes; the integrand returns an array broadcasting to (m, K), or
+    (m, K, T) for T integrands in one pass (value and error are then (T,)
+    arrays), so a radial integrand may return (m, 1).  Each node's sphere
+    sum is the :func:`pairwise_sum` of its K weighted values, so it does not
+    depend on how the radial nodes are walked: the radial pass hands over
+    its coarse and fine nodes at once, and they are taken in blocks of about
     ``_SHELL_BLOCK`` points, which only bounds memory.
     """
-    if not (0.0 < eps < radius):
-        raise QuadratureError(f"need 0 < eps < radius, got {eps}, {radius}")
+    if not (0.0 <= eps < radius):
+        raise QuadratureError(f"need 0 <= eps < radius, got {eps}, {radius}")
     dirs, swts = sphere_nodes(model.n, spec)
     rows = max(1, _SHELL_BLOCK // swts.size)
 

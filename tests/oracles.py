@@ -8,8 +8,11 @@ Monte Carlo rule on Cartesian boxes cross-checks the backward-polar
 quadrature :func:`finslerineq.quadrature.annulus_integrate`, a plain
 sphere rule checks the product sphere nodes, and a tiled annulus rule,
 which evaluates every (radial node, direction) pair as a flat point,
-pins the bits of the blocked, broadcasting one.  The field helpers build -u,
-the reverse space, the Finsler gradient and div(u grad u) for the
+pins the bits of the blocked, broadcasting one.  A radial pass's inner
+ball has its own references: the monomial integral on flat models, the
+singular power in closed form plus 30-digit ``mpmath`` on curved ones, and
+30-digit Hardy terms of the battery's Gaussian kind.  The field helpers
+build -u, the reverse space, the Finsler gradient and div(u grad u) for the
 reverse-metric and divergence identities.  The Legendre pair (natural
 vectors to adapted covectors, through ``flat`` and the covector adapter) and
 the inverse of the backward-polar chart are checked against the library's
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import mpmath
 import numpy as np
 
 from finslerineq import minkowski
@@ -413,8 +417,8 @@ def annulus_integrate_tiled(model, measure: str,
     """``annulus_integrate`` on flat tiles: the integrand and the density
     receive every node-direction pair as rho (M,) and omega (M, n) and
     return (M,) or (M, T), all M = m K points in one evaluation."""
-    if not (0.0 < eps < radius):
-        raise QuadratureError(f"need 0 < eps < radius, got {eps}, {radius}")
+    if not (0.0 <= eps < radius):
+        raise QuadratureError(f"need 0 <= eps < radius, got {eps}, {radius}")
     dirs, swts = sphere_nodes(model.n, spec)
 
     def shell(rho: np.ndarray) -> np.ndarray:
@@ -427,6 +431,97 @@ def annulus_integrate_tiled(model, measure: str,
         return pairwise_sum(terms.reshape((m, k) + vals.shape[1:]), axis=1)
 
     return radial_integrate(shell, (eps, radius), spec)
+
+
+def power_integral(exponent: float, a: float, b: float) -> float:
+    """Exact value of the monomial integral of rho**exponent on [a, b],
+    a >= 0: the flat reference for the inner ball of a radial pass."""
+    if exponent == -1.0:
+        if a <= 0.0:
+            raise QuadratureError("log endpoint at zero")
+        return math.log(b / a)
+    p = exponent + 1.0
+    if a == 0.0 and p <= 0.0:
+        raise QuadratureError("divergent power integral from zero")
+    lo = 0.0 if a == 0.0 else a**p
+    return (b**p - lo) / p
+
+
+def inner_ball_power(model, p: float, lo: float,
+                     remainder: bool = False) -> float:
+    """The integral of rho^p [D(rho)] s_k(rho)^(n-1) on (0, lo), D the
+    comparison remainder: the inner piece of a radial pass whose integrand
+    is a constant times rho^p near 0.  ``power_integral`` on flat models,
+    where D = 0; on curved ones rho^q h(rho), q = p + n - 1 and
+    h = (s_k/rho)^(n-1) [D], is h(0) lo^(q+1)/(q+1) in closed form plus
+    the 30-digit ``mpmath.quad`` of rho^q (h - h(0)), which vanishes at 0."""
+    n = model.n
+    q = p + n - 1.0
+    if model.curvature == 0.0:
+        return 0.0 if remainder else power_integral(q, 0.0, lo)
+    with mpmath.workdps(30):
+        root = mpmath.sqrt(-model.curvature)
+
+        def h(t):
+            x = root * t
+            out = (mpmath.sinh(x) / x) ** (n - 1)
+            return out * (x * mpmath.coth(x) - 1) if remainder else out
+
+        h0 = 0 if remainder else 1
+        lo_mp = mpmath.mpf(lo)
+        closed = h0 * lo_mp ** (q + 1) / (q + 1)
+        return float(closed + mpmath.quad(lambda t: t ** q * (h(t) - h0),
+                                          [0, lo_mp]))
+
+
+def hardy_terms_30_digits(model, r: float, R: float, a: float,
+                          beta: float) -> dict[str, float]:
+    """The Hardy report's terms (lhs, main, remainder) at 30 digits for the
+    profile cutoff(r, R) * exp(-a rho^2), the battery's Gaussian kind, on
+    the BH measure.  The main term's integrand is rho^(n-3-beta) times a
+    function h that is smooth at 0, so on (0, r), where the cutoff is 1, it
+    is h(0) r^(q+1)/(q+1) in closed form plus ``mpmath.quad`` of
+    rho^q (h - h(0)); every other piece is regular at 0."""
+    n, k = model.n, model.curvature
+    with mpmath.workdps(30):
+        r_mp, big_r, a, beta = (mpmath.mpf(v) for v in (r, R, a, beta))
+        root = mpmath.sqrt(-k) if k < 0.0 else None
+
+        def psi(t):
+            if t <= r_mp:
+                return mpmath.mpf(1), mpmath.mpf(0)
+            s = (t - r_mp) / (big_r - r_mp)
+            w = 1 / (1 - s) - 1 / s
+            p = 1 / (1 + mpmath.exp(w))
+            w1 = 1 / (1 - s) ** 2 + 1 / s ** 2
+            return p, -w1 * p * (1 - p) / (big_r - r_mp)
+
+        def f_d1(t):
+            c, c1 = psi(t)
+            g = mpmath.exp(-a * t * t)
+            return c * g, c1 * g - 2 * a * t * c * g
+
+        def shape(t):       # s_k(t)^(n-1) / t^(n-1) and D(t)
+            if root is None:
+                return mpmath.mpf(1), mpmath.mpf(0)
+            x = root * t
+            return (mpmath.sinh(x) / x) ** (n - 1), x * mpmath.coth(x) - 1
+
+        q = n - 3 - beta
+        lhs = mpmath.quad(lambda t: f_d1(t)[1] ** 2 * t ** (n - 1 - beta)
+                          * shape(t)[0], [0, r_mp, big_r])
+        inner = r_mp ** (q + 1) / (q + 1) + mpmath.quad(
+            lambda t: t ** q * (f_d1(t)[0] ** 2 * shape(t)[0] - 1),
+            [0, r_mp])
+        main = inner + mpmath.quad(
+            lambda t: f_d1(t)[0] ** 2 * t ** q * shape(t)[0], [r_mp, big_r])
+        rem = 0 if root is None else mpmath.quad(
+            lambda t: f_d1(t)[0] ** 2 * t ** q * shape(t)[1] * shape(t)[0],
+            [0, r_mp, big_r])
+        gam = (n - 2 - beta) / 2
+        cp = model.cp_constant("bh")
+        return {"lhs": float(cp * lhs), "main": float(cp * gam ** 2 * main),
+                "remainder": float(cp * (n - 1) * gam * rem)}
 
 
 def sphere_integrate(g: Callable[[np.ndarray], np.ndarray],

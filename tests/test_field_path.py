@@ -13,7 +13,8 @@ from finslerineq import fields as fc
 from finslerineq import harness as H
 from finslerineq import quadrature
 from finslerineq.models import HyperbolicBall, RadialProfile, RandersFlat
-from finslerineq.quadrature import QuadratureSpec, annulus_integrate
+from finslerineq.quadrature import QuadratureSpec, annulus_integrate, \
+    sphere_nodes
 from oracles import annulus_integrate_tiled
 
 # the per-point reference is slow, so it runs in the plane at a tiny spec
@@ -104,8 +105,20 @@ def ref_terms(model, u, beta, kind):
             rows.append([val * val * varrho, div])
         return np.array(rows).reshape(pts.shape[:-1] + (-1,))
 
-    lo = (H.RADIAL_FLOOR if kind == "hardy" else 1e-6) * hi
-    return annulus_integrate(model, "bh", integrand, lo, hi, TINY)[0]
+    if kind != "hardy":
+        # the G^beta field road starts at GBETA_FIELD_FLOOR
+        return annulus_integrate(model, "bh", integrand, 1e-6 * hi, hi,
+                                 TINY)[0]
+    # the Hardy road starts at 0: the annulus from lo, plus the inner ball
+    # (0, lo) by the midpoint rule, whose O(lo^3) error is far below the
+    # tests' tolerance
+    lo = 1e-12 * hi
+    ring = annulus_integrate(model, "bh", integrand, lo, hi, TINY)[0]
+    dirs, wts = sphere_nodes(model.n, TINY)
+    mid = np.array([[0.5 * lo]])
+    weighted = integrand(mid, dirs) * \
+        (model.polar_density("bh", mid, dirs) * wts)[..., None]
+    return ring + lo * weighted[0].sum(axis=0)
 
 
 @pytest.mark.parametrize("model", PLANE, ids=repr)

@@ -13,10 +13,11 @@ import finslerineq
 from finslerineq.models import HyperbolicBall, RandersFlat, euclidean_flat
 from finslerineq.quadrature import (QuadratureError, QuadratureSpec,
                                     annulus_integrate, pairwise_sum,
-                                    power_integral, radial_integrate,
+                                    radial_integrate,
                                     radial_segments, sphere_nodes,
                                     unit_sphere_area)
-from oracles import annulus_integrate_tiled, box_montecarlo, sphere_integrate
+from oracles import annulus_integrate_tiled, box_montecarlo, \
+    power_integral, sphere_integrate
 
 SPEC = QuadratureSpec()
 
@@ -41,12 +42,14 @@ def test_radial_rejects_bad_interval_and_nan():
 
 
 @pytest.mark.parametrize("cuts", [(0.1,), (0.5, 0.2), (0.1, 0.3, 0.3, 1.0),
-                                  (0.0, 1.0), (-1.0, 0.5, 1.0),
+                                  (0.0, 0.0, 1.0), (0.5, 0.0, 1.0),
+                                  (-1.0, 0.5, 1.0), (-1e-300, 1.0),
                                   (0.1, math.inf), (math.nan, 1.0),
                                   (0.1, 0.5, math.nan)], ids=repr)
 def test_radial_rejects_bad_cuts(cuts):
-    # fewer than two cuts, not strictly increasing, a first cut <= 0, or a
-    # non-finite cut; the integrand is never called
+    # fewer than two cuts, not strictly increasing, a first cut < 0, or a
+    # non-finite cut (0 is legal as the first cut only); the integrand is
+    # never called
     def never(t):
         raise AssertionError("integrand called on bad cuts")
 
@@ -67,7 +70,8 @@ def _hexes(*values):
 
 
 @pytest.mark.parametrize("cuts", [(0.05, 0.9), (1e-6, 0.3, 0.9),
-                                  (1e-6, 0.2, 0.45, 0.9)], ids=repr)
+                                  (1e-6, 0.2, 0.45, 0.9), (0.0, 0.3, 0.9)],
+                         ids=repr)
 @pytest.mark.parametrize("columns", [False, True], ids=["M", "MxT"])
 def test_radial_integrate_cuts_match_segment_sums(cuts, columns):
     # one call over all cuts: f sees every segment's coarse and fine nodes
@@ -94,6 +98,55 @@ def test_radial_integrate_cuts_match_segment_sums(cuts, columns):
     value, error = radial_integrate(f, cuts, SPEC)
     assert _hexes(value, error) == _hexes(want_v, want_e)
     assert np.shape(value) == np.shape(error) == ((3,) if columns else ())
+
+
+@pytest.mark.parametrize("alpha", (-0.999, -0.5, 0.0, 3.0))
+@pytest.mark.parametrize("b", (0.7, 2.3))
+def test_origin_segment_is_exact_for_powers(alpha, b):
+    # the tail below the panels is exact for rho^alpha, up to the rounding
+    # of the fitted exponent, which the error estimate covers
+    value, error = radial_integrate(lambda t: t ** alpha, (0.0, b), SPEC)
+    exact = b ** (alpha + 1.0) / (alpha + 1.0)
+    assert abs(value - exact) <= error + 1e-14 * exact
+    assert error <= 1e-11 * exact
+
+
+def test_origin_tail_vanishes_with_the_integrand():
+    # a column that is 0 near the origin gets no tail and no tail error;
+    # a column beside it keeps its own
+    def f(t):
+        return np.stack([np.where(t < 0.1, 0.0, (t - 0.1) ** 2),
+                         t ** -0.5], axis=-1)
+
+    values, errors = radial_segments(f, (0.0, 0.1, 1.0), SPEC)
+    assert (values[0, 0], errors[0, 0]) == (0.0, 0.0)
+    assert values[0, 1] == pytest.approx(2.0 * math.sqrt(0.1), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", (-1.0, -1.5, -3.0))
+def test_origin_divergence_reads_infinite(alpha):
+    # alpha <= -1 diverges: the origin segment reads +-inf with the sign
+    # of the integrand and an infinite error, never a finite number
+    def f(t):
+        return np.stack([t ** alpha, -t ** alpha, np.ones_like(t)], axis=-1)
+
+    values, errors = radial_segments(f, (0.0, 0.5, 1.0), SPEC)
+    assert values[0].tolist()[:2] == [math.inf, -math.inf]
+    assert np.isinf(errors[0, :2]).all()
+    assert values[0, 2] == pytest.approx(0.5, rel=1e-14)
+    assert np.isfinite(values[1]).all() and np.isfinite(errors[1]).all()
+    value, error = radial_integrate(lambda t: t ** alpha, (0.0, 1.0), SPEC)
+    assert value == math.inf and error == math.inf
+
+
+def test_annulus_from_the_origin():
+    # eps = 0 takes the radial rule's tail: the flat ball's volume
+    # |S^{n-1}| R^n / n, whose integrand rho^(n-1) is a pure power
+    m = RandersFlat(3, 0.0)
+    val, err = annulus_integrate(m, "bh", lambda rr, ww: np.ones((1, 1)),
+                                 0.0, 0.8, SPEC)
+    want = m.cp_constant("bh") * 0.8 ** 3 / 3.0
+    assert abs(val - want) <= err + 1e-14 * want
 
 
 def test_radial_convergence_order():
