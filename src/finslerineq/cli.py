@@ -7,7 +7,8 @@ reports.  ``SUITES`` is the one table of suites (help, default model and
 n, runner) and ``SECTIONS`` names each run parameter once.  Each theorem's
 domain is checked by the harness, not here; a failed run writes nothing.
 Exit status: 0 all assertions pass, 1 assertion failure, 2 configuration
-error, 3 numerical failure.
+error, 3 numerical failure.  Numpy's OpenBLAS pool gets one thread unless
+the caller sets ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,20 @@ import argparse
 import configparser
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+# OpenBLAS starts a pool of helper threads, one per core, when numpy loads,
+# and they burn CPU although no computation here is a BLAS product (see
+# ``quadrature``).  So one thread, unless the caller chose.  The package's
+# ``__init__`` loads no numpy, so in a CLI process this runs before numpy
+# loads; where numpy came first, its pool stays as it was.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

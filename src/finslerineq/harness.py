@@ -28,7 +28,10 @@ stays radial: its G^beta gate needs the distributional terms (flux jumps,
 f(0), the Green point mass) that only the radial road reads so far.
 
 Reports are independent and deterministic, so batteries and campaigns may
-be evaluated concurrently.
+be evaluated concurrently, but threads gain nothing: the GIL serializes
+them, and two threads took ~15 ms for the ``hardy`` battery on
+``RandersFlat(3, 0.45)`` against ~10 ms for one (medians of 40 rounds, 2
+cores).  So batteries run serially.
 """
 
 from __future__ import annotations
@@ -865,7 +868,7 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
     for a in starts:
         rng.standard_normal((min(_CAMPAIGN_BLOCK, samples - a), n))
     nonnegative = True
-    head = []               # the blocks of the first 200 pairs
+    head = []               # the first 200 pairs, block by block
     for a in starts:
         rows = min(_CAMPAIGN_BLOCK, samples - a)
         xi = xi_rng.standard_normal((rows, n))
@@ -881,8 +884,9 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
             argmin_xi, argmin_eta = xi[i], eta[i]
         nonnegative = nonnegative and bool(np.all(s >= -1e-10 * scale))
         if a < 200:
-            head.append((xi, eta))
-    head_xi, head_eta = (np.concatenate(part)[:200] for part in zip(*head))
+            # copies, so the rest of the block is freed
+            head.append((xi[:200 - a].copy(), eta[:200 - a].copy()))
+    head_xi, head_eta = (np.concatenate(part) for part in zip(*head))
     np.log10(np.maximum(slack, 1e-300, out=slack), out=slack)
     # binned a block at a time on the edges of the whole range: numpy bins
     # each value on its own, so the counts are those of one call

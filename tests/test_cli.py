@@ -470,11 +470,47 @@ def test_drift_alias_flag(tmp_path):
     assert rep["config"]["t"] == 0.0
 
 
-def test_import_does_not_load_scipy():
-    # a fresh interpreter: this one may have imported scipy for other tests
+def _fresh_python(code, env=None):
+    """Standard output of ``code`` in a fresh interpreter on this source
+    tree, with OPENBLAS_NUM_THREADS unset unless ``env`` sets it."""
     src = str(Path(finslerineq.__file__).parents[1])
-    code = "import sys, finslerineq.cli; print('scipy' in sys.modules)"
+    base = {k: v for k, v in os.environ.items()
+            if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.strip() == "False"
+                          env={**base, "PYTHONPATH": src, **(env or {})})
+    return proc.stdout.split()
+
+
+def test_import_does_not_load_scipy():
+    # a fresh interpreter: this one may have imported scipy for other tests
+    code = "import sys, finslerineq.cli; print('scipy' in sys.modules)"
+    assert _fresh_python(code) == ["False"]
+
+
+def test_package_import_loads_no_numpy():
+    # the public names load lazily, each the object of its own submodule
+    code = ("import sys, finslerineq as f\n"
+            "print('numpy' in sys.modules)\n"
+            "for name in f.__all__[:-1]:\n"
+            "    obj = getattr(f, name)\n"
+            "    mod = sys.modules[obj.__module__]\n"
+            "    print(mod.__name__.startswith('finslerineq.')\n"
+            "          and getattr(mod, name) is obj)\n")
+    assert finslerineq.__all__[-1] == "__version__"
+    assert _fresh_python(code) == ["False"] + ["True"] * 10
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the thread count from /proc")
+@pytest.mark.parametrize("caller, threads", [(None, 1), (2, 2)])
+def test_cli_runs_one_blas_thread_unless_the_caller_sets_it(caller, threads):
+    code = ("import os, finslerineq.cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "print(*(line.split()[1] for line in open('/proc/self/status')\n"
+            "        if line.startswith('Threads:')))\n")
+    env = caller and {"OPENBLAS_NUM_THREADS": str(caller)}
+    value, count = _fresh_python(code, env)
+    assert value == str(threads)
+    # OpenBLAS caps its pool at the cores this process may run on
+    assert int(count) == min(threads, len(os.sched_getaffinity(0)))
