@@ -7,8 +7,10 @@ reports.  ``SUITES`` is the one table of suites (help, default model and
 n, runner) and ``SECTIONS`` names each run parameter once.  Each theorem's
 domain is checked by the harness, not here; a failed run writes nothing.
 Exit status: 0 all assertions pass, 1 assertion failure, 2 configuration
-error, 3 numerical failure.  Numpy's OpenBLAS pool gets one thread unless
-the caller sets ``OPENBLAS_NUM_THREADS``.
+error, 3 numerical failure.  The module imports only the standard library:
+``list``, ``--help`` and usage errors load no numpy, and a suite loads numpy
+and the numerical modules when it runs, after numpy's OpenBLAS pool has been
+given one thread unless the caller sets ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -27,18 +29,14 @@ from typing import Callable, NamedTuple
 
 # OpenBLAS starts a pool of helper threads, one per core, when numpy loads,
 # and they burn CPU although no computation here is a BLAS product (see
-# ``quadrature``).  So one thread, unless the caller chose.  The package's
-# ``__init__`` loads no numpy, so in a CLI process this runs before numpy
-# loads; where numpy came first, its pool stays as it was.
+# ``quadrature``).  So one thread, unless the caller chose.  Neither the
+# package's ``__init__`` nor this module imports numpy at load (the
+# numerical modules are imported in the functions that use them), so in a
+# CLI process this runs before numpy loads; where numpy came first, its
+# pool stays as it was.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from . import __version__
-from . import harness
-from .minkowski import MinkowskiNorm
-from .models import HyperbolicBall, RandersFlat, euclidean_flat
-from .quadrature import QuadratureError, QuadratureSpec
 
 MODELS = ("randers", "euclidean", "hyperbolic")
 MEASURES = ("bh", "ht")
@@ -86,6 +84,7 @@ class RunConfig:
         return self.k if self.model == "hyperbolic" else 0.0
 
     def build_model(self):
+        from .models import HyperbolicBall, RandersFlat, euclidean_flat
         if self.model == "randers":
             return RandersFlat(self.n, self.t)
         if self.model == "euclidean":
@@ -93,6 +92,7 @@ class RunConfig:
         return HyperbolicBall(self.n, self.k)     # which requires k < 0
 
     def build_spec(self) -> QuadratureSpec:
+        from .quadrature import QuadratureSpec
         accepted = [f.name for f in fields(QuadratureSpec)]
         for key in self.quad:
             if key not in accepted:
@@ -136,6 +136,7 @@ def _fmt(x) -> str:
 
 
 def _json_default(obj):
+    import numpy as np
     if isinstance(obj, (np.bool_, np.integer, np.floating)):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
@@ -165,9 +166,11 @@ def _check(name: str, passed) -> dict:
 
 # ------------------------------------------------------------------ runners
 # Each maps (cfg, spec) to (results, assertions, artifact), the artifact
-# None or (file name, CSV header, rows).  Harness functions are looked up as
-# a runner runs, so one replaced on the module after import is called.
+# None or (file name, CSV header, rows).  Each imports the numerical modules
+# it uses and looks harness functions up as it runs, so one replaced on the
+# module after import is called.
 def _constants(cfg: RunConfig, spec: QuadratureSpec):
+    from .minkowski import MinkowskiNorm
     norm = MinkowskiNorm(cfg.n, cfg.drift)
     model = cfg.build_model()
     results = {"lambda_F": norm.reversibility(),
@@ -183,6 +186,8 @@ def _constants(cfg: RunConfig, spec: QuadratureSpec):
 
 
 def _refined_cs(cfg: RunConfig, spec: QuadratureSpec):
+    from . import harness
+    from .minkowski import MinkowskiNorm
     summary = harness.refined_cs_campaign(MinkowskiNorm(cfg.n, cfg.drift),
                                           cfg.samples or 100_000, cfg.seed)
     return summary.as_dict(), [_check("refined Cauchy-Schwarz slack >= 0",
@@ -192,6 +197,7 @@ def _refined_cs(cfg: RunConfig, spec: QuadratureSpec):
 def _sweep(name: str):
     """The runner of the sharpness sweep ``harness.<name>``."""
     def run(cfg: RunConfig, spec: QuadratureSpec):
+        from . import harness
         table = getattr(harness, name)(cfg.build_model(), cfg.measure,
                                        cfg.beta, cfg.r, cfg.R, cfg.eps, spec)
         sharp = table.sharp_constant
@@ -207,6 +213,7 @@ def _sweep(name: str):
 
 def _battery(cfg: RunConfig, size: int):
     """A report suite's model and battery; ``--samples`` overrides size."""
+    from . import harness
     model = cfg.build_model()
     radius = min(1.0, 0.9 * getattr(model, "ball_radius", 1.0))
     return model, harness.radial_battery(cfg.samples or size, radius)
@@ -215,6 +222,7 @@ def _battery(cfg: RunConfig, size: int):
 def _reports(name: str, size: int = 10, beta: bool = True):
     """The runner of ``harness.<name>`` on every profile of the battery."""
     def run(cfg: RunConfig, spec: QuadratureSpec):
+        from . import harness
         model, battery = _battery(cfg, size)
         report = getattr(harness, name)
         args = (cfg.beta,) if beta else ()
@@ -229,6 +237,7 @@ def _reports(name: str, size: int = 10, beta: bool = True):
 
 
 def _gbeta_check(cfg: RunConfig, spec: QuadratureSpec):
+    from . import harness
     # harness.gbeta takes any beta; membership is asked on Rellich's domain
     harness.rellich_domain(cfg.n, cfg.beta, "gbeta-check")
     model, battery = _battery(cfg, 10)
@@ -389,6 +398,7 @@ def _config_from_args(args) -> RunConfig:
     if cp.has_section("quadrature"):
         # each value parsed as its QuadratureSpec field's type; an unknown
         # key stays text for build_spec to reject
+        from .quadrature import QuadratureSpec
         kinds = {f.name: type(f.default) for f in fields(QuadratureSpec)}
         cfg.quad = {k: kinds.get(k, str)(v)
                     for k, v in cp["quadrature"].items()}
@@ -400,11 +410,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.suite == "list":
         print(list_suites())
         return 0
+    from numpy.linalg import LinAlgError
+    from . import harness
+    from .quadrature import QuadratureError
     try:
         cfg = _config_from_args(args)
         code = run(cfg)
     # ArithmeticError covers the OverflowError of sizes beyond double range
-    except (QuadratureError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (QuadratureError, ArithmeticError, LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     # MemoryError: a size, such as a sample or node count, whose arrays

@@ -881,7 +881,8 @@ def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
         # strict, so the first minimum over all blocks is kept
         if a == 0 or rel[i] < rel_min:
             rel_min, min_slack, min_scale = rel[i], s[i], scale[i]
-            argmin_xi, argmin_eta = xi[i], eta[i]
+            # copies: a row view would keep its whole block alive
+            argmin_xi, argmin_eta = xi[i].copy(), eta[i].copy()
         nonnegative = nonnegative and bool(np.all(s >= -1e-10 * scale))
         if a < 200:
             # copies, so the rest of the block is freed

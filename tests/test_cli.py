@@ -488,6 +488,24 @@ def test_import_does_not_load_scipy():
     assert _fresh_python(code) == ["False"]
 
 
+@pytest.mark.parametrize("argv, status", [
+    (["list"], 0), (["--help"], 0), (["hardy", "--help"], 0),
+    (["hardy", "--n", "x"], 2)])
+def test_commands_that_run_no_suite_load_no_numpy(argv, status):
+    # listing, help and usage errors start without the numerical modules
+    code = ("import contextlib, io, sys\n"
+            "from finslerineq.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            f"        status = main({argv!r})\n"
+            "    except SystemExit as exc:\n"
+            "        status = exc.code\n"
+            "print(status, 'numpy' in sys.modules,\n"
+            "      'finslerineq.harness' in sys.modules)\n")
+    assert _fresh_python(code) == [str(status), "False", "False"]
+
+
 def test_package_import_loads_no_numpy():
     # the public names load lazily, each the object of its own submodule
     code = ("import sys, finslerineq as f\n"
@@ -504,13 +522,19 @@ def test_package_import_loads_no_numpy():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads the thread count from /proc")
 @pytest.mark.parametrize("caller, threads", [(None, 1), (2, 2)])
-def test_cli_runs_one_blas_thread_unless_the_caller_sets_it(caller, threads):
-    code = ("import os, finslerineq.cli\n"
-            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+def test_cli_runs_one_blas_thread_unless_the_caller_sets_it(
+        tmp_path, caller, threads):
+    # numpy loads when a suite runs, so one runs before the count is read
+    argv = ["constants", "--out", str(tmp_path)]
+    code = ("import contextlib, io, os, finslerineq.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main({argv!r})\n"
+            "print(status, os.environ['OPENBLAS_NUM_THREADS'])\n"
             "print(*(line.split()[1] for line in open('/proc/self/status')\n"
             "        if line.startswith('Threads:')))\n")
     env = caller and {"OPENBLAS_NUM_THREADS": str(caller)}
-    value, count = _fresh_python(code, env)
+    status, value, count = _fresh_python(code, env)
+    assert status == "0"
     assert value == str(threads)
     # OpenBLAS caps its pool at the cores this process may run on
     assert int(count) == min(threads, len(os.sched_getaffinity(0)))
