@@ -219,15 +219,27 @@ def _battery(cfg: RunConfig, size: int):
     return model, harness.radial_battery(cfg.samples or size, radius)
 
 
-def _reports(name: str, size: int = 10, beta: bool = True):
-    """The runner of ``harness.<name>`` on every profile of the battery."""
+def _rellich_bv_battery(cfg: RunConfig, size: int):
+    """The battery, times rho^2 above beta = n - 4: there G^beta is defined
+    only for profiles that vanish at the origin."""
+    from . import harness
+    model, battery = _battery(cfg, size)
+    if cfg.beta > cfg.n - 4.0:
+        battery = [harness.vanishing_at_origin(p) for p in battery]
+    return model, battery
+
+
+def _reports(name: str, size: int = 10, beta: bool = True,
+             battery: Callable = _battery):
+    """The runner of ``harness.<name>`` on every profile of
+    ``battery(cfg, size)``."""
     def run(cfg: RunConfig, spec: QuadratureSpec):
         from . import harness
-        model, battery = _battery(cfg, size)
+        model, profiles = battery(cfg, size)
         report = getattr(harness, name)
         args = (cfg.beta,) if beta else ()
         reports = [report(model, cfg.measure, prof, *args, spec)
-                   for prof in battery]
+                   for prof in profiles]
         return ({"reports": [r.as_dict() for r in reports]},
                 [_check("slack >= -tolerance on the whole battery",
                         all(r.passed for r in reports))],
@@ -273,9 +285,11 @@ SUITES = {
                      "-2 < beta < n - 4",
                      "randers", 6, _reports("rellich_report")),
     "rellich-bv": Suite("refined Rellich; requires k < 0 and "
-                        "0 <= beta < n - 2, but the battery is nonzero at "
-                        "the origin, so G^beta needs beta <= n - 4",
-                        "hyperbolic", 6, _reports("rellich_bv_report")),
+                        "0 <= beta < n - 2; above n - 4 the battery is "
+                        "times rho^2, so that it vanishes at the origin",
+                        "hyperbolic", 6,
+                        _reports("rellich_bv_report",
+                                 battery=_rellich_bv_battery)),
     "rellich-sweep": Suite("sharpness sweep for (n+beta)^2(n-4-beta)^2/16; "
                            "requires -2 < beta < n - 4",
                            "randers", 6, _sweep("rellich_sharpness_sweep")),

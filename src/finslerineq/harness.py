@@ -16,16 +16,19 @@ two roads.  A ``models.RadialProfile`` reduces through the model's polar
 reduction (``cp_constant`` x radial density) to one ``radial_integrate``
 pass per report from rho = 0, split at the profile's breakpoints; the pass
 calls the jet once on all its nodes and computes each power rho^p and
-D(rho) once.  Near the origin every pass keeps the one rule of
-``quadrature``: the power-law tail below 1e-12 times the first cut joins
-the value and the error, and a term that diverges raises.  A sweep's one
-pass is cut at 0 and every eps; each row sums the shells above its eps and
-the inner column's shells below it.  Scalar fields take one backward-polar
-annulus pass of a field jet (u, F*(du), the sign-cased ``rho_u`` and the
-numeric Laplacian) on (m, K, n) stacks of points; both roads read the
-G^beta density -Delta(rho^(-beta-2)) at the jet's rho.  The Rellich pair
-stays radial: its G^beta gate needs the distributional terms (flux jumps,
-f(0), the Green point mass) that only the radial road reads so far.
+D(rho) once.  On a nonreversible model that reduction holds only where
+f' <= 0, and every pass checks it on its own nodes.  Near the origin
+every pass keeps the one rule of ``quadrature``: the power-law tail below
+1e-12 times the first cut joins the value and the error, and a term that
+diverges raises.  A sweep's one pass is cut at 0 and every eps; each row
+sums the shells above its eps and the inner column's shells below it.
+Scalar fields take one backward-polar annulus pass of a field jet (u,
+F*(du), the sign-cased ``rho_u`` and the numeric Laplacian) on (m, K, n)
+stacks of points, and need no sign rule: F*(du) is evaluated as it is.
+Both roads read the G^beta density -Delta(rho^(-beta-2)) at the jet's
+rho.  The Rellich pair stays radial: its G^beta gate needs the
+distributional terms (flux jumps, f(0), the Green point mass) that only
+the radial road reads so far.
 
 Reports are independent and deterministic, so batteries and campaigns may
 be evaluated concurrently, but threads gain nothing: the GIL serializes
@@ -264,11 +267,19 @@ class _Jet:
 class _RadialJet(_Jet):
     """The profile jet at the radial nodes: rho, f, f' and f'' from one
     call of the profile's jet, and the radial Laplacian
-    f'' + f' (n-1) s'/s."""
+    f'' + f' (n-1) s'/s.  Every radial pass reads its profile here, so
+    here is its one rule: F*(f' d rho_minus) = |f'| needs f' <= 0 when
+    F*(d rho_minus) != F*(-d rho_minus) = 1, so on a nonreversible model
+    a node with f' > 0 raises."""
 
     def __init__(self, model, prof: RadialProfile, rho: np.ndarray):
         self.model, self.rho = model, rho
-        self.f, self.d1, self.d2 = prof.derivatives(rho)
+        self.f, self.d1, self.d2 = prof.jet(rho, 2)
+        if model.reversibility > 1.0 and np.any(self.d1 > 0.0):
+            first = float(rho[self.d1 > 0.0].min())
+            raise PreconditionError(
+                f"the radial road on the nonreversible {model!r} needs "
+                f"f' <= 0, but f' > 0 at rho = {first}")
 
     @cached_property
     def lap(self) -> np.ndarray:
@@ -513,9 +524,6 @@ def _gbeta_columns(model, measure: str, prof: RadialProfile | None,
     nn = beta + 2.0
     point = 0.0
     if prof is not None:
-        if not prof.nonincreasing:
-            raise PreconditionError("radial G^beta path expects a "
-                                    "nonincreasing profile")
         f0 = float(prof.f(np.zeros(1))[0])
         if f0 != 0.0 and nn > model.n - 2.0 + 1e-12:
             raise PreconditionError(
@@ -579,7 +587,7 @@ def _breakpoint_sides(prof: RadialProfile):
         if 0.0 < bp < prof.support:
             nodes = np.array([bp, np.nextafter(bp, 0.0),
                               np.nextafter(bp, np.inf)])
-            f, d1 = prof.derivatives(nodes, 1)
+            f, d1 = prof.jet(nodes, 1)
             yield bp, float(f[0]), float(d1[1]), float(d1[2])
 
 
@@ -954,8 +962,7 @@ def _gauss_profile(a: float, support: float) -> RadialProfile:
         return (e, -2.0 * a * rho * e,
                 (4.0 * a * a * rho2 - 2.0 * a) * e)[:order + 1]
 
-    return RadialProfile.from_jet(jet, support, nonincreasing=True,
-                                  label=f"gauss[{a}]")
+    return RadialProfile.from_jet(jet, support, label=f"gauss[{a}]")
 
 
 def _expdec_profile(a: float, support: float) -> RadialProfile:
@@ -963,8 +970,7 @@ def _expdec_profile(a: float, support: float) -> RadialProfile:
         e = np.exp(-a * np.asarray(rho))
         return (e, -a * e, a * a * e)[:order + 1]
 
-    return RadialProfile.from_jet(jet, support, nonincreasing=True,
-                                  label=f"exp[{a}]")
+    return RadialProfile.from_jet(jet, support, label=f"exp[{a}]")
 
 
 def _lorentz_profile(q: float, support: float) -> RadialProfile:
@@ -977,8 +983,19 @@ def _lorentz_profile(q: float, support: float) -> RadialProfile:
                 -2.0 * q * p1 + 4.0 * q * (q + 1.0) * rho2
                 * base ** (-q - 2.0))[:order + 1]
 
-    return RadialProfile.from_jet(jet, support, nonincreasing=True,
-                                  label=f"lorentz[{q}]")
+    return RadialProfile.from_jet(jet, support, label=f"lorentz[{q}]")
+
+
+def vanishing_at_origin(prof: RadialProfile) -> RadialProfile:
+    """rho^2 times ``prof``: f and f' vanish at the base point, so G^beta
+    is defined for beta + 2 > n - 2.  It rises near 0, so only the
+    reversible models take it."""
+    def square(rho: np.ndarray, order: int = 2) -> tuple:
+        rho = np.asarray(rho)
+        return (rho * rho, 2.0 * rho, np.full_like(rho, 2.0))[:order + 1]
+
+    return profile_product(prof, RadialProfile.from_jet(
+        square, prof.support, label="rho^2"))
 
 
 def radial_battery(count: int, radius: float = 1.0) -> list[RadialProfile]:

@@ -28,11 +28,12 @@ the kernel of ``minkowski``, and every radial density is
 there) and ``RadialProfile``, the one type of radial input.  Its
 constructors build the smooth cutoff (``cutoff_profile``) and the
 truncated radial test-function family of the sharpness sweeps
-(``truncated_profile``).  Every radial profile built here carries a jet
-that returns f, f' and f'' from one call; products compose their factors'
-jets, the truncated family is the product of the cutoff and a truncated
-power, and the cutoff evaluates its transition only on its band
-r < rho < R.
+(``truncated_profile``).  A radial profile is its jet, which returns f,
+f' and f'' from one call; products compose their factors' jets, the
+truncated family is the product of the cutoff and a truncated power, and
+the cutoff evaluates its transition only on its band r < rho < R.  On a
+nonreversible model the radial road needs f' <= 0, and ``harness`` checks
+that on every pass.
 
 Model descriptors are immutable after construction and every evaluator is
 pure, so concurrent use is safe.
@@ -41,7 +42,7 @@ pure, so concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
@@ -100,18 +101,14 @@ Jet = Callable[..., tuple]
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A smooth radial profile f(rho) with its first two derivatives.
+    """A smooth radial profile f(rho), given by its jet.
 
-    ``jet`` evaluates f, f' and f'' together from shared intermediate
-    values.  Every profile built here carries one, and its ``f``, ``d1``
-    and ``d2`` are views of it (:meth:`from_jet`).  A profile given only
-    ``f``, ``d1`` and ``d2`` has no jet; :meth:`derivatives` then calls
-    those three, so readers of the jet take one path.
-
-    ``breakpoints`` flag radii where the profile is only piecewise smooth
-    (quadrature panels are split there); ``nonincreasing`` records that
-    f' <= 0 almost everywhere, the admissibility condition for the
-    G^beta-kernel family.
+    ``jet(rho, order)`` evaluates (f, f', f'')[:order + 1] together from
+    shared intermediate values; ``f``, ``d1`` and ``d2`` are its views
+    (:meth:`from_jet` fills them).  ``breakpoints`` flag radii where the
+    profile is only piecewise smooth (quadrature panels are split there).
+    On a nonreversible model the radial road needs f' <= 0, which it
+    checks on every pass (``harness._RadialJet``).
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -119,9 +116,8 @@ class RadialProfile:
     d2: Callable[[np.ndarray], np.ndarray]
     support: float
     breakpoints: tuple[float, ...] = ()
-    nonincreasing: bool = True
     label: str = ""
-    jet: Jet | None = None
+    jet: Jet = dc_field(kw_only=True)
 
     @classmethod
     def from_jet(cls, jet: Jet, support: float, **kw) -> "RadialProfile":
@@ -129,19 +125,13 @@ class RadialProfile:
         return cls(lambda rho: jet(rho, 0)[0], lambda rho: jet(rho, 1)[1],
                    lambda rho: jet(rho, 2)[2], support, jet=jet, **kw)
 
-    def derivatives(self, rho: np.ndarray, order: int = 2) -> tuple:
-        """(f, f', f'')[:order + 1] at rho: the jet, or f, d1 and d2."""
-        if self.jet is not None:
-            return self.jet(rho, order)
-        return tuple(g(rho) for g in (self.f, self.d1, self.d2)[:order + 1])
-
 
 def profile_product(p: RadialProfile, q: RadialProfile,
                     label: str = "") -> RadialProfile:
     """Pointwise product of two radial profiles; its jet reads each factor's
     jet once and combines them by the product rule."""
     def jet(rho: np.ndarray, order: int = 2) -> tuple:
-        pj, qj = p.derivatives(rho, order), q.derivatives(rho, order)
+        pj, qj = p.jet(rho, order), q.jet(rho, order)
         out = [pj[0] * qj[0]]
         if order >= 1:
             out.append(pj[1] * qj[0] + pj[0] * qj[1])
@@ -152,7 +142,6 @@ def profile_product(p: RadialProfile, q: RadialProfile,
     return RadialProfile.from_jet(
         jet, support=min(p.support, q.support),
         breakpoints=tuple(sorted(set(p.breakpoints) | set(q.breakpoints))),
-        nonincreasing=p.nonincreasing and q.nonincreasing,
         label=label or f"{p.label}*{q.label}")
 
 
@@ -215,8 +204,7 @@ def _truncated_power(g: float, eps: float, support: float) -> RadialProfile:
                                 g * (g + 1.0) * r_eff ** (-g - 2.0)))
         return tuple(out)
 
-    return RadialProfile.from_jet(jet, support, breakpoints=(eps,),
-                                  nonincreasing=g >= 0.0)
+    return RadialProfile.from_jet(jet, support, breakpoints=(eps,))
 
 
 def truncated_profile(gamma: float, eps: float, r: float, R: float

@@ -23,7 +23,8 @@ campaign) pin the shared, stacked forms of the library, and the one-shot
 campaign and full Lambda_F grid pin the bits of the streamed ones.  The
 separate f, f' and f'' formulas of the cutoff, the battery factors, their
 products and the truncated family pin the bits of the profiles' one-call
-jets.
+jets.  Two profiles built on jets serve the reports' tests: a multiple of a
+profile, and one that rises near the origin.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from finslerineq import minkowski
 from finslerineq.fields import ScalarField, differential, numeric_laplacian
 from finslerineq.harness import CampaignSummary
 from finslerineq.minkowski import MinkowskiNorm
-from finslerineq.models import HyperbolicBall, RandersFlat
+from finslerineq.models import (HyperbolicBall, RadialProfile, RandersFlat,
+                                cutoff_profile, profile_product)
 from finslerineq.quadrature import QuadratureError, QuadratureSpec, \
     pairwise_sum, radial_integrate, sphere_nodes
 
@@ -546,6 +548,26 @@ def div_u_grad_u(model, measure: str, field: ScalarField,
     x = np.asarray(x, dtype=float)
     fsq = gradient_norm(model, field, x) ** 2
     return fsq + field(x) * numeric_laplacian(model, measure, field, x)
+
+
+# ------------------------------------------------------- jet-built profiles
+def scaled_profile(prof: RadialProfile, c: float) -> RadialProfile:
+    """c times ``prof``, on the same support and breakpoints."""
+    return RadialProfile.from_jet(
+        lambda rho, order=2: tuple(c * v for v in prof.jet(rho, order)),
+        prof.support, breakpoints=prof.breakpoints)
+
+
+def rising_profile() -> RadialProfile:
+    """cutoff(0.4, 0.9) * (0.2 + rho): f' = 1 > 0 near the origin, so only
+    a reversible model's radial road takes it."""
+    def line(rho, order=2):
+        rho = np.asarray(rho)
+        return (0.2 + rho, np.ones_like(rho), np.zeros_like(rho))[:order + 1]
+
+    return profile_product(cutoff_profile(0.4, 0.9),
+                           RadialProfile.from_jet(line, math.inf),
+                           label="cutoff*(0.2+rho)")
 
 
 # ------------------------------------------------- separate profile formulas

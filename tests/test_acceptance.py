@@ -17,7 +17,7 @@ from finslerineq.cli import RunConfig, run
 from finslerineq.minkowski import MinkowskiNorm
 from finslerineq.models import HyperbolicBall, RandersFlat
 from finslerineq.quadrature import QuadratureSpec
-from oracles import gradient, negated, reverse
+from oracles import gradient, negated, reverse, scaled_profile
 
 SPEC = QuadratureSpec()
 
@@ -231,13 +231,8 @@ def test_criterion_10_uncertainty_principle():
         rep = H.uncertainty_report(m, "bh", prof, 0.0, SPEC)
         assert rep.slack >= -rep.slack_tolerance
         # scale invariance of the slack sign under u -> 10u
-        import finslerineq.models as models
-        scaled = models.RadialProfile(
-            f=lambda rho, p=prof: 10.0 * p.f(rho),
-            d1=lambda rho, p=prof: 10.0 * p.d1(rho),
-            d2=lambda rho, p=prof: 10.0 * p.d2(rho),
-            support=prof.support, breakpoints=prof.breakpoints)
-        rep10 = H.uncertainty_report(m, "bh", scaled, 0.0, SPEC)
+        rep10 = H.uncertainty_report(m, "bh", scaled_profile(prof, 10.0),
+                                     0.0, SPEC)
         assert (rep10.slack >= 0.0) == (rep.slack >= 0.0)
         assert rep10.slack == pytest.approx(100.0 * rep.slack, rel=1e-9)
     _report(10, "uncertainty principle on 10 test functions with "

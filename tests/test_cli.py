@@ -191,18 +191,19 @@ def test_validation_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_rellich_bv_battery_needs_beta_at_most_n_minus_4(tmp_path, capsys):
-    # the domain is 0 <= beta < n - 2, but every battery profile is nonzero
-    # at the origin, where G^beta is undefined once beta > n - 4
+def test_rellich_bv_above_n_minus_4(tmp_path, capsys):
+    # the domain is 0 <= beta < n - 2; above n - 4 G^beta is defined only
+    # for profiles that vanish at the origin, so the battery is times rho^2
     out = tmp_path / "run"
     assert run_cli(["rellich-bv", "--n", "6", "--beta", "2.5",
-                    "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "configuration error: G^beta undefined: the profile is nonzero at "
-        "the base point while beta + 2 exceeds n - 2\n")
-    assert not out.exists()
-    assert run_cli(["rellich-bv", "--n", "6", "--beta", "2",
                     "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    reports = json.loads((out / "report.json").read_text())["results"][
+        "reports"]
+    assert len(reports) == 10 and all(r["passed"] for r in reports)
+    for r in reports:
+        assert abs(r["constants"]["gbeta_value"]) <= \
+            1e-11 * r["constants"]["gbeta_scale"]
     assert "n - 4" in SUITES["rellich-bv"].help
 
 

@@ -15,7 +15,7 @@ from finslerineq import quadrature
 from finslerineq.models import HyperbolicBall, RadialProfile, RandersFlat
 from finslerineq.quadrature import QuadratureSpec, annulus_integrate, \
     sphere_nodes
-from oracles import annulus_integrate_tiled
+from oracles import annulus_integrate_tiled, rising_profile
 
 # the per-point reference is slow, so it runs in the plane at a tiny spec
 TINY = QuadratureSpec(radial_nodes=2, radial_panels=1, sphere_order=2)
@@ -27,14 +27,12 @@ def sign_changing_field(model, amp=1.5, R=0.6):
     """f(rho_minus) * (1 + amp sin(k.x + phase)) with the C^2 bump
     f = (1 - (rho/R)^2)_+^3: non-radial, and with amp > 1 it changes sign,
     so rho_u switches between rho_minus and rho_plus inside the support."""
-    def bump(rho):
-        return np.maximum(0.0, 1.0 - (rho / R) ** 2)
+    def jet(rho, order=2):
+        bump = np.maximum(0.0, 1.0 - (rho / R) ** 2)
+        return (bump ** 3, -6.0 * rho / R**2 * bump ** 2,
+                (24.0 * rho**2 / R**2 - 6.0 * bump) / R**2 * bump)[:order + 1]
 
-    base = fc.radial_field(model, RadialProfile(
-        f=lambda rho: bump(rho) ** 3,
-        d1=lambda rho: -6.0 * rho / R**2 * bump(rho) ** 2,
-        d2=lambda rho: (24.0 * rho**2 / R**2 - 6.0 * bump(rho)) / R**2
-        * bump(rho), support=R))
+    base = fc.radial_field(model, RadialProfile.from_jet(jet, R))
     wave, phase = np.array([1.3, -0.7, 0.9])[:model.n], 0.4
 
     def fn(x):
@@ -213,13 +211,22 @@ FIELD_REPORTS = [("hardy", R3), ("hardy", H3), ("hardy-bv", H3),
                  ("poincare", H3), ("uncertainty", R3), ("uncertainty", H3)]
 
 
-@pytest.mark.parametrize("report,model", [
-    pytest.param(r, m, id=repr(m) if r == "hardy" else f"{r}-{m!r}")
-    for r, m in FIELD_REPORTS])
-def test_two_roads_radial_field_matches_radial_path(report, model):
+# the rising profile on every reversible case: there F*(f' d rho_minus) =
+# |f'| for either sign of f', so the radial road takes it
+REVERSIBLE = [(r, m) for r, m in FIELD_REPORTS if m.reversibility == 1.0] \
+    + [("hardy", RandersFlat(3, 0.0))]
+
+
+@pytest.mark.parametrize("report,model,rising", [
+    pytest.param(r, m, rising, id=(repr(m) if r == "hardy"
+                                    else f"{r}-{m!r}") + rising * "-rising")
+    for rising, cases in ((False, FIELD_REPORTS), (True, REVERSIBLE))
+    for r, m in cases])
+def test_two_roads_radial_field_matches_radial_path(report, model, rising):
     # the same radial u through the annulus field path and the 1-d path;
-    # the worst term reads 8.3e-9 relative on Randers, 8.8e-12 hyperbolic
-    prof = H.radial_battery(10, 0.9)[0]
+    # the worst term reads 8.3e-9 relative on Randers, 8.8e-12 hyperbolic,
+    # and 1.4e-10 for the rising profile
+    prof = rising_profile() if rising else H.radial_battery(10, 0.9)[0]
     radial = field_report(report, model, prof)
     field = field_report(report, model, fc.radial_field(model, prof),
                          QuadratureSpec(radial_nodes=24, radial_panels=8,

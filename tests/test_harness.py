@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +18,8 @@ from finslerineq.minkowski import MinkowskiNorm
 from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
                                 euclidean_flat, truncated_profile)
 from finslerineq.quadrature import QuadratureSpec
-from oracles import refined_cs_campaign_oneshot, segment_convexity_margin, \
-    sampled_uniformity_full_grid
+from oracles import refined_cs_campaign_oneshot, rising_profile, \
+    sampled_uniformity_full_grid, scaled_profile, segment_convexity_margin
 
 SPEC = QuadratureSpec()
 FAST = QuadratureSpec(radial_nodes=12, radial_panels=6, sphere_order=6)
@@ -125,12 +126,7 @@ def test_poincare_battery_and_scaling():
     assert rep.constants["constant"] == pytest.approx(4.0)
     assert rep.passed
     # both sides are quadratic in v: the ratio is scale invariant
-    prof = cutoff_profile(0.4, 0.9)
-    import finslerineq.models as models
-    scaled = models.RadialProfile(
-        f=lambda rho: 3.0 * prof.f(rho), d1=lambda rho: 3.0 * prof.d1(rho),
-        d2=lambda rho: 3.0 * prof.d2(rho), support=prof.support,
-        breakpoints=prof.breakpoints)
+    scaled = scaled_profile(cutoff_profile(0.4, 0.9), 3.0)
     rep2 = H.poincare_report(h, "bh", scaled, SPEC)
     r1 = rep.terms["lhs"].value / rep.terms["gradient_side"].value
     r2 = rep2.terms["lhs"].value / rep2.terms["gradient_side"].value
@@ -243,19 +239,16 @@ def test_rellich_preconditions():
 
 
 def test_rellich_gbeta_gate():
-    # an increasing radial profile is rejected by the kernel gate
-    m = RandersFlat(6, 0.5)
-    prof = cutoff_profile(0.4, 0.9)
-    import finslerineq.models as models
-    rising = models.RadialProfile(
-        f=lambda rho: prof.f(rho) * (0.2 + np.asarray(rho)),
-        d1=lambda rho: prof.d1(rho) * (0.2 + np.asarray(rho)) + prof.f(rho),
-        d2=lambda rho: prof.d2(rho) * (0.2 + np.asarray(rho))
-        + 2.0 * prof.d1(rho),
-        support=prof.support, breakpoints=prof.breakpoints,
-        nonincreasing=False)
-    with pytest.raises(H.PreconditionError):
-        H.rellich_report(m, "bh", rising, 0.0, SPEC)
+    # on a nonreversible model F*(f' d rho_minus) = |f'| needs f' <= 0, so
+    # every radial report rejects a rising profile, naming the model and
+    # the smallest node with f' > 0
+    r3, r6 = RandersFlat(3, 0.4), RandersFlat(6, 0.5)
+    for report, model in ((H.hardy_report, r3), (H.uncertainty_report, r3),
+                          (H.gbeta, r6), (H.rellich_report, r6)):
+        with pytest.raises(H.PreconditionError, match=(
+                rf"on the nonreversible {re.escape(repr(model))} needs "
+                rf"f' <= 0, but f' > 0 at rho = \d")):
+            report(model, "bh", rising_profile(), 0.0)
 
 
 def test_rellich_bv_battery_and_de1():
@@ -360,13 +353,7 @@ def test_hardy_sweep_quotient_scale_invariance():
     m = RandersFlat(3, 0.5)
     prof = family(0.5, 1e-3)
     rep = H.hardy_report(m, "bh", prof, 0.0, SPEC)
-    import finslerineq.models as models
-    scaled = models.RadialProfile(
-        f=lambda rho: 10.0 * prof.f(rho),
-        d1=lambda rho: 10.0 * prof.d1(rho),
-        d2=lambda rho: 10.0 * prof.d2(rho),
-        support=prof.support, breakpoints=prof.breakpoints)
-    rep10 = H.hardy_report(m, "bh", scaled, 0.0, SPEC)
+    rep10 = H.hardy_report(m, "bh", scaled_profile(prof, 10.0), 0.0, SPEC)
     q1 = rep.terms["lhs"].value / rep.terms["main"].value
     q2 = rep10.terms["lhs"].value / rep10.terms["main"].value
     assert q1 == pytest.approx(q2, rel=1e-12)
@@ -470,7 +457,6 @@ def test_refined_cs_campaign_memory():
 
 def test_battery_profiles_admissible():
     for prof in H.radial_battery(12):
-        assert prof.nonincreasing
         rho = np.linspace(1e-3, prof.support * 0.999, 200)
         assert np.all(prof.d1(rho) <= 1e-12)
         assert np.all(prof.f(rho) >= 0.0)

@@ -214,7 +214,7 @@ def test_truncated_profile():
 
 def test_cutoff_profile_fields():
     prof = cutoff_profile(0.4, 0.9)
-    assert prof.nonincreasing and prof.support == 0.9
+    assert prof.support == 0.9
     assert prof.breakpoints == (0.4,) and prof.label == "cutoff[0.4,0.9]"
     assert prof.f(np.array([0.1]))[0] == 1.0
     for r, big_r in ((0.9, 0.4), (0.4, 0.4), (0.0, 0.9), (-0.1, 0.9)):

@@ -23,8 +23,7 @@ import pytest
 
 from finslerineq import cli
 from finslerineq import harness as H
-from finslerineq.models import (HyperbolicBall, RadialProfile, RandersFlat,
-                                cutoff_profile, profile_product,
+from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
                                 truncated_profile)
 from finslerineq.quadrature import (QuadratureSpec, annulus_integrate,
                                     radial_integrate, radial_segments,
@@ -593,6 +592,10 @@ EDGE_RUNS = [
     # beta = n - 4: the weight-4 terms are left out
     pytest.param(["rellich-bv", "--n", "6", "--beta", "2"],
                  id="rellich-bv-n-minus-4"),
+    # above n - 4 the battery is times rho^2, so that it vanishes at 0
+    *[pytest.param(["rellich-bv", "--n", n, "--beta", beta],
+                   id=f"rellich-bv-n{n}-beta{beta}")
+      for n, beta in (("6", "2.5"), ("6", "3.9"), ("5", "2"))],
     # the curved sweeps' Moebius limits reach 0.0025 and 0.0390
     pytest.param(["hardy-sweep", "--model", "hyperbolic", "--beta", "0.9"],
                  id="hardy-sweep-hyperbolic"),
@@ -648,11 +651,8 @@ def test_hardy_ground_state_identity(n, curved, beta):
 def test_gbeta_of_a_profile_vanishing_at_the_origin(n, beta):
     # rho^2 psi is 0 at the base point, so G^beta is defined for
     # beta + 2 > n - 2 and the kernel class holds it
-    square = RadialProfile.from_jet(
-        lambda rho, order=2: (rho ** 2, 2.0 * rho,
-                              np.full_like(rho, 2.0))[:order + 1],
-        math.inf, label="rho^2")
-    prof = profile_product(cutoff_profile(0.4, 0.9), square)
+    prof = H.vanishing_at_origin(cutoff_profile(0.4, 0.9))
+    assert prof.jet(np.zeros(1), 1) == (0.0, 0.0)
     value, scale, _ = H.gbeta(HyperbolicBall(n, -1.0), "bh", prof, beta)
     assert H.gbeta_member(value, scale)
     assert abs(value) <= 1e-11 * scale
