@@ -279,7 +279,7 @@ SUITES = {
                       "hyperbolic", 4, _reports("hardy_bv_report", 20)),
     "hardy-sweep": Suite("sharpness sweep for the Hardy constant "
                          "(n-2-beta)^2/4; requires n - 2 > beta and "
-                         "0 < eps < r < R",
+                         "three distinct eps with 0 < eps < r < R",
                          "randers", 3, _sweep("hardy_sharpness_sweep")),
     "rellich": Suite("rellich report on a kernel-class battery; requires "
                      "-2 < beta < n - 4",
@@ -291,7 +291,8 @@ SUITES = {
                         _reports("rellich_bv_report",
                                  battery=_rellich_bv_battery)),
     "rellich-sweep": Suite("sharpness sweep for (n+beta)^2(n-4-beta)^2/16; "
-                           "requires -2 < beta < n - 4",
+                           "requires -2 < beta < n - 4 and three distinct "
+                           "eps with 0 < eps < r < R",
                            "randers", 6, _sweep("rellich_sharpness_sweep")),
     "uncertainty": Suite("uncertainty-principle corollary; requires K <= 0 "
                          "and n - 2 > beta",

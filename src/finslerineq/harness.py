@@ -4,11 +4,11 @@ Each report gives every integral of one inequality instance as its own
 term with its own error, records the constants in play, and exposes
 ``slack = LHS - sum(RHS terms)``; it passes when the slack is above minus
 the error budget.  The sharpness sweeps drive the truncated family
-``psi * max(eps, rho)^(-gamma)`` toward the origin and extrapolate the
-Rayleigh quotients: exactly Moebius in ``log(r/eps)`` on flat models, which
-the structured extrapolator exploits, while the three-point Moebius fit,
-which also holds on curved models, decides whether a sweep passes (its
-limit within ``SWEEP_TOLERANCE`` of the sharp constant, from above).
+``psi * max(eps, rho)^(-gamma)`` toward the origin and fit the Rayleigh
+quotients by R = A + d/(L + b) in L = log(r/eps) through the three
+smallest eps: exact on flat models, and close on curved ones.  A sweep
+passes when its quotients decrease and the limit A lies within
+``SWEEP_TOLERANCE`` of the sharp constant, approached from above (d > 0).
 
 A report writes its integrands once, as named columns of a jet (u, F*(du),
 rho, Delta u, the G^beta density), which ``_terms`` integrates on one of
@@ -116,12 +116,7 @@ class SweepRow:
     i2: float
     quotient: float
     j1_quadrature: float
-    j1_exact: float
     error: float
-
-    def as_dict(self) -> dict:
-        exact = self.j1_exact if math.isfinite(self.j1_exact) else None
-        return _record_dict(self, j1_exact=exact)
 
 
 @dataclass
@@ -134,7 +129,6 @@ class SweepTable:
     rows: list
     sharp_constant: float
     extrapolated: float
-    extrapolated_moebius: float
     gap_coefficient: float
     monotone: bool
     passed: bool = dc_field(init=False)
@@ -144,17 +138,15 @@ class SweepTable:
 
     @property
     def limit_reached(self) -> bool:
-        """The Moebius limit lies within SWEEP_TOLERANCE of the sharp
-        constant, approached from above (a positive gap coefficient).  The
-        structured fit is exact only on the flat models; the Moebius fit
-        also holds on curved ones (and falls back to it for two eps)."""
-        return bool(abs(self.extrapolated_moebius - self.sharp_constant)
+        """The Moebius limit A lies within SWEEP_TOLERANCE of the sharp
+        constant, approached from above (a positive gap coefficient d)."""
+        return bool(abs(self.extrapolated - self.sharp_constant)
                     <= SWEEP_TOLERANCE * self.sharp_constant
                     and self.gap_coefficient > 0.0)
 
     def as_dict(self) -> dict:
         return _record_dict(self, constants=dict(self.constants),
-                            rows=[r.as_dict() for r in self.rows])
+                            rows=[_record_dict(r) for r in self.rows])
 
 
 @dataclass
@@ -377,6 +369,12 @@ def _field_terms(model, measure: str, u: fc.ScalarField,
     return annulus_integrate(model, measure, integrand, floor * hi, hi, spec)
 
 
+def _nonfinite(terms: dict[str, TermValue]) -> list[str]:
+    """The names of the terms whose value or error is not finite."""
+    return [k for k, t in terms.items()
+            if not math.isfinite(t.value + t.error)]
+
+
 def _terms(model, measure: str, u, columns: dict[str, _Column],
            spec: QuadratureSpec, field_floor: float = 0.0
            ) -> dict[str, TermValue]:
@@ -390,8 +388,7 @@ def _terms(model, measure: str, u, columns: dict[str, _Column],
                                       field_floor)
     terms = {k: TermValue(float(v), float(e))
              for k, v, e in zip(columns, values, errors)}
-    bad = [k for k, t in terms.items()
-           if not math.isfinite(t.value + t.error)]
+    bad = _nonfinite(terms)
     if bad:
         raise PreconditionError(f"the integrals of {bad} diverge at the "
                                 f"base point")
@@ -402,7 +399,12 @@ def _report(theorem: str, model, measure: str, beta: float, constants: dict,
             terms: dict, slack: float, spec: QuadratureSpec
             ) -> InequalityReport:
     """A report passes when its slack is above minus the error budget: the
-    summed term errors plus the spec tolerances."""
+    summed term errors plus the spec tolerances.  A term that its constant
+    made non-finite (a coefficient that overflows) is an error, never a
+    number."""
+    bad = _nonfinite(terms)
+    if bad:
+        raise PreconditionError(f"{theorem}: the terms {bad} are not finite")
     err = sum(t.error for t in terms.values())
     scale = max((abs(t.value) for t in terms.values()), default=1.0)
     tol = err + spec.abs_tol + spec.rel_tol * max(1.0, scale)
@@ -754,34 +756,20 @@ def _truncated_family_integrals(model, measure: str, gamma: float,
     return above[:, 0], i2, j1, error
 
 
-def _extrapolate_structured(ls: np.ndarray, quotients: np.ndarray,
-                            j1s: np.ndarray, i2s: np.ndarray
-                            ) -> tuple[float, float]:
-    """Two-point log-gap extrapolation using the measured quotient structure.
-
-    With K = J1/L and the epsilon-independent part c2 = I2 - J1, the
-    quotient is A + d/(L + c2/K); the two smallest-eps points then determine
-    the intercept A and gap coefficient d exactly on the flat models.
-    """
-    k_unit = j1s[-1] / ls[-1]
-    b_off = (i2s[-1] - j1s[-1]) / k_unit
-    l1, l2 = ls[-2] + b_off, ls[-1] + b_off
-    a = (quotients[-1] * l2 - quotients[-2] * l1) / (l2 - l1)
-    d = (quotients[-2] - a) * l1
-    return a, d
-
-
-def _extrapolate_moebius(ls: np.ndarray, quotients: np.ndarray) -> float:
-    """Three-point rational fit R = A + d/(L + b) on the smallest epsilons."""
+def _extrapolate_moebius(ls: np.ndarray, quotients: np.ndarray
+                         ) -> tuple[float, float]:
+    """Three-point rational fit R = A + d/(L + b) on the smallest epsilons:
+    the limit A and the gap coefficient d.  Three points on a line have no
+    limit; they give (r3, 0), which no sweep passes on."""
     l1, l2, l3 = ls[-3:]
     r1, r2, r3 = quotients[-3:]
     p = (l2 - l1) / (r1 - r2)
     q = (l3 - l2) / (r2 - r3)
     if p == q:
-        return r3
+        return float(r3), 0.0
     b = (q * l1 - p * l3) / (p - q)
     d = (l1 + b) * (l2 + b) / p
-    return r1 - d / (l1 + b)
+    return float(r1 - d / (l1 + b)), float(d)
 
 
 def _sharpness_sweep(model, measure: str, beta: float, r: float, R: float,
@@ -802,8 +790,8 @@ def _sharpness_sweep(model, measure: str, beta: float, r: float, R: float,
     if not (all(0.0 < e < r for e in eps_arr) and r < R):
         raise PreconditionError(f"{theorem} needs 0 < eps < r < R, got "
                                 f"eps={eps_arr.tolist()}, r={r}, R={R}")
-    if eps_arr.size < 2:
-        raise PreconditionError("the sweep needs at least two distinct eps "
+    if eps_arr.size < 3:
+        raise PreconditionError("the sweep needs at least three distinct eps "
                                 "values to extrapolate")
 
     cp = model.cp_constant(measure)
@@ -811,28 +799,23 @@ def _sharpness_sweep(model, measure: str, beta: float, r: float, R: float,
         model, measure, gamma, order, eps_arr, r, R, spec)
     quotients = i1s / i2s
     rows = [SweepRow(float(eps), float(i1), float(i2), float(q), float(j1),
-                     cp * math.log(r / eps) if model.curvature == 0.0
-                     else float("nan"), float(err))
+                     float(err))
             for eps, i1, i2, q, j1, err
             in zip(eps_arr, i1s, i2s, quotients, j1s, errs)]
-    ls = np.log(r / eps_arr)
-    a_struct, d_gap = _extrapolate_structured(ls, quotients, j1s, i2s)
-    a_struct, d_gap = float(a_struct), float(d_gap)
-    a_moeb = float(_extrapolate_moebius(ls, quotients)) \
-        if eps_arr.size >= 3 else a_struct
+    limit, gap = _extrapolate_moebius(np.log(r / eps_arr), quotients)
     monotone = bool(np.all(np.diff(quotients) < 0.0))
     constants = {"n": n, "beta": beta, "gamma": gamma, "r": r, "R": R,
                  "cp": cp, "k": model.curvature}
     return SweepTable(theorem, repr(model), measure, beta, constants,
-                      rows, sharp, a_struct, a_moeb, d_gap, monotone)
+                      rows, sharp, limit, gap, monotone)
 
 
 def hardy_sharpness_sweep(model, measure: str, beta: float, r: float,
                           R: float, eps_list: Sequence[float],
                           spec: QuadratureSpec | None = None) -> SweepTable:
     """Rayleigh quotients of the truncated family converging to the sharp
-    Hardy constant (n-2-beta)^2/4; each row's annulus mass J1 stands beside
-    its exact value n omega_n log(r/eps) on the flat models."""
+    Hardy constant (n-2-beta)^2/4; each row carries the annulus mass J1 of
+    rho^(-n) on (eps, r)."""
     return _sharpness_sweep(model, measure, beta, r, R, eps_list,
                             spec or QuadratureSpec(), 1)
 

@@ -11,12 +11,14 @@ which evaluates every (radial node, direction) pair as a flat point,
 pins the bits of the blocked, broadcasting one.  A radial pass's inner
 ball has its own references: the monomial integral on flat models, the
 singular power in closed form plus 30-digit ``mpmath`` on curved ones, and
-30-digit Hardy terms of the battery's Gaussian kind.  The field helpers
-build -u, the reverse space, the Finsler gradient and div(u grad u) for the
-reverse-metric and divergence identities.  The Legendre pair (natural
-vectors to adapted covectors, through ``flat`` and the covector adapter) and
-the inverse of the backward-polar chart are checked against the library's
-``sharp``, ``dual_norm`` and ``point_from_backward_polar``.  The
+30-digit Hardy terms of the battery's Gaussian kind.  A flat sweep's
+two-point structured fit checks the limit and gap of the Moebius one.  The
+field helpers build -u, the reverse space, the Finsler gradient and
+div(u grad u) for the reverse-metric and divergence identities.  The
+Legendre pair (natural vectors to adapted covectors, through ``flat`` and
+the covector adapter) and the inverse of the backward-polar chart are
+checked against the library's ``sharp``, ``dual_norm`` and
+``point_from_backward_polar``.  The
 per-point Randers formulas (distances, their differentials, the scalar
 dual tensor and the segment-convexity loop of the refined Cauchy-Schwarz
 campaign) pin the shared, stacked forms of the library, and the one-shot
@@ -433,6 +435,19 @@ def annulus_integrate_tiled(model, measure: str,
         return pairwise_sum(terms.reshape((m, k) + vals.shape[1:]), axis=1)
 
     return radial_integrate(shell, (eps, radius), spec)
+
+
+def structured_sweep_fit(ls: np.ndarray, quotients: np.ndarray,
+                         j1s: np.ndarray, i2s: np.ndarray
+                         ) -> tuple[float, float]:
+    """(A, d) of a flat sweep from its two smallest eps and its measured
+    structure: with K = J1/L and the eps-independent part c2 = I2 - J1, the
+    quotient is A + d/(L + c2/K) exactly on the flat models."""
+    k_unit = j1s[-1] / ls[-1]
+    b_off = (i2s[-1] - j1s[-1]) / k_unit
+    l1, l2 = ls[-2] + b_off, ls[-1] + b_off
+    a = (quotients[-1] * l2 - quotients[-2] * l1) / (l2 - l1)
+    return a, (quotients[-2] - a) * l1
 
 
 def power_integral(exponent: float, a: float, b: float) -> float:

@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import finslerineq
 from finslerineq import harness
 from finslerineq.cli import SUITES, RunConfig, main
 from finslerineq.quadrature import QuadratureError
+from oracles import structured_sweep_fit
 
 
 def run_cli(args):
@@ -41,7 +43,7 @@ def test_hardy_sweep_artifacts(tmp_path):
     assert report["suite"] == "hardy-sweep"
     assert abs(report["results"]["extrapolated"] - 0.25) < 0.0025
     lines = (out / "sweep.csv").read_text().strip().splitlines()
-    assert lines[0] == "eps,i1,i2,quotient,j1_quadrature,j1_exact,error"
+    assert lines[0] == "eps,i1,i2,quotient,j1_quadrature,error"
     assert len(lines) == 4
     # every numeric in the report carries its error estimate
     for row in report["results"]["rows"]:
@@ -61,7 +63,7 @@ def test_determinism_byte_identical(tmp_path):
 def test_cached_parser_leaks_no_flag_between_calls(tmp_path):
     # the parser is built once per process; flags of one call must not
     # reach the next one
-    assert run_cli(["hardy-sweep", "--t", "0.3", "--eps", "1e-2,1e-3",
+    assert run_cli(["hardy-sweep", "--t", "0.3", "--eps", "1e-2,1e-3,1e-4",
                     "--seed", "99", "--out", str(tmp_path / "a")]) == 0
     assert run_cli(["refined-cs", "--samples", "200",
                     "--out", str(tmp_path / "b")]) == 0
@@ -84,7 +86,7 @@ measure = bh
 beta = 0
 r = 0.5
 R = 1.0
-eps = 1e-2,1e-3
+eps = 1e-2,1e-3,1e-4
 seed = 11
 
 [quadrature]
@@ -116,11 +118,19 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert run_cli(["hardy-sweep", "--eps", "0.9",
                     "--out", str(tmp_path)]) == 2
     assert "0 < eps < r < R" in capsys.readouterr().err
-    # the sweep extrapolates from at least two distinct eps values
-    for eps in ("0.01", "0.01,0.01"):
+    # the sweep extrapolates from at least three distinct eps values
+    for eps in ("0.01", "0.01,0.01", "0.01,0.001", "0.01,0.001,0.01"):
         assert run_cli(["hardy-sweep", "--eps", eps,
                         "--out", str(tmp_path)]) == 2
-        assert "two distinct eps" in capsys.readouterr().err
+        assert "three distinct eps" in capsys.readouterr().err
+    # a coefficient that overflows makes a term non-finite: an error, not
+    # a NaN report; nothing is written
+    for args in (["hardy", "--beta", "-3e154"],
+                 ["hardy-bv", "--beta", "-1e300"]):
+        out = tmp_path / "overflow"
+        assert run_cli([*args, "--out", str(out)]) == 2
+        assert "['main'] are not finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
     # non-finite tolerances would fail or pass every check vacuously
     for tol in ("nan", "inf"):
         assert run_cli(["hardy", "--tol", tol, "--out", str(tmp_path)]) == 2
@@ -226,6 +236,38 @@ def test_sweep_assertions_agree_with_the_table(args, tmp_path):
     assert report["assertions"][0]["name"] == (
         f"extrapolated quotient within 1% of "
         f"{report['results']['sharp_constant']}")
+
+
+@pytest.mark.parametrize("args", [
+    ["hardy-sweep"], ["rellich-sweep"],
+    ["hardy-sweep", "--eps", "1e-2,1e-3,1e-4"],
+    ["hardy-sweep", "--model", "hyperbolic"],
+    ["hardy-sweep", "--model", "hyperbolic", "--beta", "0.9"],
+    ["rellich-sweep", "--model", "hyperbolic", "--n", "6"],
+    ["rellich-sweep", "--model", "hyperbolic", "--n", "6", "--beta", "1.9"],
+    ["rellich-sweep", "--model", "hyperbolic", "--n", "6",
+     "--eps", "1e-3,1e-4,1e-5"]],
+    ids=" ".join)
+def test_sweep_fit_matches_a_linear_solve(args, tmp_path):
+    # R = A + d/(L + b) through the three smallest eps is linear in
+    # (A, b, c = A b + d): A L - R b + c = R L
+    out = tmp_path / "run"
+    run_cli([*args, "--out", str(out)])
+    res = json.loads((out / "report.json").read_text())["results"]
+    rows = res["rows"]
+    ls = np.log(res["constants"]["r"] / np.array([row["eps"] for row in rows]))
+    qs = np.array([row["quotient"] for row in rows])
+    a, b, c = np.linalg.solve(
+        np.column_stack([ls[-3:], -qs[-3:], np.ones(3)]), qs[-3:] * ls[-3:])
+    d = c - a * b
+    assert abs(res["extrapolated"] - a) <= 1e-11 * abs(a)
+    assert abs(res["gap_coefficient"] - d) <= 1e-11 * abs(d)
+    if res["constants"]["k"] == 0.0:
+        a2, d2 = structured_sweep_fit(
+            ls, qs, np.array([row["j1_quadrature"] for row in rows]),
+            np.array([row["i2"] for row in rows]))
+        assert abs(res["extrapolated"] - a2) <= 1e-12 * abs(a2)
+        assert abs(res["gap_coefficient"] - d2) <= 1e-12 * abs(d2)
 
 
 def test_out_naming_a_file_is_a_configuration_error(tmp_path, capsys):
@@ -449,18 +491,15 @@ def test_hyperbolic_sweep_strict_json(tmp_path):
     text = (out / "report.json").read_text()
     assert "NaN" not in text
     rep = json.loads(text)
-    assert rep["results"]["rows"][0]["j1_exact"] is None
     assert abs(rep["results"]["extrapolated"] - 0.25) <= 0.0025
-    # on curved models the verdict rests on the Moebius fit: the structured
-    # extrapolator is exact only on flat ones (it reads ~9.24 here)
+    # the Moebius fit holds on curved models too
     out = tmp_path / "hyp-rellich"
     assert run_cli(["rellich-sweep", "--model", "hyperbolic", "--n", "6",
                     "--out", str(out)]) == 0
     text = (out / "report.json").read_text()
     assert "NaN" not in text
     res = json.loads(text)["results"]
-    assert res["rows"][0]["j1_exact"] is None
-    assert abs(res["extrapolated_moebius"] - 9.0) <= 1e-5 * 9.0
+    assert abs(res["extrapolated"] - 9.0) <= 1e-5 * 9.0
 
 
 def test_drift_alias_flag(tmp_path):

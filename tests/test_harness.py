@@ -316,11 +316,11 @@ def test_hardy_sweep_flat():
     assert tab.sharp_constant == 0.25
     assert tab.monotone and tab.passed
     assert tab.extrapolated == pytest.approx(0.25, rel=1e-6)
-    assert tab.extrapolated_moebius == pytest.approx(0.25, rel=1e-6)
     assert tab.gap_coefficient > 0.0
-    # J1 identity rows
+    # J1 identity rows: |S^2|_bh log(r/eps) on the flat model
     for row in tab.rows:
-        assert row.j1_quadrature == pytest.approx(row.j1_exact, rel=1e-6)
+        assert row.j1_quadrature == pytest.approx(
+            m.cp_constant("bh") * math.log(0.5 / row.eps), rel=1e-6)
 
 
 def test_hardy_sweep_quotient_gap_structure():
@@ -381,7 +381,6 @@ def test_rellich_sweep_flat():
     assert tab.sharp_constant == 9.0
     assert tab.passed and tab.monotone
     assert tab.extrapolated == pytest.approx(9.0, rel=1e-6)
-    assert tab.extrapolated_moebius == pytest.approx(9.0, rel=1e-5)
 
 
 def test_rellich_sweep_preconditions():
