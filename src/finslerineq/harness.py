@@ -332,8 +332,13 @@ def _radial_integrand(model, prof: RadialProfile,
     """The (M, T) table of every column(jet) times the radial density."""
     def integrand(rho: np.ndarray) -> np.ndarray:
         jet = _RadialJet(model, prof, rho)
-        cols = np.stack([col(jet) for col in columns.values()], axis=-1)
-        return cols * model.radial_volume_density(rho)[:, None]
+        # column-major, so that each column and each pair sum of the
+        # pass's tree runs over contiguous memory
+        table = np.empty((len(columns), rho.size)).T
+        for t, col in enumerate(columns.values()):
+            table[:, t] = col(jet)
+        table *= model.radial_volume_density(rho)[:, None]
+        return table
 
     return integrand
 

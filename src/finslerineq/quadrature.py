@@ -13,9 +13,13 @@ where alpha <= -1; exact for pure powers, O(lo) off for a smooth profile).
 A radial pass calls its integrand once, on the coarse and fine nodes of
 every segment together, so a table of columns is built once per pass; it
 gives every segment's integral (:func:`radial_segments`) or their sum in
-order (:func:`radial_integrate`).  Every sum, over radial nodes and over
+order (:func:`radial_integrate`).  A pass's panels come from a plan cached
+per (cuts, panels, nodes): each panel's start and half-width and the
+layout of the pass's sums, never its node or weight arrays, which each
+pass rebuilds with two broadcasts.  Every sum, over radial nodes and over
 sphere directions alike, goes through the one fixed-shape tree of
-:func:`pairwise_sum`; no BLAS product is involved.  So a given
+:func:`pairwise_sum`; a radial pass sums all its coarse and fine segments
+in one such tree at once, and no BLAS product is involved.  So a given
 :class:`QuadratureSpec` and integrand reproduce the same bits whatever the
 BLAS thread count or block size.
 """
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,22 +83,81 @@ def pairwise_sum(values: np.ndarray, axis: int = 0) -> np.ndarray:
     to a power of two.  Every slice along ``axis`` is reduced exactly as the
     1-d array of its values would be, so the bits depend only on the values
     and their count.  The result spans the remaining axes: a 1-d input gives
-    a 0-d value.
+    a 0-d value.  This is the one-run case of :func:`_tree_sums`: a radial
+    pass sums every coarse and fine segment in one tree whose levels halve
+    all the segments at once, and each segment gets exactly this tree.
     """
     a = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    if a.shape[0] == 0:
-        a = np.zeros((1,) + a.shape[1:])
-    while a.shape[0] > 1:
-        n = a.shape[0]
-        pairs = a[:n - 1:2] + a[1::2]
-        a = np.concatenate([pairs, a[n - 1:] + 0.0]) if n % 2 else pairs
-    return a[0]
+    return _tree_sums(a, _tree_layout((a.shape[0],)))[0]
+
+
+class _TreeLayout(NamedTuple):
+    """How :func:`_tree_sums` reduces runs of rows: ``halvings`` levels on
+    the whole stack, then each run zero-padded to its own power of two,
+    largest first (``copies``: (src, stop, dst) rows into ``rows``, or none
+    when the stack is already so laid out), then per level the ``active``
+    rows still to halve and the ``count`` runs that are one value just
+    after them; ``inverse`` puts the sums back in run order."""
+
+    halvings: int
+    rows: int
+    copies: tuple[tuple[int, int, int], ...]
+    levels: tuple[tuple[int, int], ...]
+    inverse: np.ndarray | None
+
+
+@lru_cache(maxsize=256)
+def _tree_layout(runs: tuple[int, ...]) -> _TreeLayout:
+    halvings = 0
+    # while every run is even, no neighbour pair of the whole stack
+    # straddles two runs
+    while all(r > 0 and r % 2 == 0 for r in runs):
+        runs = tuple(r // 2 for r in runs)
+        halvings += 1
+    widths = [1 << (max(r, 1) - 1).bit_length() for r in runs]
+    order = sorted(range(len(runs)), key=widths.__getitem__, reverse=True)
+    in_order = order == list(range(len(runs)))
+    copies, src, dst = [], np.cumsum((0,) + runs).tolist(), 0
+    for i in order:
+        copies.append((src[i], src[i + 1], dst))
+        dst += widths[i]
+    if in_order and widths == list(runs):
+        copies = []
+    levels, step, widths = [], 1, sorted(widths, reverse=True)
+    while True:
+        active = sum(w // step for w in widths if w > step)
+        levels.append((active, widths.count(step)))
+        if not active:
+            break
+        step *= 2
+    inverse = None if in_order else _frozen(np.argsort(order))
+    return _TreeLayout(halvings, dst, tuple(copies), tuple(levels), inverse)
+
+
+def _tree_sums(a: np.ndarray, layout: _TreeLayout) -> np.ndarray:
+    """The :func:`pairwise_sum` of every run of consecutive rows of ``a``
+    (the runs of ``layout``), stacked in run order, all in one tree: each
+    level halves every run that is longer than one value at once."""
+    for _ in range(layout.halvings):
+        a = a[0::2] + a[1::2]
+    if layout.copies:
+        padded = np.zeros((layout.rows,) + a.shape[1:])
+        for src, stop, dst in layout.copies:
+            padded[dst:dst + stop - src] = a[src:stop]
+        a = padded
+    done = []
+    for active, count in layout.levels:
+        done.append(a[active:active + count])
+        if active:
+            a = a[0:active:2] + a[1:active:2]
+    sums = np.concatenate(done[::-1])
+    return sums if layout.inverse is None else sums[layout.inverse]
 
 
 @lru_cache(maxsize=64)
 def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
+    return _frozen(x), _frozen(w)
 
 
 def _graded_edges(a: float, b: float, min_panels: int) -> np.ndarray:
@@ -104,15 +167,32 @@ def _graded_edges(a: float, b: float, min_panels: int) -> np.ndarray:
     return a * np.exp(np.linspace(0.0, span, panels + 1))
 
 
-def _composite_gauss(edges: np.ndarray,
-                     nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights (M,) of the Gauss rule on every panel of ``edges``."""
-    x, w = _gauss_rule(nodes)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    half = 0.5 * (hi - lo)
-    pts = lo + half * (x[None, :] + 1.0)
-    return pts.ravel(), (w[None, :] * half).ravel()
+class _RadialPlan(NamedTuple):
+    """A pass's panels, coarse then fine for every segment in node order:
+    their starts ``lo`` and half-widths ``half`` as (P, 1) columns, the
+    origin tail's ``probes`` (none unless the first cut is 0) and the
+    ``layout`` that sums each coarse and fine part."""
+
+    lo: np.ndarray
+    half: np.ndarray
+    probes: np.ndarray
+    layout: _TreeLayout
+
+
+@lru_cache(maxsize=64)
+def _radial_plan(cuts: tuple[float, ...], panels: int,
+                 nodes: int) -> _RadialPlan:
+    lo = _ORIGIN_GAP * cuts[1] if cuts[0] == 0.0 else cuts[0]
+    probes = lo * _ORIGIN_PROBES if cuts[0] == 0.0 else np.empty(0)
+    edges = []
+    for a, b in zip([lo, *cuts[1:-1]], cuts[1:]):
+        coarse = _graded_edges(a, b, panels)
+        edges += [coarse, _graded_edges(a, b, 2 * (coarse.size - 1))]
+    starts = np.concatenate([e[:-1] for e in edges])[:, None]
+    half = 0.5 * (np.concatenate([e[1:] for e in edges])[:, None] - starts)
+    runs = tuple((e.size - 1) * nodes for e in edges)
+    return _RadialPlan(_frozen(starts), _frozen(half), _frozen(probes),
+                       _tree_layout(runs))
 
 
 def _origin_tail(g: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray]:
@@ -146,32 +226,27 @@ def radial_segments(f: Callable[[np.ndarray], np.ndarray],
     if (len(cuts) < 2 or not all(map(math.isfinite, cuts)) or cuts[0] < 0.0
             or any(a >= b for a, b in zip(cuts, cuts[1:]))):
         raise QuadratureError(f"need finite cuts 0 <= a < ... < b, got {cuts}")
-    lo = _ORIGIN_GAP * cuts[1] if cuts[0] == 0.0 else cuts[0]
-    probes = lo * _ORIGIN_PROBES if cuts[0] == 0.0 else np.empty(0)
-    rules = []                      # coarse, fine for every segment
-    for a, b in zip([lo, *cuts[1:-1]], cuts[1:]):
-        coarse_edges = _graded_edges(a, b, spec.radial_panels)
-        fine_edges = _graded_edges(a, b, 2 * (coarse_edges.size - 1))
-        rules += [_composite_gauss(edges, spec.radial_nodes)
-                  for edges in (coarse_edges, fine_edges)]
-    nodes, weights = zip(*rules)
-    pts = np.concatenate([*nodes, probes])
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.isfinite(vals).all():
-        finite = np.isfinite(vals).reshape(pts.size, -1).all(axis=1)
-        bad = pts[~finite][:3]
-        raise QuadratureError(f"non-finite integrand samples near rho={bad}")
-    vals, at_probes = np.split(vals, [pts.size - probes.size])
-    # the weights take a trailing axis for each integrand axis (T columns)
-    wts = np.concatenate(weights)
-    parts = np.split(vals * wts[(...,) + (None,) * (vals.ndim - 1)],
-                     np.cumsum([w.size for w in weights])[:-1])
-    sums = np.array([pairwise_sum(v) for v in parts])
-    values, errors = sums[1::2], np.abs(sums[1::2] - sums[::2])
-    if probes.size:
-        tail, tail_error = _origin_tail(at_probes, lo)
-        values[0] += tail
-        errors[0] += tail_error
+    plan = _radial_plan(tuple(cuts), spec.radial_panels, spec.radial_nodes)
+    x, w = _gauss_rule(spec.radial_nodes)
+    pts = np.concatenate([(plan.lo + plan.half * (x + 1.0)).ravel(),
+                          plan.probes])
+    m = pts.size - plan.probes.size
+    # a sample that overflows is caught below as non-finite, not warned of
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.asarray(f(pts), dtype=float)
+        if not np.isfinite(vals).all():
+            finite = np.isfinite(vals).reshape(pts.size, -1).all(axis=1)
+            bad = pts[~finite][:3]
+            raise QuadratureError(
+                f"non-finite integrand samples near rho={bad}")
+        # the weights take a trailing axis for each integrand axis (T columns)
+        wts = (w * plan.half).ravel()[(...,) + (None,) * (vals.ndim - 1)]
+        sums = _tree_sums(vals[:m] * wts, plan.layout)
+        values, errors = sums[1::2], np.abs(sums[1::2] - sums[::2])
+        if plan.probes.size:
+            tail, tail_error = _origin_tail(vals[m:], plan.probes[0])
+            values[0] += tail
+            errors[0] += tail_error
     return values, errors
 
 

@@ -460,6 +460,23 @@ def test_overflow_exits_numerical(tmp_path, capsys, args):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["hardy-bv"],
+                                  ["gbeta-check", "--model", "hyperbolic"],
+                                  ["rellich-bv"]], ids=" ".join)
+def test_overflowing_integrand_exits_numerical_without_warnings(tmp_path,
+                                                               capsys, args):
+    # at k = -1e300 the integrand overflows near the origin: the pass turns
+    # the non-finite samples into one message, and numpy warns of nothing
+    # (the suite's warnings-as-errors filter would raise any warning)
+    out = tmp_path / "out"
+    assert run_cli([*args, "--k", "-1e300", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: non-finite integrand")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, quad", [
     (["refined-cs", "--samples", "1000000000000"], None),
     (["hardy"], "radial_nodes = 3000000")], ids=["samples", "radial_nodes"])

@@ -1,9 +1,11 @@
 """Radial/sphere/annulus rules, error estimates, determinism, Monte Carlo."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,9 @@ import pytest
 import finslerineq
 from finslerineq.models import HyperbolicBall, RandersFlat, euclidean_flat
 from finslerineq.quadrature import (QuadratureError, QuadratureSpec,
-                                    annulus_integrate, pairwise_sum,
-                                    radial_integrate,
+                                    _gauss_rule, _radial_plan, _tree_layout,
+                                    _tree_sums, annulus_integrate,
+                                    pairwise_sum, radial_integrate,
                                     radial_segments, sphere_nodes,
                                     unit_sphere_area)
 from oracles import annulus_integrate_tiled, box_montecarlo, \
@@ -98,6 +101,65 @@ def test_radial_integrate_cuts_match_segment_sums(cuts, columns):
     value, error = radial_integrate(f, cuts, SPEC)
     assert _hexes(value, error) == _hexes(want_v, want_e)
     assert np.shape(value) == np.shape(error) == ((3,) if columns else ())
+
+
+def _clear_rule_caches():
+    for cached in (_radial_plan, _tree_layout, _gauss_rule):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("spec", [SPEC, QuadratureSpec(3, 1),
+                                  QuadratureSpec(5, 3)], ids=repr)
+@pytest.mark.parametrize("cuts", [(0.0, 0.3, 0.9), (1e-6, 0.2, 0.45, 0.9)],
+                         ids=repr)
+def test_radial_plan_cache_keeps_every_bit(cuts, spec):
+    # a pass built from the cached plan reads what a pass on cleared
+    # caches reads, and fails the same way
+    def bad(t):
+        return np.where(t > 0.25, np.nan, t)
+
+    runs = []
+    for _ in range(2):
+        _clear_rule_caches()
+        cold = radial_segments(_mixed(True), cuts, spec)
+        warm = radial_segments(_mixed(True), cuts, spec)
+        with pytest.raises(QuadratureError) as err:
+            radial_segments(bad, cuts, spec)
+        runs.append((_hexes(np.ravel(cold)), _hexes(np.ravel(warm)),
+                     str(err.value)))
+    assert runs[0] == runs[1] and runs[0][0] == runs[0][1]
+    plan = _radial_plan(tuple(cuts), spec.radial_panels, spec.radial_nodes)
+    arrays = [plan.lo, plan.half, plan.probes,
+              *_gauss_rule(spec.radial_nodes)]
+    if plan.layout.inverse is not None:
+        arrays.append(plan.layout.inverse)
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_radial_plan_cache_holds_no_node_arrays():
+    # the cached plans hold per-panel data only: two rounds of two reports
+    # over a battery of 20 profiles retain far less than the nodes and
+    # weights of their passes (1.7 MB for one warm-suites round)
+    from finslerineq import harness as H
+    battery = H.radial_battery(20, 0.9)
+    model = HyperbolicBall(3, -1.0)
+    # one untraced round first: what the reports import lazily is not plans
+    H.hardy_report(model, "bh", battery[0], 0.0, SPEC)
+    H.hardy_bv_report(model, "bh", battery[0], 0.0, SPEC)
+    _clear_rule_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):
+            for prof in battery:
+                H.hardy_report(model, "bh", prof, 0.0, SPEC)
+                H.hardy_bv_report(model, "bh", prof, 0.0, SPEC)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown <= 256 * 1024
 
 
 @pytest.mark.parametrize("alpha", (-0.999, -0.5, 0.0, 3.0))
@@ -301,6 +363,31 @@ def test_pairwise_sum_axis(shape, axis):
     assert got.shape == rows.shape[:-1]
     assert np.array_equal(got.ravel(), want)
     assert want == [_padded_tree(v) for v in flat]
+
+
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 4)], ids=repr)
+@pytest.mark.parametrize("draw", range(6))
+def test_tree_sums_match_pairwise_sum(draw, trailing):
+    # one tree over runs of every kind of length (1, 0, odd, powers of two,
+    # and the panels x radial_nodes of nodes 2, 3, 5 and 24, whose factors
+    # of 2 differ) gives each run's pairwise_sum, bit for bit
+    rng = np.random.default_rng(40 + draw)
+    kinds = [1, 0, int(rng.integers(1, 40)) * 2 + 1,
+             1 << int(rng.integers(1, 8))]
+    kinds += [int(rng.integers(1, 30)) * nodes for nodes in (2, 3, 5, 24)]
+    runs = [int(r) for r in rng.choice(kinds, size=int(rng.integers(1, 12)))]
+    if draw == 0:
+        runs = [24 * p for p in (8, 16, 40, 80, 3, 6)]
+    shape = (sum(runs),) + trailing
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    got = _tree_sums(a, _tree_layout(tuple(runs)))
+    assert got.shape == (len(runs),) + trailing
+    stops = np.cumsum(runs)
+    for run, stop, value in zip(runs, stops, got):
+        part = a[stop - run:stop]
+        assert np.array_equal(value, pairwise_sum(part))
+        flat = part.reshape(run, -1).T
+        assert value.ravel().tolist() == [_padded_tree(v) for v in flat]
 
 
 def test_annulus_bits_independent_of_blas_threads():
