@@ -30,8 +30,8 @@ rho.  The Rellich pair stays radial: its G^beta gate needs the
 distributional terms (flux jumps, f(0), the Green point mass) that only
 the radial road reads so far.
 
-Reports are independent and deterministic, so batteries and campaigns may
-be evaluated concurrently, but threads gain nothing: the GIL serializes
+Reports are independent and deterministic, so batteries and certificates
+may be evaluated concurrently, but threads gain nothing: the GIL serializes
 them, and two threads took ~15 ms for the ``hardy`` battery on
 ``RandersFlat(3, 0.45)`` against ~10 ms for one (medians of 40 rounds, 2
 cores).  So batteries run serially.
@@ -47,7 +47,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fields as fc
-from .minkowski import MinkowskiNorm, _enorm
+from . import minkowski
+from .minkowski import MinkowskiNorm
 from .models import (RadialProfile, cutoff_profile, profile_product,
                      truncated_profile)
 from .quadrature import QuadratureSpec, annulus_integrate, radial_integrate, \
@@ -58,9 +59,11 @@ from .quadrature import QuadratureSpec, annulus_integrate, radial_integrate, \
 GBETA_FIELD_FLOOR = 1e-6
 GBETA_BAND = 1e-6        # kernel membership: |G^beta(u)| <= band * scale
 SWEEP_TOLERANCE = 0.01   # a sweep's limit: within this share of the sharp one
-# covector pairs per refined Cauchy-Schwarz campaign block: bounds the
-# campaign's temporaries whatever the sample count
-_CAMPAIGN_BLOCK = 1 << 13
+# the refined Cauchy-Schwarz certificate's grid: angles a, b, c on [0, pi],
+# ends included, and s = |eta|/|xi| on half decades from 1e-2 to 10
+_CS_ANGLES = np.linspace(0.0, math.pi, 37)
+_CS_AZIMUTHS = np.linspace(0.0, math.pi, 9)
+_CS_RATIOS = np.logspace(-2.0, 1.0, 7)
 
 
 class PreconditionError(ValueError):
@@ -153,13 +156,14 @@ class SweepTable:
 class CampaignSummary:
     drift: float
     dim: int
-    samples: int
-    min_slack: float
-    min_scale: float
+    pairs: int
+    min_ratio: float
+    argmin_params: list        # a, b, c, s of the pair that gives min_ratio
     argmin_xi: list
     argmin_eta: list
-    histogram_counts: list
-    histogram_edges: list
+    min_slack: float
+    min_scale: float
+    drift_axis_max_dev: float
     colinear_max_dev: float
     case2_max_dev: float
     case3_margin: float
@@ -836,109 +840,100 @@ def rellich_sharpness_sweep(model, measure: str, beta: float, r: float,
 
 
 # ----------------------------------------------------------------- campaign
-def refined_cs_campaign(norm: MinkowskiNorm, samples: int,
-                        seed: int) -> CampaignSummary:
-    """Randomized verification of the sharpened Cauchy-Schwarz inequality.
+def _reduced_pair(dim: int, a, b, c, s) -> tuple[np.ndarray, np.ndarray]:
+    """xi = (sin a, 0, cos a), eta = s (sin b cos c, sin b sin c, cos b) in
+    span(e_1, e_2, e_dim) over the broadcast parameters; at dim 2 eta has no
+    e_2 part, and c = 0 or pi gives the sign of its e_1 part."""
+    xi = np.zeros(np.shape(a) + (dim,))
+    xi[..., 0], xi[..., -1] = np.sin(a), np.cos(a)
+    eta = np.zeros(np.broadcast_shapes(*map(np.shape, (b, c, s))) + (dim,))
+    eta[..., 0], eta[..., -1] = s * np.sin(b) * np.cos(c), s * np.cos(b)
+    if dim > 2:
+        eta[..., 1] = s * np.sin(b) * np.sin(c)
+    return xi, eta
 
-    Draws covector pairs, checks the slack is nonnegative (to rounding),
-    compares the colinear tightness identity and the colinear-negative
-    closed form, and bounds the second derivative along segments from below
-    by 2 F*^2(eta)/Lambda_F.
 
-    The pairs stream in blocks of ``_CAMPAIGN_BLOCK`` rows, so memory is
-    O(block) plus 8 bytes per sample for the slack vector the histogram
-    reads.  The draws are those of one generator seeded with ``seed`` that
-    draws every xi, then every eta: xi streams from one copy of it, eta
-    from a second copy that first skips the xi draws, and the colinear
-    checks continue on the second.
+def refined_cs_campaign(norm: MinkowskiNorm) -> CampaignSummary:
+    """Certificate of the sharpened Cauchy-Schwarz inequality F*^2(xi+eta)
+    >= F*^2(xi) + 2 g*_xi(xi, eta) + F*^2(eta)/Lambda_F and of its constant.
+
+    The slack is 2-homogeneous and invariant under rotations about the drift
+    axis, so the ``_reduced_pair`` grid of the ``_CS_*`` nodes (c at its ends
+    at n = 2) in R^min(n, 3) stands for every pair, at a cost that does not
+    depend on n; it is scanned in whole rows of a, about
+    ``minkowski._GRID_BLOCK`` pairs per call.  The smallest ratio
+    (slack + F*^2(eta)/Lambda_F)/F*^2(eta) is 1/Lambda_F, where the slack
+    vanishes on the drift axis: xi = -e_n, eta = s e_n, 0 < s <= 1, mirrored
+    for a negative drift.  Fixed grids also check that axis segment, the
+    colinear identities and segment convexity.
     """
-    if samples < 1:
-        raise PreconditionError(f"the campaign needs samples >= 1, got "
-                                f"{samples}")
-    n = norm.dim
-    # before any draw, so a count beyond memory fails at once
-    slack = np.empty(samples)
-    xi_rng = np.random.default_rng(seed)
-    rng = np.random.default_rng(seed)
-    starts = range(0, samples, _CAMPAIGN_BLOCK)
-    for a in starts:
-        rng.standard_normal((min(_CAMPAIGN_BLOCK, samples - a), n))
-    nonnegative = True
-    head = []               # the first 200 pairs, block by block
-    for a in starts:
-        rows = min(_CAMPAIGN_BLOCK, samples - a)
-        xi = xi_rng.standard_normal((rows, n))
-        eta = rng.standard_normal((rows, n))
-        s = slack[a:a + rows]
-        s[:] = norm.refined_cs_slack(xi, eta)
-        scale = np.maximum(1.0, norm.dual_norm(xi + eta) ** 2)
-        rel = s / scale
-        i = int(np.argmin(rel))
-        # strict, so the first minimum over all blocks is kept
-        if a == 0 or rel[i] < rel_min:
-            rel_min, min_slack, min_scale = rel[i], s[i], scale[i]
-            # copies: a row view would keep its whole block alive
-            argmin_xi, argmin_eta = xi[i].copy(), eta[i].copy()
-        nonnegative = nonnegative and bool(np.all(s >= -1e-10 * scale))
-        if a < 200:
-            # copies, so the rest of the block is freed
-            head.append((xi[:200 - a].copy(), eta[:200 - a].copy()))
-    head_xi, head_eta = (np.concatenate(part) for part in zip(*head))
-    np.log10(np.maximum(slack, 1e-300, out=slack), out=slack)
-    # binned a block at a time on the edges of the whole range: numpy bins
-    # each value on its own, so the counts are those of one call
-    span = (slack.min(), slack.max())
-    edges = np.histogram_bin_edges(slack, 24, span)
-    counts = sum(np.histogram(slack[a:a + _CAMPAIGN_BLOCK], 24, span)[0]
-                 for a in starts)
-    lam = norm.uniformity()
+    n, lam = norm.dim, norm.uniformity()
+    dim = min(n, 3)
+    red = MinkowskiNorm(dim, norm.drift)
+    grid = np.ix_(_CS_ANGLES, _CS_ANGLES,
+                  _CS_AZIMUTHS if n > 2 else _CS_AZIMUTHS[[0, -1]], _CS_RATIOS)
+    xi, eta = _reduced_pair(dim, *grid)
+    fs_eta = red.dual_norm(eta) ** 2
+    rows = max(1, minkowski._GRID_BLOCK // fs_eta.size)
+    best = low = (math.inf,)
+    for r0 in range(0, xi.shape[0], rows):
+        blk = xi[r0:r0 + rows]
+        slack = red.refined_cs_slack(blk, eta)
+        excess = slack / fs_eta             # the ratio minus 1/Lambda_F
+        scale = np.maximum(1.0, red.dual_norm(blk + eta) ** 2)
+        i, j = int(np.argmin(excess)), int(np.argmin(slack / scale))
+        # a tie goes to the first pair in row-major order
+        best = min(best, (excess.flat[i], r0 * fs_eta.size + i))
+        low = min(low, (slack.flat[j] / scale.flat[j],
+                        r0 * fs_eta.size + j, slack.flat[j], scale.flat[j]))
+    at = np.unravel_index(best[1], [g.size for g in grid])
+    arg = [float(g.flat[k]) for g, k in zip(grid, at)]
+    argmin_xi, argmin_eta = _reduced_pair(n, *arg)
+
+    # the equality segment: xi on the drift axis's short side, eta = -s xi
+    e_n = math.copysign(1.0, norm.drift) * np.eye(dim)[-1]
+    x0, e0 = -e_n, _CS_RATIOS[_CS_RATIOS <= 1.0, None] * e_n
+    axis_dev = float(np.max(np.abs(red.refined_cs_slack(x0, e0)) / np.maximum(
+        red.dual_norm(x0) ** 2, red.dual_norm(e0) ** 2)))
 
     # colinear-positive tightness: slack(xi, s xi) = s^2 F*^2(xi) (1 - 1/Lam)
-    s_vals = rng.uniform(0.1, 3.0, size=min(samples, 1000))
-    xi_c = rng.standard_normal((s_vals.size, n))
-    tight = norm.refined_cs_slack(xi_c, s_vals[:, None] * xi_c)
-    fs2 = norm.dual_norm(xi_c) ** 2
+    u, s = xi.reshape(-1, dim), _CS_RATIOS[:, None]
+    tight = red.refined_cs_slack(u, s[..., None] * u)
     colinear_dev = float(np.max(np.abs(
-        tight - s_vals**2 * fs2 * (1.0 - 1.0 / lam))))
+        tight - s**2 * red.dual_norm(u) ** 2 * (1.0 - 1.0 / lam))))
 
-    # colinear-negative closed form (eta = -kappa xi, kappa >= 1, F*(-xi)
-    # <= F*(xi)): slack/F*^2(xi) = (2kappa-1)
+    # colinear-negative closed form (eta = -kappa xi, kappa = 1 + s,
+    # F*(-xi) <= F*(xi)): slack/F*^2(xi) = (2kappa-1)
     #   + ((kappa-1)^2 - kappa^2/Lam) F*^2(-xi)/F*^2(xi)
-    kap = rng.uniform(1.0, 4.0, size=min(samples, 1000))
-    xi_k = rng.standard_normal((kap.size, n))
-    swap = norm.dual_norm(-xi_k) > norm.dual_norm(xi_k)
-    xi_k[swap] = -xi_k[swap]
-    got = norm.refined_cs_slack(xi_k, -kap[:, None] * xi_k)
-    f_p = norm.dual_norm(xi_k) ** 2
-    f_m = norm.dual_norm(-xi_k) ** 2
-    want = f_p * ((2.0 * kap - 1.0)
-                  + ((kap - 1.0) ** 2 - kap**2 / lam) * f_m / f_p)
+    u = np.where((red.dual_norm(-u) > red.dual_norm(u))[:, None], -u, u)
+    got = red.refined_cs_slack(u, -(1.0 + s[..., None]) * u)
+    f_p, f_m = red.dual_norm(u) ** 2, red.dual_norm(-u) ** 2
+    want = f_p * (2.0 * s + 1.0) + (s**2 - (1.0 + s) ** 2 / lam) * f_m
     case2_dev = float(np.max(np.abs(got - want)
                              / np.maximum(1.0, np.abs(want))))
 
     # segment convexity: f''(t) = 2 g*_{xi+t eta}(eta, eta) >= 2 F*^2(eta)/Lam
-    # on the first 200 segments, skipping those that pass near the origin
-    t_grid = np.linspace(0.0, 1.0, 9)
-    seg = head_xi[:, None, :] + t_grid[:, None] * head_eta[:, None, :]
-    keep = np.min(_enorm(seg), axis=1) >= 1e-6
-    seg, e = seg[keep], head_eta[keep][:, None, :]
-    bound = 2.0 * norm.dual_norm(e) ** 2 / lam
-    f2 = 2.0 * norm.dual_fundamental_form(seg, e, e)
-    margin = float(np.min(f2 - bound, initial=math.inf))
+    # at 9 nodes t in [0, 1] on a coarser grid, whose segments keep 0.25 away
+    # from the origin
+    xs, es = xi[::9, ..., None, :], eta[:, ::9, :, ::3, None, :]
+    seg = xs + np.linspace(0.0, 1.0, 9)[:, None] * es
+    margin = float(np.min(2.0 * red.dual_fundamental_form(seg, es, es)
+                          - 2.0 * red.dual_norm(es) ** 2 / lam))
 
-    passed = bool(nonnegative
-                  and colinear_dev <= 1e-10
-                  and case2_dev <= 1e-9
-                  and margin >= -1e-9)
+    ratio = float(best[0]) + 1.0 / lam
+    min_slack, min_scale = float(low[2]), float(low[3])
     return CampaignSummary(
-        drift=norm.drift, dim=n, samples=samples,
-        min_slack=float(min_slack), min_scale=float(min_scale),
+        drift=norm.drift, dim=n, pairs=xi.shape[0] * fs_eta.size,
+        min_ratio=ratio, argmin_params=arg,
         argmin_xi=[float(v) for v in argmin_xi],
         argmin_eta=[float(v) for v in argmin_eta],
-        histogram_counts=[int(c) for c in counts],
-        histogram_edges=[float(e) for e in edges],
+        min_slack=min_slack, min_scale=min_scale, drift_axis_max_dev=axis_dev,
         colinear_max_dev=colinear_dev, case2_max_dev=case2_dev,
-        case3_margin=float(margin), passed=passed)
+        case3_margin=margin,
+        passed=bool(min_slack >= -1e-10 * min_scale
+                    and abs(ratio * lam - 1.0) <= 1e-6 and axis_dev <= 1e-10
+                    and colinear_dev <= 1e-10 and case2_dev <= 1e-9
+                    and margin >= -1e-9))
 
 
 # ---------------------------------------------------------------- batteries

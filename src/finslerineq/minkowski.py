@@ -247,7 +247,6 @@ class MinkowskiNorm:
         """
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        xi, eta = np.broadcast_arrays(xi, eta)
         b = self.drift
         fs_sum = np.asarray(self.dual_norm(xi + eta))
         nxi = _enorm(xi)

@@ -54,8 +54,9 @@ class QuadratureSpec:
     radial_nodes   Gauss-Legendre nodes per radial panel.
     radial_panels  minimum number of (log-graded) radial panels; more are
                    used automatically when the span exceeds ratio 2 per panel.
-    sphere_order   Gauss order per polar angle (azimuth gets 2x this many
-                   uniform nodes, spectrally exact for trigonometric factors).
+    sphere_order   Gauss order q per polar angle; the azimuth gets 4q uniform
+                   nodes, spectrally exact for trigonometric factors, so
+                   S^{n-1} has 4 q^(n-1) directions (1024 at n = 3, q = 16).
     abs_tol/rel_tol  tolerance targets quoted in reports.
     """
 

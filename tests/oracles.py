@@ -21,8 +21,8 @@ checked against the library's ``sharp``, ``dual_norm`` and
 ``point_from_backward_polar``.  The
 per-point Randers formulas (distances, their differentials, the scalar
 dual tensor and the segment-convexity loop of the refined Cauchy-Schwarz
-campaign) pin the shared, stacked forms of the library, and the one-shot
-campaign and full Lambda_F grid pin the bits of the streamed ones.  The
+certificate) pin the shared, stacked forms of the library, and the full
+Lambda_F grid pins the bits of the row-blocked one.  The
 separate f, f' and f'' formulas of the cutoff, the battery factors, their
 products and the truncated family pin the bits of the profiles' one-call
 jets.  Two profiles built on jets serve the reports' tests: a multiple of a
@@ -37,9 +37,7 @@ from typing import Callable
 import mpmath
 import numpy as np
 
-from finslerineq import minkowski
 from finslerineq.fields import ScalarField, differential, numeric_laplacian
-from finslerineq.harness import CampaignSummary
 from finslerineq.minkowski import MinkowskiNorm
 from finslerineq.models import (HyperbolicBall, RadialProfile, RandersFlat,
                                 cutoff_profile, profile_product)
@@ -214,88 +212,19 @@ def dual_fundamental_form_point(norm: MinkowskiNorm, xi: np.ndarray,
                                  - np.dot(xh, eta) * np.dot(xh, zeta)))
 
 
-def segment_convexity_margin(norm: MinkowskiNorm, samples: int,
-                             seed: int) -> float:
-    """min over the first 200 segments xi + t eta, t on 9 nodes in [0, 1],
-    of 2 g*(eta, eta) - 2 F*^2(eta)/Lambda_F, one point at a time; segments
-    passing within 1e-6 of the origin are skipped.  Draws xi and eta as
-    :func:`finslerineq.harness.refined_cs_campaign` does."""
-    rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((samples, norm.dim))
-    eta = rng.standard_normal((samples, norm.dim))
+def segment_convexity_margin(norm: MinkowskiNorm, xi: np.ndarray,
+                             eta: np.ndarray) -> float:
+    """min over the segments xi + t eta of the pairs of two (k, n) stacks,
+    t on 9 nodes in [0, 1], of 2 g*(eta, eta) - 2 F*^2(eta)/Lambda_F, one
+    point at a time."""
     lam = norm.uniformity()
     margin = math.inf
-    t_grid = np.linspace(0.0, 1.0, 9)
-    for i in range(min(samples, 200)):
-        a, e = xi[i], eta[i]
-        seg = a[None, :] + t_grid[:, None] * e[None, :]
-        if np.min(np.linalg.norm(seg, axis=1)) < 1e-6:
-            continue
+    for a, e in zip(xi, eta):
         bound = 2.0 * float(norm.dual_norm(e)) ** 2 / lam
-        for row in seg:
-            f2 = 2.0 * dual_fundamental_form_point(norm, row, e, e)
+        for t in np.linspace(0.0, 1.0, 9):
+            f2 = 2.0 * dual_fundamental_form_point(norm, a + t * e, e, e)
             margin = min(margin, f2 - bound)
     return margin
-
-
-def refined_cs_campaign_oneshot(norm: MinkowskiNorm, samples: int,
-                                seed: int) -> CampaignSummary:
-    """:func:`finslerineq.harness.refined_cs_campaign` with every pair held
-    at once: one generator draws all xi, then all eta, and every check reads
-    the whole (samples, n) stacks.  Pins the bits of the streamed one."""
-    rng = np.random.default_rng(seed)
-    n = norm.dim
-    xi = rng.standard_normal((samples, n))
-    eta = rng.standard_normal((samples, n))
-    slack = np.asarray(norm.refined_cs_slack(xi, eta))
-    scale = np.maximum(1.0, np.asarray(norm.dual_norm(xi + eta)) ** 2)
-    rel = slack / scale
-    i_min = int(np.argmin(rel))
-    counts, edges = np.histogram(np.log10(np.maximum(slack, 1e-300)),
-                                 bins=24)
-    lam = norm.uniformity()
-
-    s_vals = rng.uniform(0.1, 3.0, size=min(samples, 1000))
-    xi_c = rng.standard_normal((s_vals.size, n))
-    tight = np.asarray(norm.refined_cs_slack(xi_c, s_vals[:, None] * xi_c))
-    fs2 = np.asarray(norm.dual_norm(xi_c)) ** 2
-    colinear_dev = float(np.max(np.abs(
-        tight - s_vals**2 * fs2 * (1.0 - 1.0 / lam))))
-
-    kap = rng.uniform(1.0, 4.0, size=min(samples, 1000))
-    xi_k = rng.standard_normal((kap.size, n))
-    swap = np.asarray(norm.dual_norm(-xi_k)) > np.asarray(norm.dual_norm(xi_k))
-    xi_k[swap] = -xi_k[swap]
-    got = np.asarray(norm.refined_cs_slack(xi_k, -kap[:, None] * xi_k))
-    f_p = np.asarray(norm.dual_norm(xi_k)) ** 2
-    f_m = np.asarray(norm.dual_norm(-xi_k)) ** 2
-    want = f_p * ((2.0 * kap - 1.0)
-                  + ((kap - 1.0) ** 2 - kap**2 / lam) * f_m / f_p)
-    case2_dev = float(np.max(np.abs(got - want)
-                             / np.maximum(1.0, np.abs(want))))
-
-    t_grid = np.linspace(0.0, 1.0, 9)
-    seg = xi[:200, None, :] + t_grid[:, None] * eta[:200, None, :]
-    # the library's length kernel, so the near-origin cut is the same
-    keep = np.min(minkowski._enorm(seg), axis=1) >= 1e-6
-    seg, e = seg[keep], eta[:200][keep][:, None, :]
-    bound = 2.0 * np.asarray(norm.dual_norm(e)) ** 2 / lam
-    f2 = 2.0 * np.asarray(norm.dual_fundamental_form(seg, e, e))
-    margin = float(np.min(f2 - bound, initial=math.inf))
-
-    passed = bool(np.all(slack >= -1e-10 * scale)
-                  and colinear_dev <= 1e-10
-                  and case2_dev <= 1e-9
-                  and margin >= -1e-9)
-    return CampaignSummary(
-        drift=norm.drift, dim=n, samples=samples,
-        min_slack=float(slack[i_min]), min_scale=float(scale[i_min]),
-        argmin_xi=[float(v) for v in xi[i_min]],
-        argmin_eta=[float(v) for v in eta[i_min]],
-        histogram_counts=[int(c) for c in counts],
-        histogram_edges=[float(e) for e in edges],
-        colinear_max_dev=colinear_dev, case2_max_dev=case2_dev,
-        case3_margin=margin, passed=passed)
 
 
 def sampled_uniformity_full_grid(norm: MinkowskiNorm,

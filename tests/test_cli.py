@@ -382,6 +382,18 @@ def test_report_suites_emit_terms_csv(tmp_path):
     assert any(",slack," in ln for ln in lines)
 
 
+def test_refined_cs_reads_neither_seed_nor_samples(tmp_path):
+    # the certificate's grid is fixed: --seed and --samples change only the
+    # config that report.json echoes
+    results = []
+    for extra in ([], ["--seed", "7"], ["--samples", "1000000000000"]):
+        out = tmp_path / "-".join(["cs", *extra])
+        assert run_cli(["refined-cs", *extra, "--out", str(out)]) == 0
+        results.append(json.loads((out / "report.json").read_text())
+                       ["results"])
+    assert results[0] == results[1] == results[2]
+
+
 def test_refined_cs_euclidean(tmp_path):
     out = tmp_path / "cs"
     code = run_cli(["refined-cs", "--n", "2", "--t", "0", "--samples",
@@ -477,19 +489,14 @@ def test_overflowing_integrand_exits_numerical_without_warnings(tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args, quad", [
-    (["refined-cs", "--samples", "1000000000000"], None),
-    (["hardy"], "radial_nodes = 3000000")], ids=["samples", "radial_nodes"])
-def test_oversized_input_exits_config(tmp_path, capsys, args, quad):
-    # a size whose arrays exceed memory (the campaign's 8 TB slack vector,
-    # the 65 TiB Jacobi matrix of a 3e6-node Gauss rule) is refused at its
-    # first allocation: a configuration error, not a traceback
-    if quad is not None:
-        cfg = tmp_path / "big.ini"
-        cfg.write_text(f"[quadrature]\n{quad}\n")
-        args = [*args, "--config", str(cfg)]
+def test_oversized_input_exits_config(tmp_path, capsys):
+    # a size whose arrays exceed memory (the 65 TiB Jacobi matrix of a
+    # 3e6-node Gauss rule) is refused at its first allocation: a
+    # configuration error, not a traceback
+    cfg = tmp_path / "big.ini"
+    cfg.write_text("[quadrature]\nradial_nodes = 3000000\n")
     out = tmp_path / "out"
-    assert run_cli([*args, "--out", str(out)]) == 2
+    assert run_cli(["hardy", "--config", str(cfg), "--out", str(out)]) == 2
     assert "configuration error: Unable to allocate" in capsys.readouterr().err
     assert not out.exists()
 

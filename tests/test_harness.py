@@ -1,16 +1,13 @@
-"""Inequality reports, admissibility functional, sharpness sweeps, campaign."""
+"""Inequality reports, admissibility functional, sharpness sweeps, and the
+refined Cauchy-Schwarz certificate."""
 
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import finslerineq
 from finslerineq import fields as fc
 from finslerineq import harness as H
 from finslerineq import minkowski
@@ -18,8 +15,8 @@ from finslerineq.minkowski import MinkowskiNorm
 from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
                                 euclidean_flat, truncated_profile)
 from finslerineq.quadrature import QuadratureSpec
-from oracles import refined_cs_campaign_oneshot, rising_profile, \
-    sampled_uniformity_full_grid, scaled_profile, segment_convexity_margin
+from oracles import rising_profile, sampled_uniformity_full_grid, \
+    scaled_profile, segment_convexity_margin
 
 SPEC = QuadratureSpec()
 FAST = QuadratureSpec(radial_nodes=12, radial_panels=6, sphere_order=6)
@@ -392,66 +389,103 @@ def test_rellich_sweep_preconditions():
                                 [0.7], SPEC)
 
 
-# ------------------------------------------------------------------ campaign
-def test_refined_cs_campaign_properties():
-    for b in (0.0, 0.3, 0.7):
-        norm = MinkowskiNorm(3, b)
-        s = H.refined_cs_campaign(norm, 20000, seed=99)
-        assert s.passed
-        assert s.min_slack >= -1e-10 * max(1.0, s.min_scale)
-        assert s.colinear_max_dev <= 1e-10
-        assert s.case2_max_dev <= 1e-9
-        assert s.case3_margin >= -1e-9
-    s0 = H.refined_cs_campaign(MinkowskiNorm(2, 0.0), 20000, seed=99)
-    assert abs(s0.min_slack) <= 1e-12
+# --------------------------------------------------------------- certificate
+def _pair_grid(n, a=H._CS_ANGLES, b=H._CS_ANGLES, c=H._CS_AZIMUTHS,
+               s=H._CS_RATIOS):
+    """The certificate's pairs, embedded in R^n, as (k, n) stacks."""
+    if n == 2:
+        c = c[[0, -1]]
+    xi, eta = H._reduced_pair(n, *np.ix_(a, b, c, s))
+    xi, eta = np.broadcast_arrays(xi, eta)
+    return xi.reshape(-1, n), eta.reshape(-1, n)
 
 
-@pytest.mark.parametrize("n, t, seed", [(3, 0.5, 1234), (2, 0.0, 1),
-                                        (5, 0.3, 99), (3, 0.7, 7)])
-def test_refined_cs_segment_margin_matches_point_loop(n, t, seed):
-    # the CLI's default sample count, so the draws are the CLI's
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 0.9, -0.6])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_refined_cs_certificate(n, t):
     norm = MinkowskiNorm(n, t)
-    s = H.refined_cs_campaign(norm, 100_000, seed)
-    want = segment_convexity_margin(norm, 100_000, seed)
+    lam = norm.uniformity()
+    s = H.refined_cs_campaign(norm)
+    assert s.passed
+    assert s.pairs == (86_247 if n > 2 else 19_166)
+    # the whole grid, every pair in R^n: the scale is not F*^2(xi + eta),
+    # which is 0 at s = 1 on the antipodal pairs
+    xi, eta = _pair_grid(n)
+    fs_xi, fs_eta = norm.dual_norm(xi) ** 2, norm.dual_norm(eta) ** 2
+    slack = norm.refined_cs_slack(xi, eta)
+    assert np.all(slack >= -1e-12 * np.maximum(fs_xi, fs_eta))
+    # 1/Lambda_F is the best constant: the smallest ratio reaches it, as
+    # far as the cancellation at small s lets it
+    assert abs(s.min_ratio * lam - 1.0) <= 1e-6
+    assert abs(np.min(slack / fs_eta) * lam) <= 1e-6
+    assert s.min_slack >= -1e-10 * s.min_scale
+    # equality on the drift axis: xi on its short side, eta = -s xi with
+    # 0 < s <= 1
+    x0 = np.zeros(n)
+    x0[-1] = -1.0 if t >= 0.0 else 1.0
+    e0 = -np.array([0.01, 0.3, 0.7, 1.0])[:, None] * x0
+    scale = np.maximum(norm.dual_norm(x0) ** 2, norm.dual_norm(e0) ** 2)
+    assert np.all(np.abs(norm.refined_cs_slack(x0, e0)) <= 1e-12 * scale)
+    assert s.drift_axis_max_dev <= 1e-12
+    # the argmin in R^n has the reduced pair's slack, up to the regrouped
+    # sums of the zero coordinates
+    x, e = np.array(s.argmin_xi), np.array(s.argmin_eta)
+    assert (x.shape, e.shape) == ((n,), (n,))
+    dim = min(n, 3)
+    rx, reta = H._reduced_pair(dim, *s.argmin_params)
+    want = MinkowskiNorm(dim, t).refined_cs_slack(rx, reta)
+    got = norm.refined_cs_slack(x, e)
+    scale = max(norm.dual_norm(x) ** 2, norm.dual_norm(e) ** 2)
+    assert abs(got - want) <= 1e-12 * scale
+    assert abs(got / norm.dual_norm(e) ** 2 + 1.0 / lam - s.min_ratio) \
+        <= 1e-12 * scale / norm.dual_norm(e) ** 2
+
+
+def test_refined_cs_certificate_costs_the_same_at_any_n():
+    # the grid lies in R^3 at every n >= 3, so only dim and the argmin's
+    # embedding differ, and the tracemalloc peak barely moves
+    def run(n):
+        tracemalloc.start()
+        try:
+            s = H.refined_cs_campaign(MinkowskiNorm(n, 0.9)).as_dict()
+            return s, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (low, peak_low), (high, peak_high) = run(3), run(200)
+    for key in ("dim", "argmin_xi", "argmin_eta"):
+        assert low.pop(key) != high.pop(key)
+    assert low == high
+    assert peak_high <= 1.1 * peak_low
+
+
+@pytest.mark.parametrize("n, t", [(3, 0.5), (2, 0.0), (5, 0.3), (3, 0.7),
+                                  (4, -0.6)])
+def test_refined_cs_segment_margin_matches_point_loop(n, t):
+    # the certificate's segment grid, embedded in R^n, one point at a time
+    norm = MinkowskiNorm(n, t)
+    xi, eta = _pair_grid(n, H._CS_ANGLES[::9], H._CS_ANGLES[::9],
+                         s=H._CS_RATIOS[::3])
+    want = segment_convexity_margin(norm, xi, eta)
     assert math.isfinite(want)
-    assert abs(s.case3_margin - want) <= 1e-13
+    assert abs(H.refined_cs_campaign(norm).case3_margin - want) <= 1e-13
 
 
-@pytest.mark.parametrize("n, t, seed, samples, block", [
-    (3, 0.5, 1234, 100_000, None), (2, 0.0, 1, 8193, 7),
-    (5, 0.3, 99, 250, 1), (3, 0.7, 7, 1, 1), (4, -0.6, 5, 1000, 7)])
-def test_streamed_sampling_matches_one_shot(monkeypatch, n, t, seed,
-                                            samples, block):
-    # the streamed campaign and the row-blocked Lambda_F grid against their
-    # all-at-once forms, bit for bit; a small block takes the campaign's 200
-    # segment pairs from many blocks, and the grid then scans ``block`` rows
-    # of its 400 at a time (with 7, the last block is partial); a negative
-    # drift puts the grid's maximum on its last row
-    if block is not None:
-        monkeypatch.setattr(H, "_CAMPAIGN_BLOCK", block)
-        monkeypatch.setattr(minkowski, "_GRID_BLOCK", block * 400)
+@pytest.mark.parametrize("n, t, block", [
+    (3, 0.5, None), (2, 0.0, 7), (5, 0.3, 1), (3, 0.7, 1), (4, -0.6, 7)])
+def test_blocked_grids_match_one_shot(monkeypatch, n, t, block):
+    # the row-blocked certificate and Lambda_F grid against their
+    # all-at-once forms, bit for bit; a block of ``block`` rows of the
+    # Lambda_F grid's 400 is less than one row of the certificate's a, so it
+    # scans one a at a time (with 7, the Lambda_F grid's last block is
+    # partial); a negative drift puts the grid's maximum on its last row
     norm = MinkowskiNorm(n, t)
-    assert H.refined_cs_campaign(norm, samples, seed).as_dict() == \
-        refined_cs_campaign_oneshot(norm, samples, seed).as_dict()
+    blocked = minkowski._GRID_BLOCK if block is None else block * 400
+    monkeypatch.setattr(minkowski, "_GRID_BLOCK", 1 << 30)
+    whole = H.refined_cs_campaign(norm).as_dict()
+    monkeypatch.setattr(minkowski, "_GRID_BLOCK", blocked)
+    assert H.refined_cs_campaign(norm).as_dict() == whole
     assert norm.sampled_uniformity() == sampled_uniformity_full_grid(norm)
-
-
-def test_refined_cs_campaign_memory():
-    # a fresh interpreter, so the peak is this campaign's alone: holding
-    # every pair's temporaries peaks near 145 MB at a million samples, the
-    # streamed campaign near 45 MB (8 bytes per sample plus its blocks).
-    # VmHWM starts over at exec, where ru_maxrss would keep the high-water
-    # mark of the test process that started the child.
-    src = str(Path(finslerineq.__file__).parents[1])
-    code = ("from finslerineq import harness, minkowski\n"
-            "harness.refined_cs_campaign(minkowski.MinkowskiNorm(3, 0.5),"
-            " 1_000_000, 1234)\n"
-            "print(next(line.split()[1] for line in open('/proc/self/status')"
-            " if line.startswith('VmHWM:')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert int(proc.stdout) <= 80 * 1024      # VmHWM is in kB
 
 
 def test_battery_profiles_admissible():

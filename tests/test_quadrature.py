@@ -289,6 +289,15 @@ def test_sphere_nodes_shared_and_read_only():
             a[0] = 0.0
 
 
+@pytest.mark.parametrize("order", [3, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sphere_nodes_count(n, order):
+    # order Gauss nodes per polar angle and 4 order on the azimuth circle
+    dirs, wts = sphere_nodes(n, QuadratureSpec(sphere_order=order))
+    assert dirs.shape == (4 * order ** (n - 1), n)
+    assert wts.shape == (4 * order ** (n - 1),)
+
+
 def _columns(*cols):
     return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
