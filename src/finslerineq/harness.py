@@ -26,9 +26,11 @@ Scalar fields take one backward-polar annulus pass of a field jet (u,
 F*(du), the sign-cased ``rho_u`` and the numeric Laplacian) on (m, K, n)
 stacks of points, and need no sign rule: F*(du) is evaluated as it is.
 Both roads read the G^beta density -Delta(rho^(-beta-2)) at the jet's
-rho.  The Rellich pair stays radial: its G^beta gate needs the
-distributional terms (flux jumps, f(0), the Green point mass) that only
-the radial road reads so far.
+rho, and its point terms from one ``_point_read`` of u: on both roads u(0),
+which gives the Green point mass at beta + 2 = n - 2 and is rejected when
+nonzero above it; on the radial road also the flux jumps at a profile's
+breakpoints (fields declare none).  The Rellich pair still needs a radial
+profile.
 
 Reports are independent and deterministic, so batteries and certificates
 may be evaluated concurrently, but threads gain nothing: the GIL serializes
@@ -526,28 +528,50 @@ def uncertainty_report(model, measure: str, u, beta: float,
 
 
 # ----------------------------------------------------------- rellich family
-def _gbeta_columns(model, measure: str, prof: RadialProfile | None,
-                   beta: float) -> tuple[dict[str, _Column], float]:
+def _point_read(model, u, beta: float) -> tuple[float, list[tuple]]:
+    """What G^beta's point terms read of u, in one read: u(0) and, at each
+    inner breakpoint b, (b, f(b), f'(b-), f'(b+)), each side at the double
+    next to b.  A radial profile gives all of it from one jet call; a
+    scalar field declares no breakpoints, and its u(0) is read only where
+    a point term can need it, beta + 2 >= n - 2 (0 stands in elsewhere)."""
+    need_u0 = beta + 2.0 >= model.n - 2.0 - 1e-12
+    kinks, u0 = [], 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if isinstance(u, RadialProfile):
+            bps = [b for b in u.breakpoints if 0.0 < b < u.support]
+            f, d1 = u.jet(np.array([0.0, *[x for b in bps for x in (
+                b, np.nextafter(b, 0.0), np.nextafter(b, np.inf))]]), 1)
+            kinks = [(b, float(f[i]), float(d1[i + 1]), float(d1[i + 2]))
+                     for b, i in zip(bps, range(1, f.size, 3))]
+            u0 = float(f[0])
+        elif need_u0:
+            u0 = float(u(np.zeros(model.n)))
+    if need_u0 and not math.isfinite(u0):
+        raise PreconditionError(f"G^beta undefined: u(0) = {u0}")
+    return u0, kinks
+
+
+def _gbeta_columns(model, measure: str, beta: float, u0: float,
+                   kinks: list[tuple]) -> tuple[dict[str, _Column], float]:
     """The two integrands of G^beta, u^2 varrho and 2 rho^{-beta-2}
-    div(u grad u) = 2 rho^{-beta-2} (F*^2(du) + u Delta u), and the
-    distributional terms of a radial profile (the field road reads none
-    yet), read before any pass."""
+    div(u grad u) = 2 rho^{-beta-2} (F*^2(du) + u Delta u), and the sum of
+    its point terms, from the ``_point_read`` (u0, kinks)."""
     nn = beta + 2.0
-    point = 0.0
-    if prof is not None:
-        f0 = float(prof.f(np.zeros(1))[0])
-        if f0 != 0.0 and nn > model.n - 2.0 + 1e-12:
-            raise PreconditionError(
-                "G^beta undefined: the profile is nonzero at the base "
-                "point while beta + 2 exceeds n - 2")
-        # Lipschitz kinks of the profile put a sphere-supported flux jump
-        # into div(u grad u); the divergence is read distributionally there
-        point = _profile_flux_jump(model, measure, prof, nn)
-        # at the marginal exponent beta + 2 = n - 2 the power rho^{-(n-2)}
-        # is the Green kernel: its distributional Laplacian carries the
-        # point mass -(n-2) cp f(0)^2 delta_p, which the classical one misses
-        if abs(nn - (model.n - 2.0)) <= 1e-12:
-            point += (model.n - 2.0) * model.cp_constant(measure) * f0 * f0
+    if u0 != 0.0 and nn > model.n - 2.0 + 1e-12:
+        raise PreconditionError(
+            "G^beta undefined: the profile is nonzero at the base "
+            "point while beta + 2 exceeds n - 2")
+    cp = model.cp_constant(measure)
+    # Lipschitz kinks of the profile put a sphere-supported flux jump (of
+    # the radial flux f f') into div(u grad u), read distributionally there
+    point = cp * sum(2.0 * b ** (-nn) * fb * (above - below)
+                     * float(model.radial_volume_density(np.array([b]))[0])
+                     for b, fb, below, above in kinks if below != above)
+    # at the marginal exponent beta + 2 = n - 2 the power rho^{-(n-2)}
+    # is the Green kernel: its distributional Laplacian carries the
+    # point mass -(n-2) cp u(0)^2 delta_p, which the classical one misses
+    if abs(nn - (model.n - 2.0)) <= 1e-12:
+        point += (model.n - 2.0) * cp * u0 * u0
     return {"gbeta_varrho": lambda j: j.f ** 2 * j.varrho(beta),
             "gbeta_div": lambda j: 2.0 * j.power(-nn)
             * (j.d1 ** 2 + j.f * j.lap)}, point
@@ -571,41 +595,16 @@ def gbeta(model, measure: str, u, beta: float,
     Any beta is accepted: only the Rellich reports need -2 < beta < n - 4.
     """
     spec = spec or QuadratureSpec()
-    prof = u if isinstance(u, RadialProfile) else None
-    cols, point = _gbeta_columns(model, measure, prof, beta)
+    cols, point = _gbeta_columns(model, measure, beta,
+                                 *_point_read(model, u, beta))
     raw = _terms(model, measure, u, cols, spec, GBETA_FIELD_FLOOR)
     return _gbeta_value(raw, point)
 
 
-def _profile_flux_jump(model, measure: str, prof: RadialProfile,
-                       nn: float) -> float:
-    """Interface contribution of 2 rho^{-nn} div(u grad u) across the radial
-    spheres where the profile derivative jumps (the radial flux is f f')."""
-    cp = model.cp_constant(measure)
-    total = 0.0
-    for bp, fval, below, above in _breakpoint_sides(prof):
-        if below == above:
-            continue
-        w = float(model.radial_volume_density(np.array([bp]))[0])
-        total += 2.0 * bp ** (-nn) * fval * (above - below) * w
-    return cp * total
-
-
-def _breakpoint_sides(prof: RadialProfile):
-    """(b, f(b), f'(b-), f'(b+)) at every breakpoint b inside the support,
-    each side read at the double next to b, all from one jet call."""
-    for bp in prof.breakpoints:
-        if 0.0 < bp < prof.support:
-            nodes = np.array([bp, np.nextafter(bp, 0.0),
-                              np.nextafter(bp, np.inf)])
-            f, d1 = prof.jet(nodes, 1)
-            yield bp, float(f[0]), float(d1[1]), float(d1[2])
-
-
-def _require_c1(prof: RadialProfile, what: str) -> None:
+def _require_c1(kinks: list[tuple], what: str) -> None:
     """Reject a derivative jump at an inner breakpoint b, beyond rounding:
     Delta u then has a singular part on rho = b that (Delta u)^2 misses."""
-    for bp, fval, below, above in _breakpoint_sides(prof):
+    for bp, fval, below, above in kinks:
         if abs(above - below) > 1e-8 * (abs(fval) / bp + abs(below)
                                         + abs(above)):
             raise PreconditionError(f"{what} needs a C^1 profile; "
@@ -624,8 +623,9 @@ def _rellich_pass(what: str, model, measure: str, prof: RadialProfile,
     """One radial pass for G^beta, the Rellich core terms (lhs, weight4 and
     its remainder where their coefficients are nonzero) and ``extra``;
     raises unless the profile is C^1 and u is in the G^beta kernel."""
-    _require_c1(prof, what)
-    cols, point = _gbeta_columns(model, measure, prof, beta)
+    u0, kinks = _point_read(model, prof, beta)
+    _require_c1(kinks, what)
+    cols, point = _gbeta_columns(model, measure, beta, u0, kinks)
     cols["lhs"] = _lap2(-beta)
     # both weight-4 coefficients vanish at beta = n - 4, where their
     # integrals diverge for f(0) != 0: those columns are left out
@@ -714,8 +714,8 @@ def rellich_bv_report(model, measure: str, u, beta: float,
                    - c_rem4 * raw["weight4_rem"].value
                    - 2.0 * q * cbv / lam * raw["w2"].value)
         rep.checks.update({"de1_lhs": de1_lhs, "de1_rhs": de1_rhs,
-                           "de1_ok": bool(de1_lhs <= de1_rhs + tol
-                                          and de1_lhs >= -tol)})
+                           "de1_ok": bool(-tol <= de1_lhs <= de1_rhs + tol)})
+        rep.passed = rep.passed and rep.checks["de1_ok"]
     return rep
 
 

@@ -46,6 +46,18 @@ def sign_changing_field(model, amp=1.5, R=0.6):
     return fc.ScalarField(fn, grad, base.support_radius)
 
 
+def vanishing_at_origin(u):
+    """|x|^2 u: u(0) = 0, so G^beta is defined for beta + 2 > n - 2."""
+    def fn(x):
+        return np.sum(x * x, axis=-1) * u.fn(x)
+
+    def grad(x):
+        return np.sum(x * x, axis=-1)[..., None] * u.grad(x) + \
+            2.0 * u.fn(x)[..., None] * x
+
+    return fc.ScalarField(fn, grad, u.support_radius)
+
+
 # ------------------------------------------------- per-point reference
 def ref_differential(u, p):
     if u.grad is not None:
@@ -150,7 +162,8 @@ def test_stacked_laplacian_marks_critical_points():
 
 @pytest.mark.parametrize("model", PLANE, ids=repr)
 def test_gbeta_batched_matches_reference_and_block_size(model, monkeypatch):
-    u = sign_changing_field(model)
+    # beta + 2 > n - 2 in the plane, where G^beta needs u(0) = 0
+    u = vanishing_at_origin(sign_changing_field(model))
     value, scale, error = H.gbeta(model, "bh", u, BETA, TINY)
     t1, t2 = ref_terms(model, u, BETA, "gbeta")
     assert abs(value - (t1 + t2)) <= 1e-10 * scale
@@ -163,8 +176,9 @@ def test_gbeta_batched_matches_reference_and_block_size(model, monkeypatch):
 @pytest.mark.parametrize("model", PLANE, ids=repr)
 def test_field_road_independent_of_shell_blocks(model, monkeypatch):
     # the annulus shell's point budget bounds memory and never changes a
-    # bit: one radial node per block and the tiled rule agree exactly
-    u = sign_changing_field(model)
+    # bit: one radial node per block and the tiled rule agree exactly; G^beta
+    # needs u(0) = 0 in the plane at this beta
+    u = vanishing_at_origin(sign_changing_field(model))
 
     def both():
         return (H.hardy_report(model, "bh", u, BETA, TINY).as_dict(),
@@ -302,3 +316,39 @@ def test_two_roads_gbeta_radial_field_matches_radial_path(model, orientation):
     assert abs(value) <= 1e-5 * scale
     if orientation == "minus":
         assert abs(scale - radial[1]) <= 2e-3 * radial[1]
+
+
+R3, H3 = RandersFlat(3, 0.4), HyperbolicBall(3, -1.0)
+
+
+@pytest.mark.parametrize("model,orientation,order", [
+    pytest.param(R3, "minus", 8, id=repr(R3)),
+    pytest.param(H3, "minus", 8, id=repr(H3)),
+    pytest.param(R3, "plus", 16, id=f"{R3!r}-plus")])
+def test_field_road_reads_the_green_point_mass(model, orientation, order):
+    # at beta + 2 = n - 2 the Green kernel's point mass (n-2) cp u(0)^2 is
+    # part of G^beta on the field road too: |G|/scale reads 3.8e-7
+    # (Randers), 2.1e-6 (hyperbolic) and, for u = -f(rho_plus), 4.4e-7 at
+    # sphere order 16, where the unreported sphere-rule error leaves 3.8e-5
+    # at order 8; the integrals alone read 1.0 and 0.913
+    u = fc.radial_field(model, H.radial_battery(10, 0.9)[0], orientation)
+    value, scale, _ = H.gbeta(model, "bh", u, -1.0,
+                              QuadratureSpec(radial_nodes=24, radial_panels=3,
+                                             sphere_order=order))
+    assert abs(value) <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("model", (R3, H3), ids=repr)
+def test_field_road_rejects_u0_above_the_green_exponent(model):
+    # beta + 2 > n - 2 with u(0) != 0: G^beta is undefined on both roads
+    prof = H.radial_battery(10, 0.9)[0]
+    for u in (prof, fc.radial_field(model, prof),
+              fc.radial_field(model, prof, "plus")):
+        with pytest.raises(H.PreconditionError,
+                           match="nonzero at the base point"):
+            H.gbeta(model, "bh", u, -0.5, TINY)
+    # a field that diverges at the base point has no point terms to read
+    pole = fc.ScalarField(lambda x: 1.0 / np.sum(x * x, axis=-1),
+                          support_radius=0.9)
+    with pytest.raises(H.PreconditionError, match=r"u\(0\) = inf"):
+        H.gbeta(model, "bh", pole, -1.0, TINY)

@@ -11,6 +11,7 @@ import pytest
 from finslerineq import fields as fc
 from finslerineq import harness as H
 from finslerineq import minkowski
+from finslerineq.cli import main
 from finslerineq.minkowski import MinkowskiNorm
 from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
                                 euclidean_flat, truncated_profile)
@@ -261,6 +262,26 @@ def test_rellich_bv_battery_and_de1():
             assert np.isfinite(rep.constants[key])
     assert rep.constants["C"] == pytest.approx(0.25)
     assert rep.constants["coeff_weight0"] == pytest.approx(0.0625)
+
+
+def test_rellich_bv_square_completion_decides_passed(monkeypatch, tmp_path):
+    # a de1 column above the Rellich excess (de1_rhs <= lhs) fails the
+    # intermediate inequality, and with it the report and the CLI run
+    terms = H._terms
+
+    def inflated(*args, **kw):
+        raw = terms(*args, **kw)
+        if "de1" in raw:
+            raw["de1"] = H.TermValue(2.0 * raw["lhs"].value + 1.0,
+                                     raw["de1"].error)
+        return raw
+
+    monkeypatch.setattr(H, "_terms", inflated)
+    rep = H.rellich_bv_report(HyperbolicBall(6, -1.0), "bh",
+                              H.radial_battery(1)[0], 0.0, SPEC)
+    assert rep.slack >= -rep.slack_tolerance and not rep.checks["de1_ok"]
+    assert not rep.passed
+    assert main(["rellich-bv", "--out", str(tmp_path / "run")]) == 1
 
 
 def test_rellich_bv_rejects_kinked_profiles():

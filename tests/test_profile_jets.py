@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from finslerineq import harness as H
-from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
-                                profile_product, truncated_profile)
+from finslerineq.models import (HyperbolicBall, RadialProfile, RandersFlat,
+                                cutoff_profile, profile_product,
+                                truncated_profile)
 from oracles import battery_formulas, cutoff_formulas, truncated_formulas
 
 
@@ -80,9 +81,8 @@ def test_growing_truncated_power_is_not_nonincreasing():
 
 def test_one_transition_per_pass():
     # the cutoff of a product profile is evaluated once on the node array
-    # of a Rellich pass; the other calls read single breakpoints: the C^1
-    # check and the flux jump each read the breakpoint's two sides, and
-    # the Green-mass check reads f near the origin
+    # of a Rellich pass, and once more by the point read of G^beta: f(0),
+    # and f(b) and f' at the two sides of the breakpoint b
     sizes = []
     cutoff = cutoff_profile(0.3, 0.7)
 
@@ -93,6 +93,26 @@ def test_one_transition_per_pass():
     prof = profile_product(dataclasses.replace(cutoff, jet=counted),
                            H._gauss_profile(0.8, 0.7))
     H.rellich_report(RandersFlat(6, 0.4), "bh", prof, 0.5)
-    passes = [n for n in sizes if n > 3]
-    assert len(passes) == 1 and passes[0] > 1000
-    assert len(sizes) <= 4
+    assert len(sizes) == 2 and sizes[0] == 4 and sizes[1] > 1000
+
+
+@pytest.mark.parametrize("report,model,beta", [
+    (H.rellich_report, RandersFlat(6, 0.5), 0.0),
+    (H.rellich_bv_report, HyperbolicBall(6, -1.0), 0.0),
+    (H.gbeta, RandersFlat(6, 0.5), 0.0),
+    (H.gbeta, HyperbolicBall(6, -1.0), 2.0)],
+    ids=["rellich", "rellich-bv", "gbeta", "gbeta-green"])
+def test_two_jet_calls_per_report(report, model, beta):
+    # every point term of G^beta comes from one read, and the terms from one
+    # pass; the profile's f, d1 and d2 views are its jet too, so any other
+    # read would count here
+    calls = []
+    prof = H.radial_battery(10, 0.9)[0]
+
+    def counted(rho, order=2):
+        calls.append(order)
+        return prof.jet(rho, order)
+
+    report(model, "bh", RadialProfile.from_jet(
+        counted, prof.support, breakpoints=prof.breakpoints), beta)
+    assert len(calls) == 2
