@@ -14,14 +14,15 @@ A radial pass calls its integrand once, on the coarse and fine nodes of
 every segment together, so a table of columns is built once per pass; it
 gives every segment's integral (:func:`radial_segments`) or their sum in
 order (:func:`radial_integrate`).  A pass's panels come from a plan cached
-per (cuts, panels, nodes): each panel's start and half-width and the
-layout of the pass's sums, never its node or weight arrays, which each
-pass rebuilds with two broadcasts.  Every sum, over radial nodes and over
+per (cuts, panels, nodes): each panel's start and half-width and each
+sum's node count, never its node or weight arrays, which each pass
+rebuilds with two broadcasts.  Every sum, over radial nodes and over
 sphere directions alike, goes through the one fixed-shape tree of
 :func:`pairwise_sum`; a radial pass sums all its coarse and fine segments
-in one such tree at once, and no BLAS product is involved.  So a given
-:class:`QuadratureSpec` and integrand reproduce the same bits whatever the
-BLAS thread count or block size.
+in one such tree, zero-padded to the power of two of the longest (which
+keeps every bit but the sign of a -0.0 sum), and no BLAS product is
+involved.  So a given :class:`QuadratureSpec` and integrand reproduce
+the same bits whatever the BLAS thread count or block size.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -84,75 +86,38 @@ def pairwise_sum(values: np.ndarray, axis: int = 0) -> np.ndarray:
     to a power of two.  Every slice along ``axis`` is reduced exactly as the
     1-d array of its values would be, so the bits depend only on the values
     and their count.  The result spans the remaining axes: a 1-d input gives
-    a 0-d value.  This is the one-run case of :func:`_tree_sums`: a radial
-    pass sums every coarse and fine segment in one tree whose levels halve
-    all the segments at once, and each segment gets exactly this tree.
+    a 0-d value.  This is the one-run case of :func:`_tree_sums`, which sums
+    every coarse and fine segment of a radial pass in one padded tree.
     """
     a = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    return _tree_sums(a, _tree_layout((a.shape[0],)))[0]
+    return _tree_sums(a, (a.shape[0],))[0]
 
 
-class _TreeLayout(NamedTuple):
-    """How :func:`_tree_sums` reduces runs of rows: ``halvings`` levels on
-    the whole stack, then each run zero-padded to its own power of two,
-    largest first (``copies``: (src, stop, dst) rows into ``rows``, or none
-    when the stack is already so laid out), then per level the ``active``
-    rows still to halve and the ``count`` runs that are one value just
-    after them; ``inverse`` puts the sums back in run order."""
-
-    halvings: int
-    rows: int
-    copies: tuple[tuple[int, int, int], ...]
-    levels: tuple[tuple[int, int], ...]
-    inverse: np.ndarray | None
-
-
-@lru_cache(maxsize=256)
-def _tree_layout(runs: tuple[int, ...]) -> _TreeLayout:
-    halvings = 0
-    # while every run is even, no neighbour pair of the whole stack
-    # straddles two runs
-    while all(r > 0 and r % 2 == 0 for r in runs):
-        runs = tuple(r // 2 for r in runs)
-        halvings += 1
-    widths = [1 << (max(r, 1) - 1).bit_length() for r in runs]
-    order = sorted(range(len(runs)), key=widths.__getitem__, reverse=True)
-    in_order = order == list(range(len(runs)))
-    copies, src, dst = [], np.cumsum((0,) + runs).tolist(), 0
-    for i in order:
-        copies.append((src[i], src[i + 1], dst))
-        dst += widths[i]
-    if in_order and widths == list(runs):
-        copies = []
-    levels, step, widths = [], 1, sorted(widths, reverse=True)
-    while True:
-        active = sum(w // step for w in widths if w > step)
-        levels.append((active, widths.count(step)))
-        if not active:
-            break
-        step *= 2
-    inverse = None if in_order else _frozen(np.argsort(order))
-    return _TreeLayout(halvings, dst, tuple(copies), tuple(levels), inverse)
-
-
-def _tree_sums(a: np.ndarray, layout: _TreeLayout) -> np.ndarray:
+def _tree_sums(a: np.ndarray, runs: tuple[int, ...]) -> np.ndarray:
     """The :func:`pairwise_sum` of every run of consecutive rows of ``a``
-    (the runs of ``layout``), stacked in run order, all in one tree: each
-    level halves every run that is longer than one value at once."""
-    for _ in range(layout.halvings):
+    (``runs`` rows each), stacked in run order, all in one tree.
+
+    While every run is even, each level halves the whole stack: no
+    neighbour pair straddles two runs.  Then every run is zero-padded to
+    the power of two of the longest, one column per run of one block, and
+    each level halves that block.  Adding an exact 0.0 changes no sum, so
+    each run keeps the bits of its own tree, with one exception: a
+    power-of-two run whose values are all -0.0, padded past its own width,
+    sums to +0.0.
+    """
+    while all(r > 0 and r % 2 == 0 for r in runs):
         a = a[0::2] + a[1::2]
-    if layout.copies:
-        padded = np.zeros((layout.rows,) + a.shape[1:])
-        for src, stop, dst in layout.copies:
-            padded[dst:dst + stop - src] = a[src:stop]
-        a = padded
-    done = []
-    for active, count in layout.levels:
-        done.append(a[active:active + count])
-        if active:
-            a = a[0:active:2] + a[1:active:2]
-    sums = np.concatenate(done[::-1])
-    return sums if layout.inverse is None else sums[layout.inverse]
+        runs = tuple(r // 2 for r in runs)
+    if all(r == 1 for r in runs):
+        # no run needs padding; copied, so that no sum is a view of the input
+        return a.copy()
+    width = 1 << (max(*runs, 1) - 1).bit_length()
+    padded = np.zeros((width, len(runs)) + a.shape[1:])
+    for col, (start, r) in enumerate(zip(accumulate(runs, initial=0), runs)):
+        padded[:r, col] = a[start:start + r]
+    while len(padded) > 1:
+        padded = padded[0::2] + padded[1::2]
+    return padded[0]
 
 
 @lru_cache(maxsize=64)
@@ -172,12 +137,12 @@ class _RadialPlan(NamedTuple):
     """A pass's panels, coarse then fine for every segment in node order:
     their starts ``lo`` and half-widths ``half`` as (P, 1) columns, the
     origin tail's ``probes`` (none unless the first cut is 0) and the
-    ``layout`` that sums each coarse and fine part."""
+    node counts ``runs`` of the coarse and fine parts."""
 
     lo: np.ndarray
     half: np.ndarray
     probes: np.ndarray
-    layout: _TreeLayout
+    runs: tuple[int, ...]
 
 
 @lru_cache(maxsize=64)
@@ -192,8 +157,7 @@ def _radial_plan(cuts: tuple[float, ...], panels: int,
     starts = np.concatenate([e[:-1] for e in edges])[:, None]
     half = 0.5 * (np.concatenate([e[1:] for e in edges])[:, None] - starts)
     runs = tuple((e.size - 1) * nodes for e in edges)
-    return _RadialPlan(_frozen(starts), _frozen(half), _frozen(probes),
-                       _tree_layout(runs))
+    return _RadialPlan(_frozen(starts), _frozen(half), _frozen(probes), runs)
 
 
 def _origin_tail(g: np.ndarray, lo: float) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +206,7 @@ def radial_segments(f: Callable[[np.ndarray], np.ndarray],
                 f"non-finite integrand samples near rho={bad}")
         # the weights take a trailing axis for each integrand axis (T columns)
         wts = (w * plan.half).ravel()[(...,) + (None,) * (vals.ndim - 1)]
-        sums = _tree_sums(vals[:m] * wts, plan.layout)
+        sums = _tree_sums(vals[:m] * wts, plan.runs)
         values, errors = sums[1::2], np.abs(sums[1::2] - sums[::2])
         if plan.probes.size:
             tail, tail_error = _origin_tail(vals[m:], plan.probes[0])
