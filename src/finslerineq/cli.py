@@ -180,8 +180,8 @@ def _constants(cfg: RunConfig, spec: QuadratureSpec):
                "cp_bh": model.cp_constant("bh"),
                "cp_ht": model.cp_constant("ht"),
                "curvature": model.curvature}
-    close = abs(results["Lambda_F_sampled"] - norm.uniformity()) \
-        <= 0.01 * norm.uniformity()
+    close = all(abs(results[key + "_sampled"] - results[key])
+                <= 0.01 * results[key] for key in ("lambda_F", "Lambda_F"))
     return results, [_check("sampled constants within 1%", close)], None
 
 

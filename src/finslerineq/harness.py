@@ -42,14 +42,13 @@ cores).  So batteries run serially.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import fields as fc
-from . import minkowski
 from .minkowski import MinkowskiNorm
 from .models import (RadialProfile, cutoff_profile, profile_product,
                      truncated_profile)
@@ -66,6 +65,8 @@ SWEEP_TOLERANCE = 0.01   # a sweep's limit: within this share of the sharp one
 _CS_ANGLES = np.linspace(0.0, math.pi, 37)
 _CS_AZIMUTHS = np.linspace(0.0, math.pi, 9)
 _CS_RATIOS = np.logspace(-2.0, 1.0, 7)
+# pairs per block of the certificate's scan: bounds its temporaries
+_CS_BLOCK = 1 << 13
 
 
 class PreconditionError(ValueError):
@@ -78,21 +79,11 @@ class TermValue:
     value: float
     error: float
 
-    def as_dict(self) -> dict:
-        return {"value": self.value, "error": self.error}
-
     def scaled(self, c: float) -> "TermValue":
         return TermValue(c * self.value, c * self.error)
 
 
 _ZERO = TermValue(0.0, 0.0)
-
-
-def _record_dict(record, **converted) -> dict:
-    """Every field of a record dataclass, with ``converted`` replacing some."""
-    out = {f.name: getattr(record, f.name) for f in dc_fields(record)}
-    out.update(converted)
-    return out
 
 
 @dataclass
@@ -109,9 +100,7 @@ class InequalityReport:
     checks: dict = dc_field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return _record_dict(
-            self, constants=dict(self.constants), checks=dict(self.checks),
-            terms={k: v.as_dict() for k, v in self.terms.items()})
+        return asdict(self)
 
 
 @dataclass
@@ -150,8 +139,7 @@ class SweepTable:
                     and self.gap_coefficient > 0.0)
 
     def as_dict(self) -> dict:
-        return _record_dict(self, constants=dict(self.constants),
-                            rows=[_record_dict(r) for r in self.rows])
+        return asdict(self)
 
 
 @dataclass
@@ -172,7 +160,7 @@ class CampaignSummary:
     passed: bool
 
     def as_dict(self) -> dict:
-        return _record_dict(self)
+        return asdict(self)
 
 
 # ---------------------------------------------------------- domains, constants
@@ -726,29 +714,27 @@ def _suffix_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _truncated_family_integrals(model, measure: str, gamma: float,
-                                order: int, eps_arr: np.ndarray,
-                                r: float, R: float, spec: QuadratureSpec
+                                energy: _Column, weight: float,
+                                eps_arr: np.ndarray, r: float, R: float,
+                                spec: QuadratureSpec
                                 ) -> tuple[np.ndarray, ...]:
     """(I1, I2, J1, error) arrays for u = psi * max(eps, rho)^(-gamma), one
     entry per eps of the decreasing ``eps_arr``, from one radial pass.
 
-    ``order`` 1 selects the gradient functional (Hardy), 2 the Laplacian
-    functional (Rellich); beta is implied by gamma through the sharp-exponent
-    relations.  Above its eps every member is psi * rho^(-gamma), so a row
-    sums the shells above its eps of one pass of the smallest-eps profile,
-    cut at 0, every eps, r and R: the energy (I1), u^2 rho^(-weight) (I2)
-    and rho^(-n) on (min eps, r), as it diverges at 0 (J1), with the
-    shells' error estimates.  Inside eps u = eps^(-gamma): a row's inner
-    ball is eps^(-2 gamma) times one more column, rho^(-weight), below eps.
+    ``energy`` is the column of the quotient's numerator and ``weight`` the
+    power of its mass u^2 rho^(-weight), both at the sweep's own beta.
+    Above its eps every member is psi * rho^(-gamma), so a row sums the
+    shells above its eps of one pass of the smallest-eps profile, cut at 0,
+    every eps, r and R: the energy (I1), the mass (I2) and rho^(-n) on
+    (min eps, r), as it diverges at 0 (J1), with the shells' error
+    estimates.  Inside eps u = eps^(-gamma): a row's inner ball is
+    eps^(-2 gamma) times one more column, rho^(-weight), below eps.
     """
     n = model.n
-    beta = (n - 2.0 - 2.0 * gamma) if order == 1 else (n - 4.0 - 2.0 * gamma)
-    weight = 2.0 + beta if order == 1 else 4.0 + beta
     cp = model.cp_constant(measure)
     cuts = [0.0, *eps_arr[::-1], r, R]
     prof = truncated_profile(gamma, eps_arr[-1], r, R)
-    columns = {"energy": _du2(-beta) if order == 1 else _lap2(-beta),
-               "mass": _u2(-weight),
+    columns = {"energy": energy, "mass": _u2(-weight),
                "j1": lambda j: j.power(-n) * (j.rho >= eps_arr[-1]),
                "inner": lambda j: j.power(-weight)}
     values, errors = radial_segments(_radial_integrand(model, prof, columns),
@@ -790,11 +776,13 @@ def _sharpness_sweep(model, measure: str, beta: float, r: float, R: float,
         hardy_domain(n, beta, theorem)
         gamma = hardy_gamma(n, beta)
         sharp = gamma * gamma
+        energy, weight = _du2(-beta), 2.0 + beta
     else:
         theorem = "rellich-sweep"
         rellich_domain(n, beta, theorem)
         gamma = rellich_gamma(n, beta)
         sharp = rellich_sharp_constant(n, beta)
+        energy, weight = _lap2(-beta), 4.0 + beta
     eps_arr = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
     if not (all(0.0 < e < r for e in eps_arr) and r < R):
         raise PreconditionError(f"{theorem} needs 0 < eps < r < R, got "
@@ -805,7 +793,7 @@ def _sharpness_sweep(model, measure: str, beta: float, r: float, R: float,
 
     cp = model.cp_constant(measure)
     i1s, i2s, j1s, errs = _truncated_family_integrals(
-        model, measure, gamma, order, eps_arr, r, R, spec)
+        model, measure, gamma, energy, weight, eps_arr, r, R, spec)
     quotients = i1s / i2s
     rows = [SweepRow(float(eps), float(i1), float(i2), float(q), float(j1),
                      float(err))
@@ -860,8 +848,8 @@ def refined_cs_campaign(norm: MinkowskiNorm) -> CampaignSummary:
     The slack is 2-homogeneous and invariant under rotations about the drift
     axis, so the ``_reduced_pair`` grid of the ``_CS_*`` nodes (c at its ends
     at n = 2) in R^min(n, 3) stands for every pair, at a cost that does not
-    depend on n; it is scanned in whole rows of a, about
-    ``minkowski._GRID_BLOCK`` pairs per call.  The smallest ratio
+    depend on n; it is scanned in whole rows of a, about ``_CS_BLOCK``
+    pairs per call.  The smallest ratio
     (slack + F*^2(eta)/Lambda_F)/F*^2(eta) is 1/Lambda_F, where the slack
     vanishes on the drift axis: xi = -e_n, eta = s e_n, 0 < s <= 1, mirrored
     for a negative drift.  Fixed grids also check that axis segment, the
@@ -874,7 +862,7 @@ def refined_cs_campaign(norm: MinkowskiNorm) -> CampaignSummary:
                   _CS_AZIMUTHS if n > 2 else _CS_AZIMUTHS[[0, -1]], _CS_RATIOS)
     xi, eta = _reduced_pair(dim, *grid)
     fs_eta = red.dual_norm(eta) ** 2
-    rows = max(1, minkowski._GRID_BLOCK // fs_eta.size)
+    rows = max(1, _CS_BLOCK // fs_eta.size)
     best = low = (math.inf,)
     for r0 in range(0, xi.shape[0], rows):
         blk = xi[r0:r0 + rows]

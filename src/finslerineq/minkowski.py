@@ -37,12 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# direction pairs per block of the sampled Lambda_F grid: bounds the grid's
-# temporaries whatever the resolution
-_GRID_BLOCK = 1 << 13
-# grid points per zoom round of the sampled lambda_F and Lambda_F
-_REVERSIBILITY_RESOLUTION = 2000
-_UNIFORMITY_RESOLUTION = 400
+# polar angles, 5 degrees apart around the plane of the drift axis, of the
+# sampled lambda_F and Lambda_F; they hold the poles and the right angles
+_SAMPLED_ANGLES = np.linspace(-math.pi, math.pi, 73)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -158,83 +155,26 @@ class MinkowskiNorm:
         """Lambda_F = sup g_X(Y,Y)/g_Z(Y,Y) = ((1+|b|)/(1-|b|))^2, closed form."""
         return self.reversibility() ** 2
 
-    def sampled_reversibility(self) -> float:
-        """Grid estimate of lambda_F; the ratio only depends on the angle to
-        the drift axis, so a 1-d grid over that angle with two zoom rounds
-        recovers the supremum."""
-        b = self.drift
-        resolution = _REVERSIBILITY_RESOLUTION
-        lo, hi = 0.0, math.pi
-        best_theta = 0.0
-        for _ in range(3):
-            theta = np.linspace(lo, hi, resolution)
-            c = np.cos(theta)
-            ratio = (1.0 - b * c) / (1.0 + b * c)
-            i = int(np.argmax(ratio))
-            best_theta = float(theta[i])
-            width = (hi - lo) / resolution
-            lo, hi = max(0.0, best_theta - 2 * width), min(math.pi,
-                                                           best_theta + 2 * width)
-        c = math.cos(best_theta)
-        return (1.0 - b * c) / (1.0 + b * c)
+    def _sampled_plane(self) -> tuple[MinkowskiNorm, np.ndarray]:
+        """The norm on a plane through the drift axis and its unit
+        directions at ``_SAMPLED_ANGLES``.  Both ratios are invariant under
+        rotations about the axis and both suprema sit on its poles, so this
+        plane stands for every n, with the same bits."""
+        y = np.stack([np.sin(_SAMPLED_ANGLES), np.cos(_SAMPLED_ANGLES)], -1)
+        return MinkowskiNorm(2, self.drift), y
 
-    def _plane_tensor(self, theta: np.ndarray) -> np.ndarray:
-        """g at the unit Euclidean direction at angle theta to the drift axis,
-        restricted to the plane spanned by that direction and the axis.
-        Basis: (direction, its in-plane orthogonal complement)."""
-        c, s = np.cos(theta), np.sin(theta)
-        b = self.drift
-        f = 1.0 + b * c                       # F at the unit direction
-        g11 = (1.0 + b * c) ** 2
-        g12 = -b * s * (1.0 + b * c)
-        g22 = b * b * s * s + f
-        out = np.empty(theta.shape + (2, 2))
-        out[..., 0, 0] = g11
-        out[..., 0, 1] = out[..., 1, 0] = g12
-        out[..., 1, 1] = g22
-        return out
+    def sampled_reversibility(self) -> float:
+        """Grid estimate of lambda_F: the largest F(-y)/F(y) over the
+        sampled directions."""
+        plane, y = self._sampled_plane()
+        return float(np.max(plane.norm(-y) / plane.norm(y)))
 
     def sampled_uniformity(self) -> float:
-        """Grid estimate of Lambda_F over direction pairs.
-
-        The ratio g_X(Y,Y)/g_Z(Y,Y) is invariant under rotations about the
-        drift axis and is never improved by moving Y out of the plane spanned
-        by X, Z and the axis, so the search reduces to two polar angles; the
-        best Y per pair is the top generalized eigenvalue of the 2x2 pencil.
-        Three zoom rounds refine the coarse grid.  Each round builds the
-        t2 side once and scans t1 in blocks of about ``_GRID_BLOCK`` grid
-        points, keeping the first maximum in row-major order, so memory is
-        O(block) whatever the resolution.
-        """
-        resolution = _UNIFORMITY_RESOLUTION
-        lo1 = lo2 = 0.0
-        hi1 = hi2 = math.pi
-        rows = max(1, _GRID_BLOCK // resolution)
-        for _ in range(3):
-            t1 = np.linspace(lo1, hi1, resolution)
-            t2 = np.linspace(lo2, hi2, resolution)
-            a = self._plane_tensor(t1)[:, None, :, :]
-            bmat = self._plane_tensor(t2)
-            b11, b12, b22 = bmat[:, 0, 0], bmat[:, 0, 1], bmat[:, 1, 1]
-            p2 = b11 * b22 - b12 * b12
-            for r0 in range(0, resolution, rows):
-                blk = a[r0:r0 + rows]
-                # top root of det(A - lam B) = 0 for 2x2 symmetric pencils
-                a11, a12, a22 = blk[..., 0, 0], blk[..., 0, 1], blk[..., 1, 1]
-                p1 = -(a11 * b22 + a22 * b11 - 2.0 * a12 * b12)
-                p0 = a11 * a22 - a12 * a12
-                lam = (-p1 + np.sqrt(np.maximum(p1 * p1 - 4.0 * p2 * p0,
-                                                0.0))) / (2.0 * p2)
-                k = int(np.argmax(lam))
-                # strict, so the first maximum over all blocks is kept
-                if r0 == 0 or lam.flat[k] > best:
-                    best = float(lam.flat[k])
-                    i, j = r0 + k // resolution, k % resolution
-            w1 = (hi1 - lo1) / resolution
-            w2 = (hi2 - lo2) / resolution
-            lo1, hi1 = max(0.0, t1[i] - 2 * w1), min(math.pi, t1[i] + 2 * w1)
-            lo2, hi2 = max(0.0, t2[j] - 2 * w2), min(math.pi, t2[j] + 2 * w2)
-        return best
+        """Grid estimate of Lambda_F: the largest, over sampled Y, of
+        max_X g_X(Y,Y) / min_Z g_Z(Y,Y), X and Z sampled too."""
+        plane, y = self._sampled_plane()
+        g = plane.fundamental_form(y[:, None], y, y)     # g[x, y] = g_x(y, y)
+        return float(np.max(g.max(axis=0) / g.min(axis=0)))
 
     # ------------------------------------------------- inequality residuals
     def refined_cs_slack(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -227,35 +227,6 @@ def segment_convexity_margin(norm: MinkowskiNorm, xi: np.ndarray,
     return margin
 
 
-def sampled_uniformity_full_grid(norm: MinkowskiNorm,
-                                 resolution: int = 400) -> float:
-    """:meth:`finslerineq.minkowski.MinkowskiNorm.sampled_uniformity` on
-    the whole (resolution, resolution) grid of each zoom round at once.
-    Pins the bits of the row-blocked scan."""
-    lo1 = lo2 = 0.0
-    hi1 = hi2 = math.pi
-    best = 1.0
-    for _ in range(3):
-        t1 = np.linspace(lo1, hi1, resolution)
-        t2 = np.linspace(lo2, hi2, resolution)
-        a = norm._plane_tensor(t1)[:, None, :, :]
-        bmat = norm._plane_tensor(t2)[None, :, :, :]
-        a11, a12, a22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
-        b11, b12, b22 = bmat[..., 0, 0], bmat[..., 0, 1], bmat[..., 1, 1]
-        p2 = b11 * b22 - b12 * b12
-        p1 = -(a11 * b22 + a22 * b11 - 2.0 * a12 * b12)
-        p0 = a11 * a22 - a12 * a12
-        lam = (-p1 + np.sqrt(np.maximum(p1 * p1 - 4.0 * p2 * p0, 0.0))) \
-            / (2.0 * p2)
-        i, j = np.unravel_index(int(np.argmax(lam)), lam.shape)
-        best = float(lam[i, j])
-        w1 = (hi1 - lo1) / resolution
-        w2 = (hi2 - lo2) / resolution
-        lo1, hi1 = max(0.0, t1[i] - 2 * w1), min(math.pi, t1[i] + 2 * w1)
-        lo2, hi2 = max(0.0, t2[j] - 2 * w2), min(math.pi, t2[j] + 2 * w2)
-    return best
-
-
 def sampled_uniformity_random(norm: MinkowskiNorm, samples: int,
                               seed: int) -> float:
     """Random-triple estimate of Lambda_F (a lower bound that densifies

@@ -372,6 +372,15 @@ def test_gbeta_and_constants(tmp_path):
     assert abs(res["cp_bh"] - 4.0 * 3.141592653589793) < 1e-12
 
 
+def test_constants_assertion_reads_both_sampled_constants(tmp_path,
+                                                         monkeypatch):
+    # a sampled lambda_F 10% off the closed form fails the run
+    from finslerineq.minkowski import MinkowskiNorm
+    monkeypatch.setattr(MinkowskiNorm, "sampled_reversibility",
+                        lambda self: 1.1 * self.reversibility())
+    assert run_cli(["constants", "--out", str(tmp_path)]) == 1
+
+
 def test_report_suites_emit_terms_csv(tmp_path):
     out = tmp_path / "h"
     code = run_cli(["hardy", "--model", "randers", "--n", "3", "--t", "0.5",

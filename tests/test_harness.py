@@ -10,14 +10,13 @@ import pytest
 
 from finslerineq import fields as fc
 from finslerineq import harness as H
-from finslerineq import minkowski
 from finslerineq.cli import main
 from finslerineq.minkowski import MinkowskiNorm
 from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
                                 euclidean_flat, truncated_profile)
 from finslerineq.quadrature import QuadratureSpec
-from oracles import rising_profile, sampled_uniformity_full_grid, \
-    scaled_profile, segment_convexity_margin
+from oracles import rising_profile, scaled_profile, \
+    segment_convexity_margin
 
 SPEC = QuadratureSpec()
 FAST = QuadratureSpec(radial_nodes=12, radial_panels=6, sphere_order=6)
@@ -401,6 +400,25 @@ def test_rellich_sweep_flat():
     assert tab.extrapolated == pytest.approx(9.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("sweep, n, beta", [
+    ("hardy_sharpness_sweep", 3, 0.3), ("hardy_sharpness_sweep", 3, 0.1),
+    ("rellich_sharpness_sweep", 5, 0.3), ("rellich_sharpness_sweep", 6, 0.1)])
+def test_sweeps_integrate_at_their_own_beta(monkeypatch, sweep, n, beta):
+    # at these beta, n - 2 - 2 gamma (n - 4 - 2 gamma) is not beta to the
+    # last bit; the energy and mass columns take the beta of the call
+    built = []
+    for name in ("_du2", "_lap2", "_u2"):
+        def record(p, *args, _name=name, _column=getattr(H, name)):
+            built.append((_name, p))
+            return _column(p, *args)
+        monkeypatch.setattr(H, name, record)
+    getattr(H, sweep)(RandersFlat(n, 0.5), "bh", beta, 0.5, 1.0,
+                      [1e-1, 1e-2, 1e-3], FAST)
+    energy, weight = ("_du2", 2.0) if sweep.startswith("hardy") \
+        else ("_lap2", 4.0)
+    assert sorted(built) == [(energy, -beta), ("_u2", -(weight + beta))]
+
+
 def test_rellich_sweep_preconditions():
     with pytest.raises(H.PreconditionError):
         H.rellich_sharpness_sweep(RandersFlat(5, 0.5), "bh", 1.5, 0.5, 1.0,
@@ -492,21 +510,23 @@ def test_refined_cs_segment_margin_matches_point_loop(n, t):
     assert abs(H.refined_cs_campaign(norm).case3_margin - want) <= 1e-13
 
 
-@pytest.mark.parametrize("n, t, block", [
-    (3, 0.5, None), (2, 0.0, 7), (5, 0.3, 1), (3, 0.7, 1), (4, -0.6, 7)])
-def test_blocked_grids_match_one_shot(monkeypatch, n, t, block):
-    # the row-blocked certificate and Lambda_F grid against their
-    # all-at-once forms, bit for bit; a block of ``block`` rows of the
-    # Lambda_F grid's 400 is less than one row of the certificate's a, so it
-    # scans one a at a time (with 7, the Lambda_F grid's last block is
-    # partial); a negative drift puts the grid's maximum on its last row
+@pytest.mark.parametrize("n, t, rows", [
+    (3, 0.5, None), (2, 0.0, 5), (5, 0.3, 1), (3, 0.7, 0), (4, -0.6, 1)])
+def test_blocked_grids_match_one_shot(monkeypatch, n, t, rows):
+    # the row-blocked certificate against its all-at-once form, bit for bit,
+    # with blocks of ``rows`` rows of a (a row holds every b, c and s; None
+    # keeps the module's block); a block below one row, as 0 gives, still
+    # scans one a at a time, and 5 of the 37 rows leave a partial last
+    # block; a positive drift puts the grid's minimum on its last row, a
+    # negative one on its first
     norm = MinkowskiNorm(n, t)
-    blocked = minkowski._GRID_BLOCK if block is None else block * 400
-    monkeypatch.setattr(minkowski, "_GRID_BLOCK", 1 << 30)
+    row = H._CS_ANGLES.size * (H._CS_AZIMUTHS.size if n > 2 else 2) \
+        * H._CS_RATIOS.size
+    blocked = H._CS_BLOCK if rows is None else rows * row
+    monkeypatch.setattr(H, "_CS_BLOCK", 1 << 30)
     whole = H.refined_cs_campaign(norm).as_dict()
-    monkeypatch.setattr(minkowski, "_GRID_BLOCK", blocked)
+    monkeypatch.setattr(H, "_CS_BLOCK", blocked)
     assert H.refined_cs_campaign(norm).as_dict() == whole
-    assert norm.sampled_uniformity() == sampled_uniformity_full_grid(norm)
 
 
 def test_battery_profiles_admissible():
