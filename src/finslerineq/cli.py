@@ -22,7 +22,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -136,9 +136,13 @@ def _fmt(x) -> str:
 
 
 def _json_default(obj):
+    """A numpy scalar as its Python value, a record (a dataclass) as its
+    fields; json.dumps encodes the fields in turn."""
     import numpy as np
     if isinstance(obj, (np.bool_, np.integer, np.floating)):
         return obj.item()
+    if is_dataclass(obj):
+        return vars(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -189,8 +193,8 @@ def _refined_cs(cfg: RunConfig, spec: QuadratureSpec):
     from . import harness
     from .minkowski import MinkowskiNorm
     summary = harness.refined_cs_campaign(MinkowskiNorm(cfg.n, cfg.drift))
-    return summary.as_dict(), [_check("sharpened Cauchy-Schwarz certificate",
-                                      summary.passed)], None
+    return summary, [_check("sharpened Cauchy-Schwarz certificate",
+                            summary.passed)], None
 
 
 def _sweep(name: str):
@@ -204,7 +208,7 @@ def _sweep(name: str):
                          f"{harness.SWEEP_TOLERANCE:.0%} of {sharp}",
                          table.limit_reached),
                   _check("quotients strictly decreasing", table.monotone)]
-        return table.as_dict(), checks, (
+        return table, checks, (
             "sweep.csv", [f.name for f in fields(harness.SweepRow)],
             [astuple(row) for row in table.rows])
     return run
@@ -239,7 +243,7 @@ def _reports(name: str, size: int = 10, beta: bool = True,
         args = (cfg.beta,) if beta else ()
         reports = [report(model, cfg.measure, prof, *args, spec)
                    for prof in profiles]
-        return ({"reports": [r.as_dict() for r in reports]},
+        return ({"reports": reports},
                 [_check("slack >= -tolerance on the whole battery",
                         all(r.passed for r in reports))],
                 ("terms.csv", ["battery_index", "term", "value", "error"],
@@ -317,7 +321,7 @@ def run(cfg: RunConfig) -> int:
     # the drift and curvature the model ran with, not the flags it ignored
     config = {name: getattr(cfg, name) for name in _FIELDS if name not in
               ("suite", "out", "quad")}
-    config.update(t=cfg.drift, k=cfg.curvature, quadrature=asdict(spec))
+    config.update(t=cfg.drift, k=cfg.curvature, quadrature=spec)
     payload = {"suite": cfg.suite, "version": __version__, "config": config,
                "results": results, "assertions": assertions,
                "passed": passed}

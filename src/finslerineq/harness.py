@@ -138,9 +138,6 @@ class SweepTable:
                     <= SWEEP_TOLERANCE * self.sharp_constant
                     and self.gap_coefficient > 0.0)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class CampaignSummary:
@@ -158,9 +155,6 @@ class CampaignSummary:
     case2_max_dev: float
     case3_margin: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------- domains, constants
@@ -253,10 +247,10 @@ class _Jet:
 class _RadialJet(_Jet):
     """The profile jet at the radial nodes: rho, f, f' and f'' from one
     call of the profile's jet, and the radial Laplacian
-    f'' + f' (n-1) s'/s.  Every radial pass reads its profile here, so
-    here is its one rule: F*(f' d rho_minus) = |f'| needs f' <= 0 when
-    F*(d rho_minus) != F*(-d rho_minus) = 1, so on a nonreversible model
-    a node with f' > 0 raises."""
+    f'' + f' (n-1)(1 + D)/rho, D the cached remainder.  Every radial pass
+    reads its profile here, so here is its one rule: F*(f' d rho_minus) =
+    |f'| needs f' <= 0 when F*(d rho_minus) != F*(-d rho_minus) = 1, so on
+    a nonreversible model a node with f' > 0 raises."""
 
     def __init__(self, model, prof: RadialProfile, rho: np.ndarray):
         self.model, self.rho = model, rho
@@ -269,7 +263,8 @@ class _RadialJet(_Jet):
 
     @cached_property
     def lap(self) -> np.ndarray:
-        return self.d2 + self.d1 * self.model.radial_mean_curvature(self.rho)
+        return self.d2 + self.d1 * ((self.model.n - 1) * (1.0 + self.remainder)
+                                    / self.rho)
 
 
 class _FieldJet(_Jet):

@@ -14,12 +14,16 @@ Two families are implemented:
   distances coincide and the polar density is ``s_k(rho)^{n-1}``.
 
 Every inequality functional evaluated on these models reduces, for radial
-data, to one-dimensional integrals against ``cp_constant * radial density``;
-the pointwise machinery (``sharp``, ``conorm``, ``density``) additionally
-supports full Cartesian finite-difference checks.  The sign-cased distance
-``rho_u`` (rho_minus where u > 0, rho_plus where u < 0) is the only map
-from the sign of u to a distance; ``radial_laplacian`` is a function of
-the radius alone and is read at whatever distance the caller holds.
+data, to one-dimensional integrals against ``cp_constant * radial density``.
+A model's radial reduction is three things: cp (``cp_constant``), the
+weight (``radial_volume_density``) and D (``comparison_remainder``); the
+mean curvature of a distance sphere is read from D alone, as
+(n-1)(1 + D)/rho.  The pointwise machinery (``sharp``, ``conorm``,
+``density``) additionally supports full Cartesian finite-difference
+checks.  The sign-cased distance ``rho_u`` (rho_minus where u > 0,
+rho_plus where u < 0) is the only map from the sign of u to a distance;
+``radial_laplacian`` is a function of the radius alone and is read at
+whatever distance the caller holds.
 
 Every Euclidean length, Randers distance and differential here comes from
 the kernel of ``minkowski``, and every radial density is
@@ -68,12 +72,6 @@ def comparison_s(k: float, t: np.ndarray | float) -> np.ndarray:
     r = _root(k)
     t = np.asarray(t, dtype=float)
     return t.copy() if k == 0.0 else np.sinh(r * t) / r
-
-
-def comparison_s_prime(k: float, t: np.ndarray | float) -> np.ndarray:
-    r = _root(k)
-    t = np.asarray(t, dtype=float)
-    return np.ones_like(t) if k == 0.0 else np.cosh(r * t)
 
 
 def comparison_D(k: float, h: float, t: np.ndarray | float) -> np.ndarray:
@@ -234,18 +232,12 @@ class _ModelBase:
     n: int
     curvature: float
 
-    # ---- comparison data
-    def radial_mean_curvature(self, rho: np.ndarray | float) -> np.ndarray:
-        """(n-1) s_k'/s_k at radius rho: the exact radial Laplacian of the
-        distance function on the model (forward or reverse alike)."""
-        s = comparison_s(self.curvature, rho)
-        sp = comparison_s_prime(self.curvature, rho)
-        return (self.n - 1) * sp / s
-
+    # ---- radial reduction: cp, the weight and D
     def comparison_remainder(self, rho: np.ndarray | float) -> np.ndarray:
+        """D(rho) = D_{k,0}(rho): rho times the mean curvature of the
+        distance sphere is (n-1)(1 + D)."""
         return comparison_D(self.curvature, 0.0, rho)
 
-    # ---- radial reduction
     def cp_constant(self, measure: str) -> float:
         raise NotImplementedError
 
@@ -351,7 +343,8 @@ class RandersFlat(_ModelBase):
         rho = np.asarray(rho, dtype=float)
         omega = np.asarray(omega, dtype=float)
         pref = 1.0 if measure == "bh" else self._bh_factor(-1.0)
-        return pref * rho ** (self.n - 1) * (1.0 + self.drift * omega[..., -1])
+        return pref * self.radial_volume_density(rho) * \
+            (1.0 + self.drift * omega[..., -1])
 
     # ---- polar chart (the straightening coordinates)
     def point_from_backward_polar(self, rho: np.ndarray,

@@ -11,7 +11,9 @@ which evaluates every (radial node, direction) pair as a flat point,
 pins the bits of the blocked, broadcasting one.  A radial pass's inner
 ball has its own references: the monomial integral on flat models, the
 singular power in closed form plus 30-digit ``mpmath`` on curved ones, and
-30-digit Hardy terms of the battery's Gaussian kind.  A flat sweep's
+30-digit Hardy terms of the battery's Gaussian kind; the mean curvature
+(n-1) s_k'/s_k of a distance sphere, from s_k and its derivative, checks
+the one the program reads from D.  A flat sweep's
 two-point structured fit checks the limit and gap of the Moebius one.  The
 field helpers build -u, the reverse space, the Finsler gradient and
 div(u grad u) for the reverse-metric and divergence identities.  The
@@ -362,6 +364,18 @@ def power_integral(exponent: float, a: float, b: float) -> float:
         raise QuadratureError("divergent power integral from zero")
     lo = 0.0 if a == 0.0 else a**p
     return (b**p - lo) / p
+
+
+def mean_curvature_s_prime(k: float, n: int, rho: np.ndarray) -> np.ndarray:
+    """(n-1) s_k'(rho)/s_k(rho), k <= 0: the mean curvature of the distance
+    sphere of radius rho, written with s_k and s_k' in place of D."""
+    rho = np.asarray(rho, dtype=float)
+    if k == 0.0:
+        s, sp = rho, np.ones_like(rho)
+    else:
+        r = math.sqrt(-k)
+        s, sp = np.sinh(r * rho) / r, np.cosh(r * rho)
+    return (n - 1) * sp / s
 
 
 def inner_ball_power(model, p: float, lo: float,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 
 import finslerineq
 from finslerineq import harness
-from finslerineq.cli import SUITES, RunConfig, main
+from finslerineq.cli import SUITES, RunConfig, _json_default, main
+from finslerineq.minkowski import MinkowskiNorm
+from finslerineq.models import HyperbolicBall, RandersFlat
 from finslerineq.quadrature import QuadratureError
 from oracles import structured_sweep_fit
 
@@ -48,6 +51,27 @@ def test_hardy_sweep_artifacts(tmp_path):
     # every numeric in the report carries its error estimate
     for row in report["results"]["rows"]:
         assert set(row) >= {"eps", "i1", "i2", "quotient"}
+
+
+def test_records_encode_as_their_asdict():
+    # the runners hand records to json.dumps as they are; _json_default
+    # must write the bytes that dataclasses.asdict's deep copy gives
+    def dump(obj):
+        return json.dumps(obj, indent=2, sort_keys=True,
+                          default=_json_default)
+
+    battery = harness.radial_battery(2)
+    records = [
+        harness.hardy_report(RandersFlat(3, 0.5), "bh", battery[1], 0.0),
+        harness.hardy_bv_report(HyperbolicBall(4, -1.0), "ht", battery[0],
+                                0.5),
+        harness.hardy_sharpness_sweep(RandersFlat(3, 0.5), "bh", 0.0, 0.5,
+                                      1.0, (1e-2, 1e-3, 1e-4)),
+        harness.refined_cs_campaign(MinkowskiNorm(3, 0.5))]
+    for record in records:
+        assert dump(record) == dump(asdict(record))
+    assert dump({"reports": records[:2]}) == \
+        dump({"reports": [asdict(r) for r in records[:2]]})
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -4,6 +4,7 @@ refined Cauchy-Schwarz certificate."""
 import math
 import re
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from finslerineq import fields as fc
 from finslerineq import harness as H
 from finslerineq.cli import main
 from finslerineq.minkowski import MinkowskiNorm
-from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
-                                euclidean_flat, truncated_profile)
+from finslerineq.models import (HyperbolicBall, RadialProfile, RandersFlat,
+                                cutoff_profile, euclidean_flat,
+                                truncated_profile)
 from finslerineq.quadrature import QuadratureSpec
-from oracles import rising_profile, scaled_profile, \
-    segment_convexity_margin
+from oracles import mean_curvature_s_prime, rising_profile, \
+    scaled_profile, segment_convexity_margin
 
 SPEC = QuadratureSpec()
 FAST = QuadratureSpec(radial_nodes=12, radial_panels=6, sphere_order=6)
@@ -211,11 +213,29 @@ def test_rellich_radial_laplacian_shortcut():
     gamma, beta = 1.0, 0.0
     prof = family(gamma, 1e-2)
     rho = np.linspace(0.05, 0.45, 20)
-    lap = prof.d2(rho) + prof.d1(rho) * np.asarray(
-        m.radial_mean_curvature(rho))
+    lap = prof.d2(rho) + prof.d1(rho) * (m.n - 1) / rho
     want = gamma**2 * ((m.n + beta) / 2.0) ** 2 * rho ** (-m.n)
     assert np.allclose(lap**2 * rho ** (-beta) * rho ** (2 * gamma + 4),
                        want * rho ** (2 * gamma + 4), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("k", [0.0, -1.0, -2.5])
+def test_radial_laplacian_reads_the_mean_curvature_from_d(n, k):
+    # f = rho has f' = 1 and f'' = 0, so the jet's Laplacian is the mean
+    # curvature (n-1)(1 + D)/rho itself: within 8 ulp of (n-1) s'/s on
+    # curved models, and the same bits on the flat one, where D = -0.0
+    model = euclidean_flat(n) if k == 0.0 else HyperbolicBall(n, k)
+    line = RadialProfile.from_jet(
+        lambda rho, order=2: (rho, np.ones_like(rho),
+                              np.zeros_like(rho))[:order + 1], 5.0)
+    rho = np.geomspace(1e-13, 5.0, 20001)
+    got = H._RadialJet(model, line, rho).lap
+    want = mean_curvature_s_prime(k, n, rho)
+    if k == 0.0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
 
 
 def test_rellich_hyperbolic_battery():
@@ -486,7 +506,7 @@ def test_refined_cs_certificate_costs_the_same_at_any_n():
     def run(n):
         tracemalloc.start()
         try:
-            s = H.refined_cs_campaign(MinkowskiNorm(n, 0.9)).as_dict()
+            s = asdict(H.refined_cs_campaign(MinkowskiNorm(n, 0.9)))
             return s, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -524,9 +544,9 @@ def test_blocked_grids_match_one_shot(monkeypatch, n, t, rows):
         * H._CS_RATIOS.size
     blocked = H._CS_BLOCK if rows is None else rows * row
     monkeypatch.setattr(H, "_CS_BLOCK", 1 << 30)
-    whole = H.refined_cs_campaign(norm).as_dict()
+    whole = asdict(H.refined_cs_campaign(norm))
     monkeypatch.setattr(H, "_CS_BLOCK", blocked)
-    assert H.refined_cs_campaign(norm).as_dict() == whole
+    assert asdict(H.refined_cs_campaign(norm)) == whole
 
 
 def test_battery_profiles_admissible():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from finslerineq.models import (DomainError, HyperbolicBall, RandersFlat,
-                                comparison_D, comparison_s,
-                                comparison_s_prime, cutoff_profile,
+                                comparison_D, comparison_s, cutoff_profile,
                                 euclidean_flat, truncated_profile)
 from finslerineq.quadrature import unit_sphere_area
 from oracles import backward_polar_from_point, randers_d_rho, randers_rho
@@ -90,8 +89,7 @@ def test_comparison_functions():
     assert comparison_s(0.0, 2.5) == 2.5
     assert comparison_s(-1.0, 1.0) == pytest.approx(math.sinh(1.0))
     # no model has k > 0, and the comparison functions reject it
-    for fn in (comparison_s, comparison_s_prime,
-               lambda k, t: comparison_D(k, 0.0, t)):
+    for fn in (comparison_s, lambda k, t: comparison_D(k, 0.0, t)):
         with pytest.raises(DomainError, match="k <= 0"):
             fn(4.0, 0.25)
     with pytest.raises(DomainError):

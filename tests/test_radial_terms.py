@@ -80,8 +80,11 @@ def u2_inner(model, prof, p, remainder=False):
 
 
 def ref_lap(model, prof, rho):
-    return prof.d2(rho) + prof.d1(rho) * \
-        np.asarray(model.radial_mean_curvature(rho))
+    """f'' + f' (n-1)(1 + D)/rho, the mean curvature read from D as the
+    program reads it (``tests/test_harness.py`` checks that against
+    (n-1) s'/s)."""
+    d = np.asarray(model.comparison_remainder(rho))
+    return prof.d2(rho) + prof.d1(rho) * ((model.n - 1) * (1.0 + d) / rho)
 
 
 def ref_budget(terms):
