@@ -26,11 +26,12 @@ Scalar fields take one backward-polar annulus pass of a field jet (u,
 F*(du), the sign-cased ``rho_u`` and the numeric Laplacian) on (m, K, n)
 stacks of points, and need no sign rule: F*(du) is evaluated as it is.
 Both roads read the G^beta density -Delta(rho^(-beta-2)) at the jet's
-rho, and its point terms from one ``_point_read`` of u: on both roads u(0),
-which gives the Green point mass at beta + 2 = n - 2 and is rejected when
-nonzero above it; on the radial road also the flux jumps at a profile's
-breakpoints (fields declare none).  The Rellich pair still needs a radial
-profile.
+rho from the jet's D and powers of rho, as a model's radial reduction is
+cp, the weight and D alone.  They read its point terms from one
+``_point_read`` of u: on both roads u(0), which gives the Green point mass
+at beta + 2 = n - 2 and is rejected when nonzero above it; on the radial
+road also the flux jumps at a profile's breakpoints (fields declare none).
+The Rellich pair still needs a radial profile.
 
 Reports are independent and deterministic, so batteries and certificates
 may be evaluated concurrently, but threads gain nothing: the GIL serializes
@@ -215,7 +216,8 @@ def _require_radial(u) -> RadialProfile:
 class _Jet:
     """The readers both roads' jets share, each evaluated at most once per
     node set: every power rho^p and the comparison remainder D(rho).  The
-    G^beta density ``varrho`` has one reader, the G^beta column."""
+    G^beta density ``varrho`` is read from both and has one reader, the
+    G^beta column."""
 
     model: object
     rho: np.ndarray
@@ -236,12 +238,16 @@ class _Jet:
         return self.model.comparison_remainder(self.rho)
 
     def varrho(self, beta: float) -> np.ndarray:
-        """-Delta(rho^(-beta-2)) read at the jet's rho, the density of u^2
-        in G^beta.  At field nodes rho is rho_u, so this is the sign-cased
-        density: -Delta(rho_minus^(-beta-2)) where u > 0 and
-        Delta(-rho_plus^(-beta-2)) where u < 0; where u = 0 the column's
-        u^2 factor vanishes."""
-        return -self.model.radial_laplacian(beta + 2.0, self.rho)
+        """-Delta(rho^(-N)), N = beta + 2, read at the jet's rho: the
+        density of u^2 in G^beta, -N rho^(-N-2) ((N + 2 - n) - (n-1) D)
+        from the cached power and D.  Both canonical measures give it on
+        these models: their densities differ by constants.  At field nodes
+        rho is rho_u, so this is the sign-cased density:
+        -Delta(rho_minus^(-N)) where u > 0 and Delta(-rho_plus^(-N)) where
+        u < 0; where u = 0 the column's u^2 factor vanishes."""
+        nn, n = beta + 2.0, self.model.n
+        return -(nn * self.power(-nn - 2.0)
+                 * ((nn + 2.0 - n) - (n - 1.0) * self.remainder))
 
 
 class _RadialJet(_Jet):

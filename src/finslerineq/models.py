@@ -18,12 +18,12 @@ data, to one-dimensional integrals against ``cp_constant * radial density``.
 A model's radial reduction is three things: cp (``cp_constant``), the
 weight (``radial_volume_density``) and D (``comparison_remainder``); the
 mean curvature of a distance sphere is read from D alone, as
-(n-1)(1 + D)/rho.  The pointwise machinery (``sharp``, ``conorm``,
-``density``) additionally supports full Cartesian finite-difference
-checks.  The sign-cased distance ``rho_u`` (rho_minus where u > 0,
-rho_plus where u < 0) is the only map from the sign of u to a distance;
-``radial_laplacian`` is a function of the radius alone and is read at
-whatever distance the caller holds.
+(n-1)(1 + D)/rho, and so is the G^beta density -Delta(rho^(-N)), which
+``harness`` reads from a pass's D and powers of rho.  The pointwise
+machinery (``sharp``, ``conorm``, ``density``) additionally supports full
+Cartesian finite-difference checks.  The sign-cased distance ``rho_u``
+(rho_minus where u > 0, rho_plus where u < 0) is the only map from the
+sign of u to a distance.
 
 Every Euclidean length, Randers distance and differential here comes from
 the kernel of ``minkowski``, and every radial density is
@@ -244,21 +244,6 @@ class _ModelBase:
     def radial_volume_density(self, rho: np.ndarray) -> np.ndarray:
         """s_k(rho)^(n-1), the radial density of the polar reduction."""
         return comparison_s(self.curvature, rho) ** (self.n - 1)
-
-    # ---- radial Laplacians
-    def radial_laplacian(self, exponent: float, rho: np.ndarray | float
-                         ) -> np.ndarray:
-        """Closed-form Laplacian of the power profile rho^(-N) at radius rho:
-        Delta(rho_minus^(-N)) at rho = rho_minus, and -Delta(-rho_plus^(-N))
-        at rho = rho_plus.  Both canonical measures give this value on these
-        models: their densities differ by constants."""
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0.0):
-            raise DomainError("radial Laplacian undefined at the base point")
-        # rho times the mean curvature is (n-1)(1 + D), with no cancellation
-        nn, d = exponent, self.comparison_remainder(rho)
-        return nn * rho ** (-nn - 2.0) * ((nn + 2.0 - self.n)
-                                          - (self.n - 1.0) * d)
 
     # ---- distances
     def rho_u(self, sign, x: np.ndarray) -> np.ndarray:

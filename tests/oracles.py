@@ -13,7 +13,9 @@ ball has its own references: the monomial integral on flat models, the
 singular power in closed form plus 30-digit ``mpmath`` on curved ones, and
 30-digit Hardy terms of the battery's Gaussian kind; the mean curvature
 (n-1) s_k'/s_k of a distance sphere, from s_k and its derivative, checks
-the one the program reads from D.  A flat sweep's
+the one the program reads from D, while the G^beta density
+-Delta(rho^(-N)) is written in the program's own floating-point form, so
+that same-panel references keep its bits.  A flat sweep's
 two-point structured fit checks the limit and gap of the Moebius one.  The
 field helpers build -u, the reverse space, the Finsler gradient and
 div(u grad u) for the reverse-metric and divergence identities.  The
@@ -376,6 +378,17 @@ def mean_curvature_s_prime(k: float, n: int, rho: np.ndarray) -> np.ndarray:
         r = math.sqrt(-k)
         s, sp = np.sinh(r * rho) / r, np.cosh(r * rho)
     return (n - 1) * sp / s
+
+
+def neg_laplacian_power(model, nn: float, rho) -> np.ndarray:
+    """-Delta(rho^(-nn)) at radius rho, -nn rho^(-nn-2) ((nn + 2 - n) -
+    (n-1) D(rho)), in the operation order of ``harness._Jet.varrho``: the
+    G^beta density at nn = beta + 2, and -Delta(rho_minus^(-nn)) at
+    rho = rho_minus."""
+    rho = np.asarray(rho, dtype=float)
+    n = model.n
+    return -(nn * rho ** (-nn - 2.0)
+             * ((nn + 2.0 - n) - (n - 1.0) * model.comparison_remainder(rho)))
 
 
 def inner_ball_power(model, p: float, lo: float,

@@ -15,7 +15,8 @@ from finslerineq import quadrature
 from finslerineq.models import HyperbolicBall, RadialProfile, RandersFlat
 from finslerineq.quadrature import QuadratureSpec, annulus_integrate, \
     sphere_nodes
-from oracles import annulus_integrate_tiled, rising_profile
+from oracles import annulus_integrate_tiled, neg_laplacian_power, \
+    rising_profile
 
 # the per-point reference is slow, so it runs in the plane at a tiny spec
 TINY = QuadratureSpec(radial_nodes=2, radial_panels=1, sphere_order=2)
@@ -107,7 +108,7 @@ def ref_terms(model, u, beta, kind):
                     model.comparison_remainder(rho))])
                 continue
             # the u^2 factor removes the zero set's density
-            varrho = -model.radial_laplacian(beta + 2.0, rho)
+            varrho = neg_laplacian_power(model, beta + 2.0, rho)
             div = 0.0
             if val != 0.0 or fstar >= 1e-10:
                 div = 2.0 * rho ** (-beta - 2.0) * \

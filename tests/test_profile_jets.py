@@ -98,21 +98,31 @@ def test_one_transition_per_pass():
 
 @pytest.mark.parametrize("report,model,beta", [
     (H.rellich_report, RandersFlat(6, 0.5), 0.0),
+    (H.rellich_report, HyperbolicBall(6, -1.0), 0.0),
     (H.rellich_bv_report, HyperbolicBall(6, -1.0), 0.0),
     (H.gbeta, RandersFlat(6, 0.5), 0.0),
+    (H.gbeta, HyperbolicBall(6, -1.0), 0.0),
     (H.gbeta, HyperbolicBall(6, -1.0), 2.0)],
-    ids=["rellich", "rellich-bv", "gbeta", "gbeta-green"])
-def test_two_jet_calls_per_report(report, model, beta):
+    ids=["rellich", "rellich-hyperbolic", "rellich-bv", "gbeta",
+         "gbeta-hyperbolic", "gbeta-green"])
+def test_two_jet_calls_per_report(report, model, beta, monkeypatch):
     # every point term of G^beta comes from one read, and the terms from one
     # pass; the profile's f, d1 and d2 views are its jet too, so any other
-    # read would count here
-    calls = []
+    # read would count here.  The pass reads D once, on its nodes: the
+    # radial Laplacian and the G^beta density share it
+    calls, d_sizes = [], []
     prof = H.radial_battery(10, 0.9)[0]
 
     def counted(rho, order=2):
-        calls.append(order)
+        calls.append(np.size(rho))
         return prof.jet(rho, order)
 
+    def counted_d(rho):
+        d_sizes.append(np.size(rho))
+        return type(model).comparison_remainder(model, rho)
+
+    monkeypatch.setattr(model, "comparison_remainder", counted_d)
     report(model, "bh", RadialProfile.from_jet(
         counted, prof.support, breakpoints=prof.breakpoints), beta)
     assert len(calls) == 2
+    assert d_sizes == [calls[1]]

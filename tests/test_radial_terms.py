@@ -29,7 +29,8 @@ from finslerineq.models import (HyperbolicBall, RandersFlat, cutoff_profile,
 from finslerineq.quadrature import (QuadratureSpec, annulus_integrate,
                                     radial_integrate, radial_segments,
                                     unit_sphere_area)
-from oracles import hardy_terms_30_digits, inner_ball_power, power_integral
+from oracles import hardy_terms_30_digits, inner_ball_power, \
+    neg_laplacian_power, power_integral
 
 SPEC = QuadratureSpec()
 GAP = 1e-12          # a pass from 0 starts its panels at GAP times its end
@@ -174,8 +175,8 @@ def ref_gbeta(model, measure, prof, beta):
     power, with_d = (u2_inner(model, prof, -nn - 2.0, rem)
                      for rem in (False, True))
     t1 = ref_integral(
-        model, measure, lambda rho: prof.f(rho) ** 2 * -np.asarray(
-            model.radial_laplacian(nn, rho)),
+        model, measure,
+        lambda rho: prof.f(rho) ** 2 * neg_laplacian_power(model, nn, rho),
         hi, breakpoints=bks,
         inner=lambda a: nn * ((n - 2.0 - nn) * power(a)
                               + (n - 1.0) * with_d(a)))
