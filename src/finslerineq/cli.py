@@ -297,8 +297,8 @@ SUITES = {
                            "requires -2 < beta < n - 4 and three distinct "
                            "eps with 0 < eps < r < R",
                            "randers", 6, _sweep("rellich_sharpness_sweep")),
-    "uncertainty": Suite("uncertainty-principle corollary; requires K <= 0 "
-                         "and n - 2 > beta",
+    "uncertainty": Suite("uncertainty-principle corollary; requires "
+                         "n - 2 > beta",
                          "randers", 4, _reports("uncertainty_report")),
     "gbeta-check": Suite("kernel functional on radial batteries; requires "
                          "-2 < beta < n - 4", "randers", 6, _gbeta_check),

@@ -1,14 +1,20 @@
 """Term-by-term evaluation of the Hardy/Rellich-type inequality functionals.
 
 Each report gives every integral of one inequality instance as its own
-term with its own error, records the constants in play, and exposes
-``slack = LHS - sum(RHS terms)``; it passes when the slack is above minus
-the error budget.  The sharpness sweeps drive the truncated family
-``psi * max(eps, rho)^(-gamma)`` toward the origin and fit the Rayleigh
-quotients by R = A + d/(L + b) in L = log(r/eps) through the three
-smallest eps: exact on flat models, and close on curved ones.  A sweep
-passes when its quotients decrease and the limit A lies within
-``SWEEP_TOLERANCE`` of the sharp constant, approached from above (d > 0).
+term with its own error.  A report is one table: term name -> (its column,
+the ``constants`` key of its coefficient).  Each coefficient is written
+once, as a ``constants`` entry, and ``_evaluate`` forms every term as its
+raw integral times that entry; the unscaled side has no key.  One slack
+rule serves every table: the big side (``lhs``, or ``gradient_side`` for
+the Poincare form) minus every other term, in table order.  A report
+passes when the slack is above minus the error budget.  The uncertainty
+report, whose big side is a product, forms its own.  The sharpness sweeps
+drive the truncated family ``psi * max(eps, rho)^(-gamma)`` toward the
+origin and fit the Rayleigh quotients by R = A + d/(L + b) in
+L = log(r/eps) through the three smallest eps: exact on flat models, and
+close on curved ones.  A sweep passes when its quotients decrease and the
+limit A lies within ``SWEEP_TOLERANCE`` of the sharp constant, approached
+from above (d > 0).
 
 A report writes its integrands once, as named columns of a jet (u, F*(du),
 rho, Delta u, the G^beta density), which ``_terms`` integrates on one of
@@ -412,63 +418,68 @@ def _report(theorem: str, model, measure: str, beta: float, constants: dict,
                             terms, slack, tol, slack >= -tol)
 
 
+def _columns(table: dict) -> dict[str, _Column]:
+    """A term table's columns, to be integrated under the term names."""
+    return {name: col for name, (col, _) in table.items() if col is not None}
+
+
+def _evaluate(table: dict, constants: dict, raw: dict[str, TermValue],
+              big: str = "lhs") -> tuple[dict[str, TermValue], float]:
+    """Every term of a report's table, term name -> (its column, or None
+    where the integrand vanishes identically; the ``constants`` key of its
+    coefficient, or None for the unscaled big side): its raw integral times
+    ``constants[key]``, zero for a None column.  And the slack: the big
+    side minus every other term, in table order."""
+    terms = {name: raw[name] if key is None
+             else raw.get(name, _ZERO).scaled(constants[key])
+             for name, (_, key) in table.items()}
+    slack = terms[big].value
+    for name, t in terms.items():
+        if name != big:
+            slack -= t.value
+    return terms, slack
+
+
 # ------------------------------------------------------------- hardy family
-def _hardy_constants(model, beta: float, what: str) -> dict:
+def _hardy_family(theorem: str, model, measure: str, u, beta: float,
+                  spec: QuadratureSpec | None) -> InequalityReport:
+    """The Hardy table (lhs, main, remainder); ``hardy-bv`` adds the
+    Brezis-Vazquez row, which needs k < 0."""
+    spec = spec or QuadratureSpec()
     n = model.n
-    hardy_domain(n, beta, what)
+    hardy_domain(n, beta, theorem)
     gam = hardy_gamma(n, beta)
-    return {"n": n, "beta": beta, "gamma": gam,
-            "main_coefficient": gam * gam,
-            "remainder_coefficient": 0.5 * (n - 1.0) * (n - 2.0 - beta),
-            "k": model.curvature, "lambda_F": model.reversibility,
-            "Lambda_F": model.uniformity}
-
-
-def _hardy_columns(model, beta: float) -> dict[str, _Column]:
-    cols = {"lhs": _du2(-beta), "main": _u2(-2.0 - beta)}
-    if model.curvature != 0.0:
-        cols["remainder"] = _u2(-2.0 - beta, remainder=True)
-    return cols
-
-
-def _hardy_terms(constants: dict, raw: dict[str, TermValue]
-                 ) -> dict[str, TermValue]:
-    return {"lhs": raw["lhs"],
-            "main": raw["main"].scaled(constants["main_coefficient"]),
-            "remainder": raw.get("remainder", _ZERO).scaled(
-                constants["remainder_coefficient"])}
+    constants = {"n": n, "beta": beta, "gamma": gam,
+                 "main_coefficient": gam * gam,
+                 "remainder_coefficient": 0.5 * (n - 1.0) * (n - 2.0 - beta),
+                 "k": model.curvature, "lambda_F": model.reversibility,
+                 "Lambda_F": model.uniformity}
+    table = {"lhs": (_du2(-beta), None),
+             "main": (_u2(-2.0 - beta), "main_coefficient"),
+             "remainder": (_u2(-2.0 - beta, remainder=True)
+                           if model.curvature != 0.0 else None,
+                           "remainder_coefficient")}
+    if theorem == "hardy-bv":
+        cbv = bv_constant(model)
+        constants.update({"C": cbv, "bv_coefficient": cbv / model.uniformity})
+        table["brezis_vazquez"] = (_u2(-beta), "bv_coefficient")
+    raw = _terms(model, measure, u, _columns(table), spec)
+    return _report(theorem, model, measure, beta, constants,
+                   *_evaluate(table, constants, raw), spec)
 
 
 def hardy_report(model, measure: str, u, beta: float,
                  spec: QuadratureSpec | None = None) -> InequalityReport:
     """The curvature-weighted Hardy inequality: gradient energy against the
     sharp ``(n-2-beta)^2/4`` term plus the comparison remainder term."""
-    spec = spec or QuadratureSpec()
-    constants = _hardy_constants(model, beta, "hardy")
-    raw = _terms(model, measure, u, _hardy_columns(model, beta), spec)
-    terms = _hardy_terms(constants, raw)
-    slack = terms["lhs"].value - terms["main"].value - terms["remainder"].value
-    return _report("hardy", model, measure, beta, constants, terms, slack,
-                   spec)
+    return _hardy_family("hardy", model, measure, u, beta, spec)
 
 
 def hardy_bv_report(model, measure: str, u, beta: float,
                     spec: QuadratureSpec | None = None) -> InequalityReport:
     """Refined Hardy inequality with the Brezis-Vazquez remainder
     (C/Lambda_F) * integral of u^2/rho_u^beta, for strictly negative k."""
-    spec = spec or QuadratureSpec()
-    constants = _hardy_constants(model, beta, "hardy-bv")
-    cbv = bv_constant(model)
-    coeff = cbv / model.uniformity
-    raw = _terms(model, measure, u,
-                 {**_hardy_columns(model, beta), "bv": _u2(-beta)}, spec)
-    terms = _hardy_terms(constants, raw)
-    terms["brezis_vazquez"] = raw["bv"].scaled(coeff)
-    slack = terms["lhs"].value - terms["main"].value \
-        - terms["remainder"].value - terms["brezis_vazquez"].value
-    constants.update({"C": cbv, "bv_coefficient": coeff})
-    return _report("hardy-bv", model, measure, beta, constants, terms, slack,
-                   spec)
+    return _hardy_family("hardy-bv", model, measure, u, beta, spec)
 
 
 def poincare_report(model, measure: str, v,
@@ -477,16 +488,15 @@ def poincare_report(model, measure: str, v,
     int v^2/rho^{n-2} <= (2 lambda_F/(sqrt(|k|) min(1,n-1)))^2
     int F^2(grad v)/rho^{n-2}; slack is RHS - LHS."""
     spec = spec or QuadratureSpec()
-    c = poincare_constant(model)
     n = model.n
-    raw = _terms(model, measure, v,
-                 {"lhs": _u2(2.0 - n), "grad": _du2(2.0 - n)}, spec)
-    terms = {"lhs": raw["lhs"], "gradient_side": raw["grad"].scaled(c)}
-    slack = terms["gradient_side"].value - terms["lhs"].value
-    constants = {"n": n, "k": model.curvature, "constant": c,
+    constants = {"n": n, "k": model.curvature,
+                 "constant": poincare_constant(model),
                  "lambda_F": model.reversibility}
-    return _report("poincare", model, measure, 0.0, constants, terms, slack,
-                   spec)
+    table = {"lhs": (_u2(2.0 - n), None),
+             "gradient_side": (_du2(2.0 - n), "constant")}
+    raw = _terms(model, measure, v, _columns(table), spec)
+    return _report("poincare", model, measure, 0.0, constants,
+                   *_evaluate(table, constants, raw, "gradient_side"), spec)
 
 
 def uncertainty_report(model, measure: str, u, beta: float,
@@ -601,111 +611,93 @@ def _require_c1(kinks: list[tuple], what: str) -> None:
                                     f"at rho = {bp}")
 
 
-def _rellich_remainder_coefficient(n: int, beta: float) -> float:
-    """(n-1)(n-2)(n+beta)(n-4-beta)/4, both Rellich remainders' weight."""
-    return (n - 1.0) * (n - 2.0) * (n + beta) * (n - 4.0 - beta) / 4.0
-
-
-def _rellich_pass(what: str, model, measure: str, prof: RadialProfile,
-                  beta: float, spec: QuadratureSpec, extra: dict[str, _Column]
-                  ) -> tuple[dict[str, TermValue], float, float]:
-    """One radial pass for G^beta, the Rellich core terms (lhs, weight4 and
-    its remainder where their coefficients are nonzero) and ``extra``;
-    raises unless the profile is C^1 and u is in the G^beta kernel."""
+def _rellich_family(theorem: str, model, measure: str, u, beta: float,
+                    spec: QuadratureSpec | None) -> InequalityReport:
+    """The Rellich table (lhs, main, remainder) in one radial pass with
+    G^beta; raises unless the profile is C^1 and u is in the G^beta kernel.
+    ``rellich-bv`` (k < 0) names the weight-4 remainder ``remainder4``, adds
+    three Brezis-Vazquez style rows and, for beta < n - 4, checks the
+    intermediate square-completion inequality ``de1``."""
+    spec = spec or QuadratureSpec()
+    n, refined = model.n, theorem == "rellich-bv"
+    what = "refined rellich" if refined else theorem
+    if not refined:
+        rellich_domain(n, beta, what)
+    elif not 0.0 <= beta < n - 2.0:
+        raise PreconditionError(f"{what} needs 0 <= beta < n - 2, "
+                                f"got n={n}, beta={beta}")
+    delta = rellich_sharp_constant(n, beta)
+    c_rem4 = (n - 1.0) * (n - 2.0) * (n + beta) * (n - 4.0 - beta) / 4.0
+    constants = {"n": n, "beta": beta, "delta": delta, "k": model.curvature}
+    # both weight-4 coefficients vanish at beta = n - 4, where their
+    # integrals diverge for f(0) != 0: those columns are left out
+    live = delta != 0.0
+    table = {"lhs": (_lap2(-beta), None),
+             "main": (_u2(-4.0 - beta) if live else None, "delta")}
+    rem4 = (_u2(-4.0 - beta, remainder=True)
+            if live and model.curvature != 0.0 else None)
+    check = {}
+    if refined:
+        cbv, lam = bv_constant(model), model.uniformity
+        constants.update({
+            "C": cbv, "Lambda_F": lam, "coeff_remainder4": c_rem4,
+            "coeff_weight2": (n - 2.0 - beta) * (n - 2.0 + beta) * cbv
+            / (2.0 * lam),
+            "coeff_weight2_remainder": (n - 1.0) * (n - 2.0) * cbv / lam,
+            "coeff_weight0": cbv * cbv / (lam * lam)})
+        table.update({
+            "remainder4": (rem4, "coeff_remainder4"),
+            "weight2": (_u2(-2.0 - beta), "coeff_weight2"),
+            "weight2_remainder": (_u2(-2.0 - beta, remainder=True),
+                                  "coeff_weight2_remainder"),
+            "weight0": (_u2(-beta), "coeff_weight0")})
+        # intermediate inequality (beta < n - 4): completed-square energy
+        # bounded by the Rellich excess minus the first-order remainder
+        q = (n + beta) * (n - 4.0 - beta) / 4.0
+        if beta < n - 4.0:
+            check["de1"] = lambda j: (j.lap + q * j.f / j.power(2.0)) ** 2 \
+                * j.power(-beta)
+    else:
+        constants.update({"gamma": rellich_gamma(n, beta),
+                          "remainder_coefficient": c_rem4})
+        table["remainder"] = (rem4, "remainder_coefficient")
+    prof = _require_radial(u)
     u0, kinks = _point_read(model, prof, beta)
     _require_c1(kinks, what)
     cols, point = _gbeta_columns(model, measure, beta, u0, kinks)
-    cols["lhs"] = _lap2(-beta)
-    # both weight-4 coefficients vanish at beta = n - 4, where their
-    # integrals diverge for f(0) != 0: those columns are left out
-    if rellich_sharp_constant(model.n, beta) != 0.0:
-        cols["weight4"] = _u2(-4.0 - beta)
-        if model.curvature != 0.0:
-            cols["weight4_rem"] = _u2(-4.0 - beta, remainder=True)
-    raw = _terms(model, measure, prof, {**cols, **extra}, spec)
+    raw = _terms(model, measure, prof, {**cols, **_columns(table), **check},
+                 spec)
     gval, gscale, _gerr = _gbeta_value(raw, point)
     if not gbeta_member(gval, gscale):
         raise PreconditionError(
             f"G^beta(u) = {gval:.3e} exceeds the membership band "
             f"{GBETA_BAND:g} * {gscale:.3e}")
-    return raw, gval, gscale
+    constants.update({"gbeta_value": gval, "gbeta_scale": gscale})
+    rep = _report(theorem, model, measure, beta, constants,
+                  *_evaluate(table, constants, raw), spec)
+    if check:
+        tol, terms = rep.slack_tolerance, rep.terms
+        de1_lhs = raw["de1"].value
+        de1_rhs = (terms["lhs"].value - terms["main"].value
+                   - terms["remainder4"].value
+                   - 2.0 * q * cbv / lam * raw["weight2"].value)
+        rep.checks.update({"de1_lhs": de1_lhs, "de1_rhs": de1_rhs,
+                           "de1_ok": bool(-tol <= de1_lhs <= de1_rhs + tol)})
+        rep.passed = rep.passed and rep.checks["de1_ok"]
+    return rep
 
 
 def rellich_report(model, measure: str, u, beta: float,
                    spec: QuadratureSpec | None = None) -> InequalityReport:
     """Sharp Rellich inequality for kernel-class test functions."""
-    spec = spec or QuadratureSpec()
-    n = model.n
-    rellich_domain(n, beta, "rellich")
-    raw, gval, gscale = _rellich_pass("rellich", model, measure,
-                                      _require_radial(u), beta, spec, {})
-    delta = rellich_sharp_constant(n, beta)
-    c_rem = _rellich_remainder_coefficient(n, beta)
-    terms = {"lhs": raw["lhs"], "main": raw["weight4"].scaled(delta),
-             "remainder": raw.get("weight4_rem", _ZERO).scaled(c_rem)}
-    slack = terms["lhs"].value - terms["main"].value - terms["remainder"].value
-    constants = {"n": n, "beta": beta, "gamma": rellich_gamma(n, beta),
-                 "delta": delta, "remainder_coefficient": c_rem,
-                 "k": model.curvature, "gbeta_value": gval,
-                 "gbeta_scale": gscale}
-    return _report("rellich", model, measure, beta, constants, terms, slack,
-                   spec)
+    return _rellich_family("rellich", model, measure, u, beta, spec)
 
 
 def rellich_bv_report(model, measure: str, u, beta: float,
                       spec: QuadratureSpec | None = None) -> InequalityReport:
     """Refined Rellich inequality with three Brezis-Vazquez style remainders,
     plus the intermediate square-completion inequality as an internal check."""
-    spec = spec or QuadratureSpec()
-    n = model.n
-    if not 0.0 <= beta < n - 2.0:
-        raise PreconditionError(f"refined rellich needs 0 <= beta < n - 2, "
-                                f"got n={n}, beta={beta}")
-    cbv = bv_constant(model)
-    prof = _require_radial(u)
-    lam = model.uniformity
-    delta = rellich_sharp_constant(n, beta)
-    c_rem4 = _rellich_remainder_coefficient(n, beta)
-    c_w2 = (n - 2.0 - beta) * (n - 2.0 + beta) * cbv / (2.0 * lam)
-    c_w2_rem = (n - 1.0) * (n - 2.0) * cbv / lam
-    c_w0 = cbv * cbv / (lam * lam)
-    # intermediate inequality (beta < n - 4): completed-square energy
-    # bounded by the Rellich excess minus the first-order remainder
-    q = (n + beta) * (n - 4.0 - beta) / 4.0
-    extra = {"w2": _u2(-2.0 - beta),
-             "w2_rem": _u2(-2.0 - beta, remainder=True), "w0": _u2(-beta)}
-    if beta < n - 4.0:
-        extra["de1"] = lambda j: (j.lap + q * j.f / j.power(2.0)) ** 2 * \
-            j.power(-beta)
-    raw, gval, gscale = _rellich_pass("refined rellich", model, measure,
-                                      prof, beta, spec, extra)
-    terms = {
-        "lhs": raw["lhs"],
-        "main": raw.get("weight4", _ZERO).scaled(delta),
-        "remainder4": raw.get("weight4_rem", _ZERO).scaled(c_rem4),
-        "weight2": raw["w2"].scaled(c_w2),
-        "weight2_remainder": raw["w2_rem"].scaled(c_w2_rem),
-        "weight0": raw["w0"].scaled(c_w0),
-    }
-    slack = terms["lhs"].value - sum(t.value for k, t in terms.items()
-                                     if k != "lhs")
-    constants = {"n": n, "beta": beta, "delta": delta, "C": cbv,
-                 "Lambda_F": lam, "k": model.curvature,
-                 "coeff_remainder4": c_rem4, "coeff_weight2": c_w2,
-                 "coeff_weight2_remainder": c_w2_rem, "coeff_weight0": c_w0,
-                 "gbeta_value": gval, "gbeta_scale": gscale}
-    rep = _report("rellich-bv", model, measure, beta, constants, terms, slack,
-                  spec)
-    if "de1" in raw:
-        tol = rep.slack_tolerance
-        de1_lhs = raw["de1"].value
-        de1_rhs = (raw["lhs"].value - delta * raw["weight4"].value
-                   - c_rem4 * raw["weight4_rem"].value
-                   - 2.0 * q * cbv / lam * raw["w2"].value)
-        rep.checks.update({"de1_lhs": de1_lhs, "de1_rhs": de1_rhs,
-                           "de1_ok": bool(-tol <= de1_lhs <= de1_rhs + tol)})
-        rep.passed = rep.passed and rep.checks["de1_ok"]
-    return rep
+    return _rellich_family("rellich-bv", model, measure, u, beta, spec)
 
 
 # ------------------------------------------------------------------- sweeps

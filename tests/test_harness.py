@@ -345,6 +345,85 @@ def test_rellich_bv_unit_uniformity_simplification():
         pytest.approx((6 - 1) * (6 - 2) * c)
 
 
+def test_refined_reports_reject_in_domain_order():
+    # beta's domain before k < 0, and k < 0 before a non-radial input
+    r6 = RandersFlat(6, 0.5)
+    u = fc.radial_field(r6, H.radial_battery(1, 0.9)[0])
+    for report, beta, match in (
+            (H.hardy_bv_report, 4.5, r"hardy-bv needs n - 2 > beta"),
+            (H.rellich_bv_report, 4.5, r"refined rellich needs 0 <= beta"),
+            (H.rellich_bv_report, 0.0, r"need k < 0, got k=0.0")):
+        with pytest.raises(H.PreconditionError, match=match):
+            report(r6, "bh", u, beta, SPEC)
+
+
+# ------------------------------------------------------------- term tables
+# every column is live on the hyperbolic ball; the last entry is the big
+# side, from which the slack subtracts every other term
+TABLES = {
+    "hardy": (H.hardy_report, HyperbolicBall(4, -1.0), (0.0,), "lhs"),
+    "hardy-bv": (H.hardy_bv_report, HyperbolicBall(4, -1.0), (0.0,), "lhs"),
+    "poincare": (H.poincare_report, HyperbolicBall(3, -1.0), (),
+                 "gradient_side"),
+    "rellich": (H.rellich_report, HyperbolicBall(6, -1.0), (0.0,), "lhs"),
+    "rellich-bv": (H.rellich_bv_report, HyperbolicBall(6, -1.0), (1.0,),
+                   "lhs"),
+}
+
+
+def table_report(name, member=0):
+    report, model, beta, _ = TABLES[name]
+    return report(model, "bh", H.radial_battery(4)[member], *beta, FAST)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_each_coefficient_scales_its_term_alone(monkeypatch, name):
+    # the evaluator is the one seam between a coefficient and its term: a
+    # coefficient read x1.01 there moves that term alone, by that factor,
+    # and the slack by the term's change
+    evaluate, tables = H._evaluate, []
+
+    def record(table, *args):
+        tables.append(table)
+        return evaluate(table, *args)
+
+    monkeypatch.setattr(H, "_evaluate", record)
+    base = table_report(name)
+    (table,) = tables
+    assert all(col is not None for col, _ in table.values())
+    scaled = {term: key for term, (_, key) in table.items() if key}
+    assert len(scaled) == len(set(scaled.values())) >= 1
+    big = TABLES[name][3]
+    ulp = 2.0 ** -52 * max(abs(t.value) for t in base.terms.values())
+    for term, key in scaled.items():
+        def bumped(table, constants, *args, key=key):
+            return evaluate(table, {**constants, key: 1.01 * constants[key]},
+                            *args)
+
+        monkeypatch.setattr(H, "_evaluate", bumped)
+        rep = table_report(name)
+        old, new = base.terms[term].value, rep.terms[term].value
+        assert old != 0.0
+        assert {t for t in rep.terms if rep.terms[t] != base.terms[t]} == \
+            {term}
+        assert new == pytest.approx(1.01 * old, rel=4e-16)
+        change = new - old if term == big else old - new
+        assert rep.slack - base.slack == pytest.approx(change, abs=8 * ulp)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_slack_is_the_big_side_minus_the_others_in_term_order(name):
+    # rellich-bv's members 0 and 1 tell this rule from lhs - sum(others)
+    big = TABLES[name][3]
+    for member in range(4):
+        rep = table_report(name, member)
+        slack = rep.terms[big].value
+        for term, t in rep.terms.items():
+            if term != big:
+                slack -= t.value
+        assert rep.slack == slack
+
+
 # -------------------------------------------------------------------- sweeps
 def test_hardy_sweep_flat():
     m = RandersFlat(3, 0.5)
