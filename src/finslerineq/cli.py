@@ -11,12 +11,18 @@ error, 3 numerical failure.  The module imports only the standard library:
 ``list``, ``--help`` and usage errors load no numpy, and a suite loads numpy
 and the numerical modules when it runs, after numpy's OpenBLAS pool has been
 given one thread unless the caller sets ``OPENBLAS_NUM_THREADS``.
+``console()`` is the process entry (``python -m finslerineq.cli`` and the
+``finslerineq`` script): it runs ``main`` with the cyclic collector off and
+freezes the heap at the end, so that interpreter shutdown collects none of
+it.  ``main(argv)`` keeps the collector, for tests and callers whose
+process goes on.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import json
 import math
 import os
@@ -398,7 +404,9 @@ def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(suite=args.suite, model=suite.model, n=suite.n)
     cp = configparser.ConfigParser()
     cp.optionxform = str          # keep r and R distinct
-    if args.config:
+    if args.config == "":
+        raise ConfigError("--config has an empty value")
+    if args.config is not None:
         try:
             read = cp.read(args.config)
         except configparser.Error as exc:
@@ -411,7 +419,10 @@ def _config_from_args(args) -> RunConfig:
             text = cp.get(section, key, fallback=None)
             if text == "":
                 raise ConfigError(f"[{section}] {key} has an empty value")
-            for value in (text, getattr(args, name)):     # a flag wins
+            given = getattr(args, name)
+            if given == "":      # argparse rejects an empty number or choice
+                raise ConfigError(f"--{name} has an empty value")
+            for value in (text, given):                   # a flag wins
                 if value is not None:
                     setattr(cfg, name, _parse(name, value))
     if cp.has_section("quadrature"):
@@ -453,5 +464,18 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def console() -> int:
+    """The process entry: ``main`` with the cyclic collector off, and the
+    heap frozen at the end, so that the collections of interpreter shutdown
+    skip every object the run made.  No run makes a cycle worth collecting;
+    shutdown still flushes the streams, runs atexit and tears the modules
+    down.  ``main`` keeps the collector for callers in a longer process."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

@@ -319,6 +319,17 @@ def test_empty_config_value_is_an_error(tmp_path, capsys, section, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--config", "--eps"])
+def test_empty_flag_value_is_an_error(tmp_path, monkeypatch, capsys, flag):
+    # a flag's empty value is refused as a config file's is, before anything
+    # is written: an empty --out would name the working directory
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["hardy-sweep", flag, ""]) == 2
+    assert f"{flag} has an empty value" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unparsable_config_file(tmp_path, capsys):
     # no section header: a configuration error, not a traceback
     cfg = tmp_path / "flat.ini"
@@ -567,16 +578,60 @@ def test_drift_alias_flag(tmp_path):
     assert rep["config"]["t"] == 0.0
 
 
-def _fresh_python(code, env=None):
-    """Standard output of ``code`` in a fresh interpreter on this source
-    tree, with OPENBLAS_NUM_THREADS unset unless ``env`` sets it."""
+def _fresh_env(env=None):
+    """The environment of a fresh interpreter on this source tree, with
+    OPENBLAS_NUM_THREADS unset unless ``env`` sets it."""
     src = str(Path(finslerineq.__file__).parents[1])
     base = {k: v for k, v in os.environ.items()
             if k != "OPENBLAS_NUM_THREADS"}
+    return {**base, "PYTHONPATH": src, **(env or {})}
+
+
+def _fresh_python(code, env=None):
+    """Standard output of ``code`` in a fresh interpreter on this source
+    tree."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          env={**base, "PYTHONPATH": src, **(env or {})})
+                          text=True, check=True, env=_fresh_env(env))
     return proc.stdout.split()
+
+
+def _module_run(argv):
+    """``python -m finslerineq.cli`` with ``argv`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "finslerineq.cli", *argv],
+                          capture_output=True, text=True, env=_fresh_env())
+
+
+def test_module_entry_writes_what_main_writes(tmp_path):
+    proc = _module_run(["constants", "--out", str(tmp_path / "A")])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert run_cli(["constants", "--out", str(tmp_path / "B")]) == 0
+    assert ((tmp_path / "A" / "report.json").read_bytes()
+            == (tmp_path / "B" / "report.json").read_bytes())
+
+
+def test_module_entry_passes_usage_errors_through(tmp_path):
+    # argparse's SystemExit leaves console() with its status and message
+    proc = _module_run(["hardy", "--n", "x", "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2
+    assert "argument --n: invalid int value: 'x'" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("call, state", [
+    ("cli.console()", ["0", "False", "True"]),
+    ("cli.main(sys.argv[1:])", ["0", "True", "False"])])
+def test_only_the_process_entry_turns_the_collector_off(tmp_path, call,
+                                                        state):
+    # console() ends with the collector off and the heap frozen; main keeps
+    # the collector and freezes nothing, so a long process frees its garbage
+    argv = ["finslerineq", "constants", "--out", str(tmp_path)]
+    code = ("import contextlib, gc, io, sys\n"
+            "from finslerineq import cli\n"
+            f"sys.argv = {argv!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = {call}\n"
+            "print(status, gc.isenabled(), gc.get_freeze_count() > 0)\n")
+    assert _fresh_python(code) == state
 
 
 def test_import_does_not_load_scipy():
